@@ -320,6 +320,77 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return _make(out, (x, gain, bias), backward, "layer_norm")
 
 
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction over the rows of ``x``, from zero initial states, as one node.
+
+    Gate columns of ``wx`` (d_in x 4*d_h), ``wh`` (d_h x 4*d_h) and ``b`` are
+    ordered i, f, g, o. The input projection ``x @ wx`` of every step is one
+    GEMM; step t then forms its pre-activation as ``(x_t wx + h_{t-1} wh) + b``
+    and updates
+
+        c_t = f * c_{t-1} + i * g,    h_t = o * tanh(c_t)
+
+    with sigmoid i, f, o and tanh g. With ``reverse`` the rows are read last to
+    first. Row t of the (n x d_h) result is always the state after reading
+    row t of ``x``. A non-finite pre-activation at any step raises
+    :class:`NonFiniteError`, even where a saturated gate would hide it.
+
+    Backward runs BPTT in numpy to get dZ, the (n x 4*d_h) gradient of every
+    step's pre-activation, and returns dx = dZ wx^T, dwx = x^T dZ,
+    dwh = H_prev^T dZ (H_prev holds each step's incoming state) and
+    db = dZ summed over steps.
+    """
+    xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
+    d_h = whd.shape[0]
+    if (xd.ndim != 2 or whd.shape != (d_h, 4 * d_h) or wxd.shape != (xd.shape[1], 4 * d_h)
+            or bd.shape != (4 * d_h,)):
+        _shape_fail("lstm", xd.shape, wxd.shape, whd.shape, bd.shape)
+    n = xd.shape[0]
+    xs = xd[::-1] if reverse else xd  # rows in reading order
+    z = xs @ wxd
+    gates = np.empty_like(z)
+    # row 0 of the state buffers is the zero initial state, row t + 1 the state after step t
+    c = np.zeros((n + 1, d_h))
+    h = np.zeros((n + 1, d_h))
+    tanh_c = np.empty((n, d_h))
+    for t in range(n):
+        z[t] = (z[t] + h[t] @ whd) + bd
+        gates[t, :2 * d_h] = expit(z[t, :2 * d_h])
+        gates[t, 2 * d_h:3 * d_h] = np.tanh(z[t, 2 * d_h:3 * d_h])
+        gates[t, 3 * d_h:] = expit(z[t, 3 * d_h:])
+        i, f, g, o = gates[t].reshape(4, d_h)
+        c[t + 1] = f * c[t] + i * g
+        tanh_c[t] = np.tanh(c[t + 1])
+        h[t + 1] = o * tanh_c[t]
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteError("lstm: non-finite gate pre-activation")
+    out = h[1:][::-1] if reverse else h[1:]
+
+    def backward(grad):
+        gs = grad[::-1] if reverse else grad
+        i, f, g, o = (gates[:, k * d_h:(k + 1) * d_h] for k in range(4))
+        # per-step factors: d(pre-activation) of i, f, g from dc; of o and dc from dh
+        dc_to_dz = np.stack([g * i * (1.0 - i), c[:-1] * f * (1.0 - f), i * (1.0 - g * g)],
+                            axis=1)
+        dh_to_dz_o = tanh_c * o * (1.0 - o)
+        dh_to_dc = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty_like(z)
+        dz_gates = dz.reshape(n, 4, d_h)
+        dh_next = np.zeros(d_h)
+        dc_next = np.zeros(d_h)
+        for t in range(n - 1, -1, -1):
+            dh = gs[t] + dh_next
+            dc = dh * dh_to_dc[t] + dc_next
+            dz_gates[t, :3] = dc * dc_to_dz[t]
+            dz_gates[t, 3] = dh * dh_to_dz_o[t]
+            dc_next = dc * f[t]
+            dh_next = whd @ dz[t]
+        dx = dz @ wxd.T
+        return (dx[::-1] if reverse else dx), xs.T @ dz, h[:-1].T @ dz, dz.sum(axis=0)
+
+    return _make(out, (x, wx, wh, b), backward, "lstm")
+
+
 # ---------------------------------------------------------------------------
 # backward pass
 

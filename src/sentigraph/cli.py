@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -164,6 +165,11 @@ def _load_split(args, config):
     return train_samples, dev_samples
 
 
+def _dev_score(value: float) -> float | None:
+    """A dev score for JSON output; NaN (no dev samples to score) becomes null."""
+    return None if math.isnan(value) else value
+
+
 def cmd_train(args) -> int:
     config = _resolve_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -193,16 +199,17 @@ def cmd_train(args) -> int:
     save_checkpoint(checkpoint_dir, result.model, state=result.best_state)
     manifest.add_artifact("checkpoint", checkpoint_dir)
 
+    final = result.log[-1] if result.log else None
     summary = {
         "best_epoch": result.best_epoch,
-        "best_dev_acc": result.best_dev_acc,
-        "final_epoch": result.log[-1].epoch if result.log else 0,
-        "final_dev_acc": result.log[-1].dev_acc if result.log else None,
-        "final_dev_f1": result.log[-1].dev_f1 if result.log else None,
+        "best_dev_acc": _dev_score(result.best_dev_acc),
+        "final_epoch": final.epoch if final else 0,
+        "final_dev_acc": _dev_score(final.dev_acc) if final else None,
+        "final_dev_f1": _dev_score(final.dev_f1) if final else None,
     }
     summary_path = os.path.join(args.out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2)
+        json.dump(summary, f, indent=2, allow_nan=False)
         f.write("\n")
     manifest.add_artifact("summary", summary_path)
     manifest.complete()

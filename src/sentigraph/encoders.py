@@ -2,11 +2,16 @@
 
 The Bi-LSTM runs one pass left-to-right and one right-to-left from zero
 initial states and concatenates the per-step hidden vectors, giving an
-n x 2*d_h context matrix. The transformer encoder adds sinusoidal position
-signals to the raw embeddings, applies multi-head scaled dot-product
-attention and a position-wise feed-forward, each followed by a residual
-connection and layer normalization, giving an n x d_model matrix of global
-features.
+n x 2*d_h context matrix. Each direction is one :func:`autodiff.lstm` node
+with gate columns ordered i, f, g, o. Its forward projects the inputs of all
+steps with one GEMM before the recurrence. Its backward runs BPTT in numpy
+and returns the input gradient and the wx, wh and bias gradients as single
+matmuls (a sum for the bias) over all steps.
+
+The transformer encoder adds sinusoidal position signals to the raw
+embeddings, applies multi-head scaled dot-product attention and a
+position-wise feed-forward, each followed by a residual connection and
+layer normalization, giving an n x d_model matrix of global features.
 """
 
 from __future__ import annotations
@@ -34,10 +39,6 @@ class LstmDirectionParams:
     wh: Tensor  # (d_h, 4*d_h)
     b: Tensor   # (4*d_h,)
 
-    @property
-    def d_h(self) -> int:
-        return self.wh.shape[0]
-
 
 @dataclass
 class BiLstmParams:
@@ -59,38 +60,11 @@ def init_bilstm_params(store: ParameterStore, prefix: str, d_in: int, d_h: int,
     return BiLstmParams(fwd=direction("fwd"), bwd=direction("bwd"))
 
 
-def _lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-               p: LstmDirectionParams) -> tuple[Tensor, Tensor]:
-    d_h = p.d_h
-    z = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h_prev, p.wh)), p.b)
-    i = ad.sigmoid(ad.slice_axis(z, 1, 0, d_h))
-    f = ad.sigmoid(ad.slice_axis(z, 1, d_h, 2 * d_h))
-    g = ad.tanh(ad.slice_axis(z, 1, 2 * d_h, 3 * d_h))
-    o = ad.sigmoid(ad.slice_axis(z, 1, 3 * d_h, 4 * d_h))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
-
-
-def _lstm_direction(rows: list[Tensor], p: LstmDirectionParams) -> list[Tensor]:
-    d_h = p.d_h
-    h = Tensor(np.zeros((1, d_h)))
-    c = Tensor(np.zeros((1, d_h)))
-    out = []
-    for x in rows:
-        h, c = _lstm_step(x, h, c, p)
-        out.append(h)
-    return out
-
-
 def bilstm_encode(embedded: Tensor, params: BiLstmParams) -> Tensor:
     """Concatenate forward-in-time and backward-in-time hidden states per token."""
-    n = embedded.shape[0]
-    rows = [ad.slice_axis(embedded, 0, t, t + 1) for t in range(n)]
-    fwd_states = _lstm_direction(rows, params.fwd)
-    bwd_states = list(reversed(_lstm_direction(list(reversed(rows)), params.bwd)))
-    per_token = [ad.concat([f, b], axis=1) for f, b in zip(fwd_states, bwd_states)]
-    return ad.concat(per_token, axis=0)
+    fwd, bwd = params.fwd, params.bwd
+    return ad.concat([ad.lstm(embedded, fwd.wx, fwd.wh, fwd.b),
+                      ad.lstm(embedded, bwd.wx, bwd.wh, bwd.b, reverse=True)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,6 @@ class Prediction:
 
     prob: np.ndarray
     predicted_label: str
-    res_out: np.ndarray
     prob_tensor: Tensor
 
     def as_record(self, gold_label: str | None = None) -> dict:
@@ -107,8 +106,7 @@ def classify(res_out: Tensor, params: ClassifierParams) -> Prediction:
     prob = ad.softmax(ad.add(ad.matmul(res_out, params.w), params.b))
     # np.argmax resolves ties toward the first index
     predicted = LABELS[int(np.argmax(prob.data))]
-    return Prediction(prob=prob.data.copy(), predicted_label=predicted,
-                      res_out=res_out.data.copy(), prob_tensor=prob)
+    return Prediction(prob=prob.data.copy(), predicted_label=predicted, prob_tensor=prob)
 
 
 def nll(prob: Tensor, label: str) -> Tensor:

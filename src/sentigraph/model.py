@@ -162,6 +162,9 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.nd
         ("gather_rows",
          lambda t: ad.reduce_sum(ad.tanh(ad.gather_rows(t, np.array([0, 2, 2, 1])))),
          [arr(4, 3)]),
+        ("lstm", lambda x, wx, wh, b: ad.reduce_sum(ad.tanh(ad.concat(
+            [ad.lstm(x, wx, wh, b), ad.lstm(x, wx, wh, b, reverse=True)], axis=1))),
+         [arr(4, 3), arr(3, 8), arr(2, 8), arr(8)]),
     ]
 
 

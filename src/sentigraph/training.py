@@ -147,9 +147,14 @@ class TrainResult:
 
 
 def split_dev(samples, fraction: float, seed: int):
-    """Seeded holdout used when a corpus ships without a dev split."""
-    if not 0 < fraction < 1:
-        raise ValueError("dev fraction must be in (0, 1)")
+    """Seeded holdout used when a corpus ships without a dev split.
+
+    A fraction of 0 holds nothing out: training then keeps the last epoch.
+    """
+    if not 0 <= fraction < 1:
+        raise ValueError("dev fraction must be in [0, 1)")
+    if fraction == 0:
+        return list(samples), []
     rng = make_rng(seed, "devsplit")
     order = rng.permutation(len(samples))
     n_dev = max(1, int(round(len(samples) * fraction)))

@@ -167,6 +167,27 @@ def test_nonfinite_forward_raises():
             ad.exp(ad.Tensor(np.array([1e5])))
 
 
+@pytest.mark.parametrize("operand, value", [("wx", np.inf), ("x", np.nan)])
+def test_lstm_nonfinite_pre_activation_raises(operand, value):
+    # an infinite input-gate pre-activation saturates its sigmoid and would
+    # otherwise leave every output finite
+    arrays = {"x": rand((5, 3), seed=1), "wx": rand((3, 8), seed=2),
+              "wh": rand((2, 8), seed=3), "b": rand((8,), seed=4)}
+    arrays[operand][0, 0] = value
+    tensors = {name: ad.Tensor(a) for name, a in arrays.items()}
+    for reverse in (False, True):
+        with pytest.raises(ad.NonFiniteError, match="lstm"):
+            ad.lstm(tensors["x"], tensors["wx"], tensors["wh"], tensors["b"], reverse=reverse)
+
+
+def test_lstm_shape_mismatch():
+    x, wh, b = ad.Tensor(rand((4, 3))), ad.Tensor(rand((2, 8))), ad.Tensor(rand((8,)))
+    with pytest.raises(ad.ShapeError, match="lstm"):
+        ad.lstm(x, ad.Tensor(rand((3, 6))), wh, b)
+    with pytest.raises(ad.ShapeError, match="lstm"):
+        ad.lstm(x, ad.Tensor(rand((4, 8))), wh, b)
+
+
 @settings(max_examples=50)
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=12))
 def test_softmax_sums_to_one(values):

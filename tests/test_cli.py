@@ -116,6 +116,21 @@ class TestTrain:
         assert code == 0
         assert read_manifest(out_dir / "manifest.json")["config"]["batch_size"] == 6
 
+    @pytest.mark.parametrize("no_dev", ["fraction_zero", "empty_dev_file"])
+    def test_run_without_dev_samples_keeps_last_epoch(self, data_dir, no_dev):
+        empty = data_dir / "empty.jsonl"
+        empty.write_text("")
+        dev_args = (["--dev-fraction", "0"] if no_dev == "fraction_zero"
+                    else ["--dev", str(empty)])
+        out_dir = data_dir / "run_no_dev"
+        code = cli.main(["train", "--train", str(data_dir / "train.jsonl"),
+                         "--out-dir", str(out_dir)] + dev_args + TINY_FLAGS)
+        assert code == 0
+        assert read_manifest(out_dir / "manifest.json")["status"] == "complete"
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary == {"best_epoch": 2, "best_dev_acc": None, "final_epoch": 2,
+                           "final_dev_acc": None, "final_dev_f1": None}
+
     def test_failed_run_leaves_incomplete_manifest(self, data_dir):
         empty = data_dir / "empty.jsonl"
         empty.write_text("")

@@ -53,6 +53,39 @@ class TestEmbedSequence:
         assert np.array_equal(permuted, base[perm])
 
 
+def _reference_lstm_step(x, h_prev, c_prev, p):
+    d_h = p.wh.shape[0]
+    z = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h_prev, p.wh)), p.b)
+    i = ad.sigmoid(ad.slice_axis(z, 1, 0, d_h))
+    f = ad.sigmoid(ad.slice_axis(z, 1, d_h, 2 * d_h))
+    g = ad.tanh(ad.slice_axis(z, 1, 2 * d_h, 3 * d_h))
+    o = ad.sigmoid(ad.slice_axis(z, 1, 3 * d_h, 4 * d_h))
+    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    h = ad.mul(o, ad.tanh(c))
+    return h, c
+
+
+def _reference_lstm_direction(rows, p):
+    d_h = p.wh.shape[0]
+    h = Tensor(np.zeros((1, d_h)))
+    c = Tensor(np.zeros((1, d_h)))
+    out = []
+    for x in rows:
+        h, c = _reference_lstm_step(x, h, c, p)
+        out.append(h)
+    return out
+
+
+def reference_bilstm_encode(embedded, params):
+    """The Bi-LSTM composed step by step from primitive ops, one slice per token."""
+    n = embedded.shape[0]
+    rows = [ad.slice_axis(embedded, 0, t, t + 1) for t in range(n)]
+    fwd_states = _reference_lstm_direction(rows, params.fwd)
+    bwd_states = list(reversed(_reference_lstm_direction(list(reversed(rows)), params.bwd)))
+    per_token = [ad.concat([f, b], axis=1) for f, b in zip(fwd_states, bwd_states)]
+    return ad.concat(per_token, axis=0)
+
+
 class TestBiLstm:
     def params(self, d_in=4, d_h=3, seed=0):
         store = ParameterStore()
@@ -92,6 +125,41 @@ class TestBiLstm:
         assert np.array_equal(base[:3, :3], after[:3, :3])     # forward half, earlier rows
         assert np.array_equal(base[4:, 3:], after[4:, 3:])     # backward half, later rows
         assert not np.array_equal(base[3:, :3], after[3:, :3])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_matches_step_by_step_reference(self, n):
+        d_in, d_h = 5, 3
+        p, store = self.params(d_in=d_in, d_h=d_h, seed=n)
+        rng = np.random.default_rng(100 + n)
+        for t in store.tensors():  # nonzero biases, so db is exercised
+            t.data = rng.normal(scale=0.5, size=t.shape)
+        x = Tensor(rng.normal(size=(n, d_in)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(n, 2 * d_h)))
+        leaves = [x] + store.tensors()
+
+        def value_and_grads(encode):
+            for t in leaves:
+                t.zero_grad()
+            out = encode(x, p)
+            ad.backward(ad.reduce_sum(ad.mul(out, weight)))
+            return out.data, [t.grad.copy() for t in leaves]
+
+        fused, fused_grads = value_and_grads(bilstm_encode)
+        reference, reference_grads = value_and_grads(reference_bilstm_encode)
+        assert np.max(np.abs(fused - reference)) < 1e-10
+        names = ["x"] + store.names()
+        assert names == ["x", "lstm.fwd.wx", "lstm.fwd.wh", "lstm.fwd.b",
+                         "lstm.bwd.wx", "lstm.bwd.wh", "lstm.bwd.b"]
+        for name, got, want in zip(names, fused_grads, reference_grads):
+            assert np.max(np.abs(got - want)) < 1e-10, name
+
+    def test_records_one_node_per_direction(self):
+        p, _ = self.params()
+        x = Tensor(np.random.default_rng(9).normal(size=(6, 4)), requires_grad=True)
+        out = bilstm_encode(x, p)
+        directions = out._parents
+        assert len(directions) == 2
+        assert all(d._parents[0] is x and len(d._parents) == 4 for d in directions)
 
     def test_gradient_check_on_gate_weights(self):
         p, store = self.params(d_in=3, d_h=2, seed=1)
