@@ -10,6 +10,13 @@ central finite differences (:func:`finite_diff_check`).
 Supported operand ranks are 0 (scalars), 1 (vectors) and 2 (matrices).
 Broadcasting is deliberately restricted to adding a bias row to a matrix;
 every other shape mismatch raises :class:`ShapeError` immediately.
+
+A batch of B sequences is packed: their rows stacked in one matrix, with
+``lengths`` giving each sequence's row count (:func:`segment_layout`).
+The sequence ops (:func:`lstm`, :func:`attention`, :func:`block_matmul`,
+:func:`segment_sum`, :func:`segment_softmax`) take such a matrix and keep
+the sequences apart, each as one tape node for the whole batch; padding to
+3-d blocks happens inside them only.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ class Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
     """Build an op result, recording the tape edge only when a parent needs it."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: produced non-finite values")
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -320,22 +327,170 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return _make(out, (x, gain, bias), backward, "layer_norm")
 
 
-def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM direction over the rows of ``x``, from zero initial states, as one node.
+# ---------------------------------------------------------------------------
+# packed sequences: B sequences stacked row-wise in one matrix
 
-    Gate columns of ``wx`` (d_in x 4*d_h), ``wh`` (d_h x 4*d_h) and ``b`` are
-    ordered i, f, g, o. The input projection ``x @ wx`` of every step is one
-    GEMM; step t then forms its pre-activation as ``(x_t wx + h_{t-1} wh) + b``
-    and updates
+def segment_layout(lengths, n_rows: int, op: str = "segments") -> tuple[np.ndarray, np.ndarray]:
+    """Validated ``(lengths, offsets)`` of sequences stacked in ``n_rows`` rows.
+
+    Sequence j owns rows ``offsets[j]:offsets[j + 1]``. ``lengths=None``
+    means one sequence holding every row.
+    """
+    if lengths is None or len(lengths) == 1:  # one sequence: no reductions needed
+        if n_rows >= 1 and (lengths is None or lengths[0] == n_rows):
+            return np.array([n_rows]), np.array([0, n_rows])
+    else:
+        sizes = np.array(lengths, dtype=np.int64)
+        if sizes.ndim == 1 and sizes.size and sizes.min() >= 1 and sizes.sum() == n_rows:
+            offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+            np.cumsum(sizes, out=offsets[1:])
+            return sizes, offsets
+    raise ShapeError(f"{op}: lengths {lengths} do not split {n_rows} rows")
+
+
+def segment_sum(a: Tensor, lengths) -> Tensor:
+    """Row block j of the (N x d) ``a`` summed to row j of a (B x d) result."""
+    ad = a.data
+    if ad.ndim != 2:
+        _shape_fail("segment_sum", ad.shape)
+    lengths, offsets = segment_layout(lengths, ad.shape[0], "segment_sum")
+    out = np.add.reduceat(ad, offsets[:-1], axis=0)
+    return _make(out, (a,), lambda g: (np.repeat(g, lengths, axis=0),), "segment_sum")
+
+
+def segment_softmax(a: Tensor, lengths) -> Tensor:
+    """Softmax of the (N,) vector ``a`` within each sequence's block of entries."""
+    ad = a.data
+    if ad.ndim != 1:
+        _shape_fail("segment_softmax", ad.shape)
+    lengths, offsets = segment_layout(lengths, ad.shape[0], "segment_softmax")
+    starts = offsets[:-1]
+    e = np.exp(ad - np.repeat(np.maximum.reduceat(ad, starts), lengths))
+    out = e / np.repeat(np.add.reduceat(e, starts), lengths)
+
+    def backward(g):
+        dot = np.repeat(np.add.reduceat(g * out, starts), lengths)
+        return ((g - dot) * out,)
+
+    return _make(out, (a,), backward, "segment_softmax")
+
+
+def scale_rows(a: Tensor, w: Tensor) -> Tensor:
+    """Row i of the (N x d) ``a`` times entry i of the (N,) vector ``w``."""
+    ad, wd = a.data, w.data
+    if ad.ndim != 2 or wd.shape != (ad.shape[0],):
+        _shape_fail("scale_rows", ad.shape, wd.shape)
+    wc = wd[:, None]
+
+    def backward(g):
+        return g * wc, (g * ad).sum(axis=1)
+
+    return _make(ad * wc, (a, w), backward, "scale_rows")
+
+
+def block_matmul(blocks: list[np.ndarray], x: Tensor, transpose: bool = False) -> Tensor:
+    """Constant square matrix j (or its transpose) applied to sequence j's rows of ``x``.
+
+    This is the product of the block-diagonal matrix of ``blocks`` with
+    ``x`` without building it; one block is a plain ``blocks[0] @ x``.
+    """
+    xd = x.data
+    sizes = [blk.shape[0] for blk in blocks]
+    if (xd.ndim != 2 or not blocks or sum(sizes) != xd.shape[0]
+            or any(blk.shape != (s, s) for blk, s in zip(blocks, sizes))):
+        _shape_fail("block_matmul", xd.shape, *[blk.shape for blk in blocks])
+    mats = [blk.T for blk in blocks] if transpose else blocks
+    bounds = np.cumsum([0] + sizes).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+
+    def apply(ms, rows):
+        if len(ms) == 1:
+            return ms[0] @ rows
+        out = np.empty_like(rows)
+        for m, (lo, hi) in zip(ms, spans):
+            out[lo:hi] = m @ rows[lo:hi]
+        return out
+
+    return _make(apply(mats, xd), (x,), lambda g: (apply([m.T for m in mats], g),),
+                 "block_matmul")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, lengths=None) -> Tensor:
+    """softmax(q k^T / sqrt(d_k)) v with row-wise softmax, within each sequence.
+
+    Query i attends only to the keys of its own sequence, so no N x N score
+    matrix exists: the scores are a (B x n_max x n_max) stack padded per
+    sequence, with the padded keys at -inf. With ``lengths=None`` ``q`` and
+    ``k`` are one sequence each and may differ in length.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or qd.shape[1] != kd.shape[1]
+            or kd.shape[0] != vd.shape[0]
+            or (lengths is not None and qd.shape[0] != kd.shape[0])):
+        _shape_fail("attention", qd.shape, kd.shape, vd.shape)
+    c = 1.0 / np.sqrt(qd.shape[1])
+    if lengths is not None:
+        lengths, offsets = segment_layout(lengths, qd.shape[0], "attention")
+    if lengths is None or lengths.size == 1:
+        index = None
+        qp, kp, vp = qd[None], kd[None], vd[None]
+    else:
+        # row r of sequence j sits at flat position j * n_max + (r - offsets[j])
+        shape = (lengths.size, int(lengths.max()))
+        seq = np.repeat(np.arange(shape[0]), lengths)
+        index = seq * shape[1] + (np.arange(qd.shape[0]) - offsets[seq])
+
+        def pad(rows):
+            block = np.zeros((shape[0] * shape[1], rows.shape[1]))
+            block[index] = rows
+            return block.reshape(*shape, rows.shape[1])
+
+        qp, kp, vp = pad(qd), pad(kd), pad(vd)
+    scores = (qp @ kp.transpose(0, 2, 1)) * c
+    if index is not None:
+        # padded keys get -inf, so their weight is exactly zero
+        scores += np.where(np.arange(shape[1]) < lengths[:, None], 0.0, -np.inf)[:, None, :]
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    weights = e / e.sum(axis=2, keepdims=True)
+    out = weights @ vp
+
+    def unpad(block):
+        return block[0] if index is None else block.reshape(-1, block.shape[2])[index]
+
+    def backward(g):
+        gp = g[None] if index is None else pad(g)
+        dw = gp @ vp.transpose(0, 2, 1)
+        ds = (dw - (dw * weights).sum(axis=2, keepdims=True)) * weights * c
+        return (unpad(ds @ kp), unpad(ds.transpose(0, 2, 1) @ qp),
+                unpad(weights.transpose(0, 2, 1) @ gp))
+
+    return _make(unpad(out), (q, k, v), backward, "attention")
+
+
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False,
+         lengths=None) -> Tensor:
+    """One LSTM direction over each sequence's rows of ``x``, from zero states, as one node.
+
+    ``x`` holds B sequences stacked row-wise (see :func:`segment_layout`;
+    ``lengths=None`` is one sequence). Gate columns of ``wx`` (d_in x 4*d_h),
+    ``wh`` (d_h x 4*d_h) and ``b`` are ordered i, f, g, o. The input
+    projection ``x @ wx`` of every row is one GEMM; step t then forms its
+    pre-activation as ``(x_t wx + h_{t-1} wh) + b`` and updates
 
         c_t = f * c_{t-1} + i * g,    h_t = o * tanh(c_t)
 
-    with sigmoid i, f, o and tanh g. With ``reverse`` the rows are read last to
-    first. Row t of the (n x d_h) result is always the state after reading
-    row t of ``x``. A non-finite pre-activation at any step raises
-    :class:`NonFiniteError`, even where a saturated gate would hide it.
+    with sigmoid i, f, o and tanh g. With ``reverse`` each sequence is read
+    last row to first. Row r of the (N x d_h) result is always the state
+    after reading row r of ``x``. A non-finite pre-activation at any step
+    raises :class:`NonFiniteError`, even where a saturated gate would hide it.
 
-    Backward runs BPTT in numpy to get dZ, the (n x 4*d_h) gradient of every
+    The recurrence runs over a time-major (n_max x B) padded block whose
+    slots hold the sequences longest first, so the sequences still running
+    at step t are a prefix of slots and each step is one ``h[:k] @ wh``
+    GEMM on views. One sequence needs no padding: its block is a view of
+    the projected rows.
+
+    Backward runs BPTT in numpy to get dZ, the (N x 4*d_h) gradient of every
     step's pre-activation, and returns dx = dZ wx^T, dwx = x^T dZ,
     dwh = H_prev^T dZ (H_prev holds each step's incoming state) and
     db = dZ summed over steps.
@@ -345,50 +500,81 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) ->
     if (xd.ndim != 2 or whd.shape != (d_h, 4 * d_h) or wxd.shape != (xd.shape[1], 4 * d_h)
             or bd.shape != (4 * d_h,)):
         _shape_fail("lstm", xd.shape, wxd.shape, whd.shape, bd.shape)
-    n = xd.shape[0]
-    xs = xd[::-1] if reverse else xd  # rows in reading order
-    z = xs @ wxd
-    gates = np.empty_like(z)
-    # row 0 of the state buffers is the zero initial state, row t + 1 the state after step t
-    c = np.zeros((n + 1, d_h))
-    h = np.zeros((n + 1, d_h))
-    tanh_c = np.empty((n, d_h))
-    for t in range(n):
-        z[t] = (z[t] + h[t] @ whd) + bd
-        gates[t, :2 * d_h] = expit(z[t, :2 * d_h])
-        gates[t, 2 * d_h:3 * d_h] = np.tanh(z[t, 2 * d_h:3 * d_h])
-        gates[t, 3 * d_h:] = expit(z[t, 3 * d_h:])
-        i, f, g, o = gates[t].reshape(4, d_h)
-        c[t + 1] = f * c[t] + i * g
-        tanh_c[t] = np.tanh(c[t + 1])
-        h[t + 1] = o * tanh_c[t]
-    if not np.all(np.isfinite(z)):
+    lengths, offsets = segment_layout(lengths, xd.shape[0], "lstm")
+    n_seq, n_max = lengths.size, int(lengths.max())
+    if n_seq == 1:
+        index = None
+        active = [0] * n_max  # an integer index keeps the steps on 1-d rows and GEMVs
+    else:
+        # slot s holds the s-th longest sequence; step t of a sequence is its
+        # row t, or its row (length - 1 - t) when reading in reverse
+        order = np.argsort(-lengths, kind="stable")
+        slot = np.empty(n_seq, dtype=np.int64)
+        slot[order] = np.arange(n_seq)
+        seq = np.repeat(np.arange(n_seq), lengths)
+        pos = np.arange(xd.shape[0]) - offsets[seq]
+        step = lengths[seq] - 1 - pos if reverse else pos
+        index = step * n_seq + slot[seq]
+        counts = (lengths[order] > np.arange(n_max)[:, None]).sum(axis=1).tolist()
+        active = [slice(0, k) for k in counts]
+
+    def to_block(rows):
+        if index is None:
+            return (rows[::-1] if reverse else rows)[:, None]
+        block = np.zeros((n_max * n_seq, rows.shape[1]))
+        block[index] = rows
+        return block.reshape(n_max, n_seq, rows.shape[1])
+
+    def to_rows(block):
+        if index is None:
+            return block[::-1, 0] if reverse else block[:, 0]
+        return block.reshape(-1, block.shape[2])[index]
+
+    z = to_block(xd @ wxd)
+    gates = np.zeros((n_max, n_seq, 4 * d_h))
+    # step 0 of the state buffers is the zero initial state, step t + 1 the state after step t
+    c = np.zeros((n_max + 1, n_seq, d_h))
+    h = np.zeros((n_max + 1, n_seq, d_h))
+    tanh_c = np.zeros((n_max, n_seq, d_h))
+    for t, k in enumerate(active):
+        zt = z[t, k]
+        zt += h[t, k] @ whd
+        zt += bd
+        gt = gates[t, k]
+        gt[..., :2 * d_h] = expit(zt[..., :2 * d_h])
+        gt[..., 2 * d_h:3 * d_h] = np.tanh(zt[..., 2 * d_h:3 * d_h])
+        gt[..., 3 * d_h:] = expit(zt[..., 3 * d_h:])
+        c[t + 1, k] = gt[..., d_h:2 * d_h] * c[t, k] + gt[..., :d_h] * gt[..., 2 * d_h:3 * d_h]
+        tanh_c[t, k] = np.tanh(c[t + 1, k])
+        h[t + 1, k] = gt[..., 3 * d_h:] * tanh_c[t, k]
+    if not np.isfinite(z).all():
         raise NonFiniteError("lstm: non-finite gate pre-activation")
-    out = h[1:][::-1] if reverse else h[1:]
 
     def backward(grad):
-        gs = grad[::-1] if reverse else grad
-        i, f, g, o = (gates[:, k * d_h:(k + 1) * d_h] for k in range(4))
+        gs = to_block(grad)
+        i, f, g, o = (gates[:, :, k * d_h:(k + 1) * d_h] for k in range(4))
         # per-step factors: d(pre-activation) of i, f, g from dc; of o and dc from dh
         dc_to_dz = np.stack([g * i * (1.0 - i), c[:-1] * f * (1.0 - f), i * (1.0 - g * g)],
-                            axis=1)
+                            axis=2)
         dh_to_dz_o = tanh_c * o * (1.0 - o)
         dh_to_dc = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty_like(z)
-        dz_gates = dz.reshape(n, 4, d_h)
-        dh_next = np.zeros(d_h)
-        dc_next = np.zeros(d_h)
-        for t in range(n - 1, -1, -1):
-            dh = gs[t] + dh_next
-            dc = dh * dh_to_dc[t] + dc_next
-            dz_gates[t, :3] = dc * dc_to_dz[t]
-            dz_gates[t, 3] = dh * dh_to_dz_o[t]
-            dc_next = dc * f[t]
-            dh_next = whd @ dz[t]
-        dx = dz @ wxd.T
-        return (dx[::-1] if reverse else dx), xs.T @ dz, h[:-1].T @ dz, dz.sum(axis=0)
+        dz_gates = np.zeros((n_max, n_seq, 4, d_h))
+        dz = dz_gates.reshape(n_max, n_seq, 4 * d_h)
+        dh_next = np.zeros((n_seq, d_h))
+        dc_next = np.zeros((n_seq, d_h))
+        for t in range(n_max - 1, -1, -1):
+            k = active[t]
+            dh = gs[t, k] + dh_next[k]
+            dc = dh * dh_to_dc[t, k] + dc_next[k]
+            dz_gates[t, k, :3] = dc[..., None, :] * dc_to_dz[t, k]
+            dz_gates[t, k, 3] = dh * dh_to_dz_o[t, k]
+            dc_next[k] = dc * f[t, k]
+            dh_next[k] = whd @ dz[t, k] if index is None else dz[t, k] @ whd.T
+        dz_rows = to_rows(dz)
+        return (dz_rows @ wxd.T, xd.T @ dz_rows, to_rows(h[:-1]).T @ dz_rows,
+                dz_rows.sum(axis=0))
 
-    return _make(out, (x, wx, wh, b), backward, "lstm")
+    return _make(to_rows(h[1:]), (x, wx, wh, b), backward, "lstm")
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +615,7 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteError("backward: produced non-finite gradient")
         if node.grad is None:
             node.grad = np.zeros_like(node.data)
@@ -591,19 +777,36 @@ def save_tensor_file(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_tensor_file(path) -> dict[str, np.ndarray]:
+    """Read a :func:`save_tensor_file` container.
+
+    A short read anywhere, header fields included, or bytes after the last
+    tensor raise ValueError naming the file and the field or tensor.
+    """
     with open(path, "rb") as f:
+        def read(size: int, what: str) -> bytes:
+            buf = f.read(size)
+            if len(buf) != size:
+                raise ValueError(f"{path}: truncated file: {len(buf)} of {size} bytes "
+                                 f"of the {what}")
+            return buf
+
         if f.read(8) != _MAGIC:
             raise ValueError(f"{path}: not a tensor container")
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", read(4, "tensor count"))
         names = []
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            names.append(f.read(nlen).decode("utf-8"))
+        for i in range(count):
+            (nlen,) = struct.unpack("<H", read(2, f"name length of tensor {i}"))
+            try:
+                names.append(read(nlen, f"name of tensor {i}").decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: name of tensor {i} is not UTF-8") from e
         out: dict[str, np.ndarray] = {}
         for name in names:
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(ndim))
+            (ndim,) = struct.unpack("<B", read(1, f"rank of tensor {name!r}"))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"shape of tensor {name!r}"))
             n_values = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * n_values)
+            buf = read(8 * n_values, f"values of tensor {name!r}")
             out[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+        if f.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the last tensor")
         return out

@@ -5,6 +5,15 @@ bidirectional, along the transposed direction as well. The two aggregates
 are concatenated, divided per token by out-degree + 1, and mapped through a
 combine weight, bias, and ReLU. A module-level counter records every
 evaluation of the transposed path so ablations can prove they skip it.
+
+The states are a packed batch: the token rows of B sentences stacked in
+one N_total x d matrix. The adjacency is the list of the sentences' dense
+n_j x n_j matrices, in the same order, and each direction applies the whole
+list in one :func:`autodiff.block_matmul` node, the reverse one with each
+matrix transposed; no cross-sentence matrix is ever built. A single
+sentence may pass its adjacency as one Tensor, and is then exactly a
+dense ``adj @ h`` product. ``degrees`` is the packed (N_total,)
+vector of out-degrees.
 """
 
 from __future__ import annotations
@@ -80,33 +89,37 @@ def init_gcn_stack(store: ParameterStore, prefix: str, d_in: int, d_out: int,
     return layers
 
 
-def bigcn_layer(h_prev: Tensor, adj: Tensor, degrees: np.ndarray,
+Adjacency = Tensor | list[np.ndarray]
+
+
+def bigcn_layer(h_prev: Tensor, adjacency: Adjacency, degrees: np.ndarray,
                 params: GcnLayerParams) -> Tensor:
     """One message-passing step: aggregate, concatenate, degree-normalize, combine."""
     global _TRANSPOSE_PATH_EVALS
     n, d_in = h_prev.shape
-    if adj.shape != (n, n):
-        raise ad.ShapeError(f"bigcn_layer: adjacency {adj.shape} for {n} tokens")
+    blocks = [adjacency.data] if isinstance(adjacency, Tensor) else adjacency
+    if sum(blk.shape[0] for blk in blocks) != n:
+        raise ad.ShapeError(f"bigcn_layer: adjacency {[blk.shape for blk in blocks]} "
+                            f"for {n} tokens")
     if d_in != params.d_in:
         raise ad.ShapeError(f"bigcn_layer: input width {d_in} != weight width {params.d_in}")
-    forward = ad.matmul(adj, ad.matmul(h_prev, params.w_fwd))
+    forward = ad.block_matmul(blocks, ad.matmul(h_prev, params.w_fwd))
     if params.bidirectional:
         _TRANSPOSE_PATH_EVALS += 1
-        backward = ad.matmul(ad.transpose(adj), ad.matmul(h_prev, params.w_bwd))
+        backward = ad.block_matmul(blocks, ad.matmul(h_prev, params.w_bwd), transpose=True)
         combined = ad.concat([forward, backward], axis=1)
     else:
         combined = forward
     inv = 1.0 / (np.asarray(degrees, dtype=np.float64) + 1.0)
-    normalizer = Tensor(np.repeat(inv[:, None], combined.shape[1], axis=1))
-    normed = ad.mul(combined, normalizer)
+    normed = ad.scale_rows(combined, Tensor(inv))
     return ad.relu(ad.add(ad.matmul(normed, params.w_out), params.b_out))
 
 
-def bigcn_stack(h0: Tensor, adj: Tensor, degrees: np.ndarray,
+def bigcn_stack(h0: Tensor, adjacency: Adjacency, degrees: np.ndarray,
                 layers: list[GcnLayerParams]) -> Tensor:
     if not layers:
         raise ValueError("need at least one graph convolution layer")
     h = h0
     for params in layers:
-        h = bigcn_layer(h, adj, degrees, params)
+        h = bigcn_layer(h, adjacency, degrees, params)
     return h

@@ -27,7 +27,7 @@ import sys
 import time
 
 from . import __version__, corpus, training
-from .config import TrainConfig, load_config
+from .config import TrainConfig, _parse_value, load_config
 from .corpus import DatasetError, build_vocab, load_dataset, load_pretrained_embeddings
 from .model import gradient_check_suite
 from .syntax import SdiTable, collect_sdi_stats
@@ -45,40 +45,26 @@ from .training import (
 from .util import file_sha256
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true or false, got {raw!r}")
-
-
-def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}") from e
-
-
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+
+
+def _flag_parser(field: dataclasses.Field):
+    """The config file's parser for one field; argparse prefixes its error with the flag."""
+    def parse(raw: str):
+        try:
+            return _parse_value(field, raw)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     group = parser.add_argument_group("config overrides")
     for f in _CONFIG_FIELDS.values():
-        flag = "--" + f.name.replace("_", "-")
-        if f.type in ("bool", bool):
-            group.add_argument(flag, type=_parse_bool, default=None, metavar="{true,false}")
-        elif f.name == "layer_sweep_range":
-            group.add_argument(flag, type=_parse_int_tuple, default=None, metavar="K1,K2,..")
-        elif f.type in ("int", int):
-            group.add_argument(flag, type=int, default=None)
-        elif f.type in ("float", float):
-            group.add_argument(flag, type=float, default=None)
-        else:
-            group.add_argument(flag, type=str, default=None)
+        metavar = {"bool": "{true,false}", "tuple[int, ...]": "K1,K2,.."}.get(f.type)
+        group.add_argument("--" + f.name.replace("_", "-"), type=_flag_parser(f),
+                           default=None, metavar=metavar)
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:

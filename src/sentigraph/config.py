@@ -66,19 +66,25 @@ class TrainConfig:
 
 
 def _parse_value(field: dataclasses.Field, raw: str):
+    """The typed value of one config field from its text (config files and CLI flags)."""
     raw = raw.strip()
-    if field.type in ("int", int):
-        return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
+    try:
+        if field.type in ("int", int):
+            return int(raw)
+        if field.type in ("float", float):
+            return float(raw)
+        if field.name == "layer_sweep_range":
+            return tuple(int(part) for part in raw.split(",") if part.strip())
+    except ValueError:
+        kind = {"float": "a number", "tuple[int, ...]": "comma-separated integers"}.get(
+            field.type, "an integer")
+        raise ValueError(f"config field {field.name}: expected {kind}, got {raw!r}") from None
     if field.type in ("bool", bool):
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"config field {field.name}: expected true/false, got {raw!r}")
-    if field.name == "layer_sweep_range":
-        return tuple(int(part) for part in raw.split(",") if part.strip())
     return raw
 
 
@@ -114,7 +120,10 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
         key = key.strip()
         if key not in fields:
             raise ValueError(f"config line {line_no}: unknown field {key!r}")
-        overrides[key] = _parse_value(fields[key], raw)
+        try:
+            overrides[key] = _parse_value(fields[key], raw)
+        except ValueError as e:
+            raise ValueError(f"config line {line_no}: {e}") from None
     return dataclasses.replace(base or TrainConfig(), **overrides)
 
 

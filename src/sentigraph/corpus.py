@@ -226,21 +226,38 @@ def load_pretrained_embeddings(path, vocab: Vocab, d_w: int,
                                rng: np.random.Generator) -> EmbeddingTable:
     """Copy in-file vectors verbatim; out-of-file tokens get seeded uniform rows.
 
-    Every line must carry exactly ``d_w`` values, whether or not its token
-    is in the vocabulary.
+    Lines split on whitespace, so trailing spaces and tabs are harmless. A
+    first line of exactly two integers is a word2vec-style header (vector
+    count and width) and is skipped; its width must be ``d_w``. Every other
+    line must carry exactly ``d_w`` values, whether or not its token is in
+    the vocabulary, and the values of vocabulary tokens must be finite
+    numbers. Failures raise DatasetError naming ``path:line``.
     """
     table = random_embeddings(vocab, d_w, rng).vectors
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.split()
             if len(parts) < 2:
                 continue
             token, values = parts[0], parts[1:]
+            if line_no == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+                if int(values[0]) != d_w:
+                    raise DatasetError(
+                        f"{path}:1: header declares width {values[0]}, expected {d_w}")
+                continue
             if len(values) != d_w:
                 raise DatasetError(
-                    f"line {line_no}: expected {d_w} values, found {len(values)}")
+                    f"{path}:{line_no}: expected {d_w} values, found {len(values)}")
             if token in vocab:
-                table[vocab.id(token)] = np.array([float(v) for v in values])
+                try:
+                    row = np.array([float(v) for v in values])
+                except ValueError:
+                    row = None
+                if row is None or not np.all(np.isfinite(row)):
+                    raise DatasetError(
+                        f"{path}:{line_no}: the vector of {token!r} holds a value "
+                        f"that is not a finite number")
+                table[vocab.id(token)] = row
     table[PAD_ID] = 0.0
     return EmbeddingTable(vectors=table)
 

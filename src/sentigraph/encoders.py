@@ -1,17 +1,27 @@
 """Sequence encoders: embedding lookup, Bi-LSTM, and a transformer block.
 
-The Bi-LSTM runs one pass left-to-right and one right-to-left from zero
-initial states and concatenates the per-step hidden vectors, giving an
-n x 2*d_h context matrix. Each direction is one :func:`autodiff.lstm` node
-with gate columns ordered i, f, g, o. Its forward projects the inputs of all
-steps with one GEMM before the recurrence. Its backward runs BPTT in numpy
-and returns the input gradient and the wx, wh and bias gradients as single
-matmuls (a sum for the bias) over all steps.
+Every encoder works on a packed batch: the token rows of B sentences
+stacked in one (N_total x d) matrix, sentence j owning rows
+``offsets[j]:offsets[j + 1]`` with ``offsets`` the running sum of
+``lengths`` (see :func:`autodiff.segment_layout`). ``lengths=None`` means
+one sentence, so ``bilstm_encode(x, params)`` and
+``transformer_encode(x, params)`` take a single sentence's n x d matrix.
 
-The transformer encoder adds sinusoidal position signals to the raw
-embeddings, applies multi-head scaled dot-product attention and a
-position-wise feed-forward, each followed by a residual connection and
-layer normalization, giving an n x d_model matrix of global features.
+The Bi-LSTM runs one pass left-to-right and one right-to-left over each
+sentence from zero initial states and concatenates the per-token hidden
+vectors, giving an N_total x 2*d_h context matrix. Each direction is one
+:func:`autodiff.lstm` node for the whole batch, with gate columns ordered
+i, f, g, o: one input GEMM over all rows, then one GEMM per time step over
+the sentences still running. Its backward runs BPTT in numpy and returns
+the input gradient and the wx, wh and bias gradients as single matmuls (a
+sum for the bias) over all rows.
+
+The transformer encoder adds sinusoidal position signals (restarting at
+each sentence) to the raw embeddings, applies multi-head scaled dot-product
+attention within each sentence (one :func:`autodiff.attention` node per
+head) and a position-wise feed-forward, each followed by a residual
+connection and layer normalization, giving an N_total x d_model matrix of
+global features.
 """
 
 from __future__ import annotations
@@ -25,9 +35,16 @@ from .autodiff import ParameterStore, Tensor
 from .corpus import AspectSample, Vocab
 
 
-def embed_sequence(sample: AspectSample, vocab: Vocab, embedding: Tensor) -> Tensor:
-    """Row t of the result is the embedding of token t (unknowns map to the unk row)."""
-    return ad.gather_rows(embedding, vocab.encode(sample.tokens))
+def embed_sequence(samples: AspectSample | list[AspectSample], vocab: Vocab,
+                   embedding: Tensor) -> Tensor:
+    """Packed embedding rows of one sample or of a list of samples, in order.
+
+    Row t of a sentence's block is the embedding of its token t (unknowns map
+    to the unk row).
+    """
+    if isinstance(samples, AspectSample):
+        samples = [samples]
+    return ad.gather_rows(embedding, vocab.encode([t for s in samples for t in s.tokens]))
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +77,12 @@ def init_bilstm_params(store: ParameterStore, prefix: str, d_in: int, d_h: int,
     return BiLstmParams(fwd=direction("fwd"), bwd=direction("bwd"))
 
 
-def bilstm_encode(embedded: Tensor, params: BiLstmParams) -> Tensor:
+def bilstm_encode(embedded: Tensor, params: BiLstmParams, lengths=None) -> Tensor:
     """Concatenate forward-in-time and backward-in-time hidden states per token."""
     fwd, bwd = params.fwd, params.bwd
-    return ad.concat([ad.lstm(embedded, fwd.wx, fwd.wh, fwd.b),
-                      ad.lstm(embedded, bwd.wx, bwd.wh, bwd.b, reverse=True)], axis=1)
+    return ad.concat([ad.lstm(embedded, fwd.wx, fwd.wh, fwd.b, lengths=lengths),
+                      ad.lstm(embedded, bwd.wx, bwd.wh, bwd.b, reverse=True, lengths=lengths)],
+                     axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +99,6 @@ def positional_encoding(n: int, d_model: int) -> np.ndarray:
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out
-
-
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v with row-wise softmax."""
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
-        raise ad.ShapeError(
-            f"scaled_dot_attention: incompatible shapes {q.shape}, {k.shape}, {v.shape}")
-    d_k = q.shape[1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
-    return ad.matmul(ad.softmax(scores, axis=1), v)
 
 
 @dataclass
@@ -147,25 +155,29 @@ def init_transformer_params(store: ParameterStore, prefix: str, d_model: int,
     )
 
 
-def multi_head_attention(x: Tensor, params: TransformerParams) -> Tensor:
+def multi_head_attention(x: Tensor, params: TransformerParams, lengths=None) -> Tensor:
     head_outputs = [
-        scaled_dot_attention(ad.matmul(x, h.wq), ad.matmul(x, h.wk), ad.matmul(x, h.wv))
+        ad.attention(ad.matmul(x, h.wq), ad.matmul(x, h.wk), ad.matmul(x, h.wv), lengths)
         for h in params.heads
     ]
     return ad.matmul(ad.concat(head_outputs, axis=1), params.wo)
 
 
-def transformer_encode(embedded: Tensor, params: TransformerParams,
+def transformer_encode(embedded: Tensor, params: TransformerParams, lengths=None,
                        use_positions: bool = True) -> Tensor:
-    """One encoder block over embeddings + position signals."""
+    """One encoder block over embeddings + position signals, attending within each sentence."""
     n, d_model = embedded.shape
     if d_model != params.d_model:
         raise ad.ShapeError(
             f"transformer_encode: input width {d_model} != model width {params.d_model}")
     x = embedded
     if use_positions:
-        x = ad.add(x, Tensor(positional_encoding(n, d_model)))
-    attended = ad.add(x, multi_head_attention(x, params))
+        sizes, offsets = ad.segment_layout(lengths, n, "transformer_encode")
+        signals = positional_encoding(int(sizes.max()), d_model)
+        if sizes.size > 1:
+            signals = signals[np.arange(n) - np.repeat(offsets[:-1], sizes)]
+        x = ad.add(x, Tensor(signals))
+    attended = ad.add(x, multi_head_attention(x, params, lengths))
     normed = ad.layer_norm(attended, params.ln1_gain, params.ln1_bias)
     hidden = ad.relu(ad.add(ad.matmul(normed, params.ffn_w1), params.ffn_b1))
     ff = ad.add(ad.matmul(hidden, params.ffn_w2), params.ffn_b2)

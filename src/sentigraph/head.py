@@ -1,10 +1,20 @@
 """Aspect masking, retrieval attention, fusion, and the classifier with its loss.
 
-Graph-convolution outputs are zeroed outside the aspect span, so attention
+Everything works on a packed batch: the token rows of B sentences stacked
+in one N_total x d matrix, sentence j owning rows ``offsets[j]:offsets[j + 1]``
+with ``offsets`` the running sum of ``lengths`` (``lengths=None`` means one
+sentence). Per-sentence reductions are :func:`autodiff.segment_sum` and
+:func:`autodiff.segment_softmax`; per-token weights are
+:func:`autodiff.scale_rows`. Each function is one set of tape nodes for the
+whole batch.
+
+Graph-convolution outputs are zeroed outside each aspect span, so attention
 keys carry aspect-focused features only. Each context state is scored by
-its dot products against the masked rows, the softmax of those scores pools
-the context states into one vector, and the pooled vector is fused with a
-projected mean of the transformer output before the 3-way softmax classifier.
+its dot products against its sentence's masked rows, the softmax of those
+scores within the sentence pools its context states into one vector, and
+the pooled vector is fused with a projected mean of the sentence's
+transformer rows before the 3-way softmax classifier: one row of the
+B x 3 probability matrix per sentence.
 """
 
 from __future__ import annotations
@@ -20,30 +30,42 @@ from .corpus import LABELS
 PROB_FLOOR = 1e-12
 
 
-def aspect_mask(h_gcn: Tensor, aspect_start: int, aspect_len: int) -> Tensor:
-    """Keep rows inside [aspect_start, aspect_start + aspect_len); zero the rest."""
-    n, d = h_gcn.shape
-    if not (0 <= aspect_start and aspect_len >= 1 and aspect_start + aspect_len <= n):
-        raise ValueError(f"aspect span [{aspect_start}, {aspect_start + aspect_len}) "
-                         f"outside sentence of length {n}")
-    mask = np.zeros((n, d))
-    mask[aspect_start:aspect_start + aspect_len] = 1.0
-    return ad.mul(h_gcn, Tensor(mask))
+def aspect_mask(h_gcn: Tensor, spans, lengths=None) -> Tensor:
+    """Keep each sentence's rows inside its span; zero the rest.
+
+    ``spans`` holds one ``(aspect_start, aspect_len)`` pair per sentence,
+    with the start counted from the sentence's first row.
+    """
+    n = h_gcn.shape[0]
+    lengths, offsets = ad.segment_layout(lengths, n, "aspect_mask")
+    if len(spans) != lengths.size:
+        raise ValueError(f"{len(spans)} aspect spans for {lengths.size} sentences")
+    keep = np.zeros(n)
+    for (start, span), first, length in zip(spans, offsets.tolist(), lengths.tolist()):
+        if not (0 <= start and span >= 1 and start + span <= length):
+            raise ValueError(f"aspect span [{start}, {start + span}) "
+                             f"outside sentence of length {length}")
+        keep[first + start:first + start + span] = 1.0
+    return ad.scale_rows(h_gcn, Tensor(keep))
 
 
-def aspect_attention(h_context: Tensor, h_mask: Tensor) -> tuple[Tensor, Tensor]:
-    """Score each context state against the masked features and pool.
+def aspect_attention(h_context: Tensor, h_mask: Tensor,
+                     lengths=None) -> tuple[Tensor, Tensor]:
+    """Score each context state against its sentence's masked features and pool.
 
-    Returns (alpha, pooled): alpha_i = softmax_i(sum_j context_i . mask_j),
-    pooled = sum_i alpha_i * context_i.
+    Returns (alpha, pooled): for token i of sentence j,
+    alpha_i = softmax over sentence j of (sum_{k in j} context_i . mask_k),
+    and row j of the B x d ``pooled`` is sum_{i in j} alpha_i * context_i.
     """
     if h_context.shape[0] != h_mask.shape[0] or h_context.shape[1] != h_mask.shape[1]:
         raise ad.ShapeError(
             f"aspect_attention: context {h_context.shape} vs masked {h_mask.shape}")
-    key_sum = ad.reduce_sum(h_mask, axis=0)
-    beta = ad.matmul(h_context, key_sum)
-    alpha = ad.softmax(beta)
-    pooled = ad.matmul(ad.transpose(h_context), alpha)
+    lengths, _ = ad.segment_layout(lengths, h_context.shape[0], "aspect_attention")
+    key_sums = ad.segment_sum(h_mask, lengths)
+    keys = ad.gather_rows(key_sums, np.repeat(np.arange(lengths.size), lengths))
+    beta = ad.reduce_sum(ad.mul(h_context, keys), axis=1)
+    alpha = ad.segment_softmax(beta, lengths)
+    pooled = ad.segment_sum(ad.scale_rows(h_context, alpha), lengths)
     return alpha, pooled
 
 
@@ -62,9 +84,10 @@ def init_fusion_params(store: ParameterStore, prefix: str, d_model: int,
     )
 
 
-def fuse(pooled: Tensor, z_out: Tensor, params: FusionParams) -> Tensor:
-    """pooled + projected mean of the transformer rows."""
-    global_mean = ad.reduce_mean(z_out, axis=0)
+def fuse(pooled: Tensor, z_out: Tensor, params: FusionParams, lengths=None) -> Tensor:
+    """Row j: pooled row j + projected mean of sentence j's transformer rows."""
+    lengths, _ = ad.segment_layout(lengths, z_out.shape[0], "fuse")
+    global_mean = ad.scale_rows(ad.segment_sum(z_out, lengths), Tensor(1.0 / lengths))
     projected = ad.add(ad.matmul(global_mean, params.w_proj), params.b_proj)
     return ad.add(pooled, projected)
 
@@ -86,11 +109,10 @@ def init_classifier_params(store: ParameterStore, prefix: str, d_in: int,
 
 @dataclass
 class Prediction:
-    """Class distribution for one sample; prob_tensor keeps the graph alive for the loss."""
+    """Class distribution for one sample."""
 
     prob: np.ndarray
     predicted_label: str
-    prob_tensor: Tensor
 
     def as_record(self, gold_label: str | None = None) -> dict:
         record = {
@@ -102,18 +124,26 @@ class Prediction:
         return record
 
 
-def classify(res_out: Tensor, params: ClassifierParams) -> Prediction:
-    prob = ad.softmax(ad.add(ad.matmul(res_out, params.w), params.b))
+def classify(res_out: Tensor, params: ClassifierParams) -> Tensor:
+    """B x 3 class probabilities, one row per fused vector."""
+    return ad.softmax(ad.add(ad.matmul(res_out, params.w), params.b), axis=1)
+
+
+def predictions(prob: np.ndarray) -> list[Prediction]:
+    """One Prediction per row of a B x 3 probability matrix."""
     # np.argmax resolves ties toward the first index
-    predicted = LABELS[int(np.argmax(prob.data))]
-    return Prediction(prob=prob.data.copy(), predicted_label=predicted, prob_tensor=prob)
+    return [Prediction(prob=row.copy(), predicted_label=LABELS[int(np.argmax(row))])
+            for row in prob]
 
 
-def nll(prob: Tensor, label: str) -> Tensor:
-    """Negative log probability of the gold class, floored to keep log finite."""
-    index = LABELS.index(label)
-    picked = ad.slice_axis(prob, 0, index, index + 1)
-    return ad.scale(ad.reduce_sum(ad.log(ad.clamp_min(picked, PROB_FLOOR))), -1.0)
+def nll(prob: Tensor, labels) -> Tensor:
+    """Mean negative log probability of each row's gold class, floored to keep log finite."""
+    if prob.ndim != 2 or prob.shape != (len(labels), len(LABELS)):
+        raise ad.ShapeError(f"nll: probabilities {prob.shape} for {len(labels)} labels")
+    gold = np.zeros(prob.shape)
+    gold[np.arange(len(labels)), [LABELS.index(label) for label in labels]] = 1.0
+    log_prob = ad.log(ad.clamp_min(prob, PROB_FLOOR))
+    return ad.scale(ad.reduce_sum(ad.mul(log_prob, Tensor(gold))), -1.0 / len(labels))
 
 
 def l2_penalty(parameters: ParameterStore) -> Tensor:
@@ -124,9 +154,10 @@ def l2_penalty(parameters: ParameterStore) -> Tensor:
     return total
 
 
-def compute_loss(prob: Tensor, label: str, parameters: ParameterStore,
+def compute_loss(prob: Tensor, labels, parameters: ParameterStore,
                  lambda_l2: float) -> Tensor:
-    loss = nll(prob, label)
+    """Batch loss: mean cross-entropy over the rows plus the L2 penalty counted once."""
+    loss = nll(prob, labels)
     if lambda_l2 != 0.0:
         loss = ad.add(loss, ad.scale(l2_penalty(parameters), lambda_l2))
     return loss

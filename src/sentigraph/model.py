@@ -1,12 +1,21 @@
 """Full classifier assembly: encoders -> graph convolution -> masked attention -> softmax.
 
-The forward pass for one sample is
+The forward pass takes a batch of B samples and records one tape for it.
+The token rows of all B sentences are stacked into one packed matrix of
+N_total rows; sentence j owns rows ``offsets[j]:offsets[j + 1]``, where
+``offsets`` is the running sum of ``lengths`` (the sentence lengths):
 
-    embeddings -> Bi-LSTM context states      (n x 2*d_h)
-               -> transformer global features (n x d_w)
-    context states + weighted dependency adjacency -> stacked Bi-GCN
-    -> aspect mask -> retrieval attention over context states -> pooled vector
-    -> fused with projected transformer mean -> 3-way softmax
+    embeddings -> Bi-LSTM context states      (N_total x 2*d_h)
+               -> transformer global features (N_total x d_w)
+    context states + each sentence's weighted dependency adjacency
+    -> stacked Bi-GCN -> aspect masks
+    -> retrieval attention within each sentence -> pooled rows (B x 2*d_h)
+    -> fused with each sentence's projected transformer mean
+    -> 3-way softmax, one row per sample (B x 3)
+
+Nothing mixes sentences: a sample's probabilities are the same alone and
+at any position in any batch, up to rounding. ``predict(sample)`` is a
+batch of one; ``predict_all`` runs ``config.batch_size`` chunks.
 
 Ablation switches replace the adjacency with the binary or identity matrix
 and can drop the reversed message-passing direction.
@@ -44,19 +53,21 @@ from .util import make_rng
 
 @dataclass
 class ForwardPass:
-    """Intermediates of one sample's forward computation."""
+    """Intermediates of one batch's forward computation, packed as described above."""
 
-    embedded: Tensor
-    h_lstm: Tensor
-    z_out: Tensor
-    adjacency: np.ndarray
-    degrees: np.ndarray
-    h_gcn: Tensor
-    h_mask: Tensor
-    alpha: Tensor
-    pooled: Tensor
-    res_out: Tensor
-    prediction: Prediction
+    lengths: np.ndarray          # (B,) tokens per sample
+    embedded: Tensor             # N_total x d_w
+    h_lstm: Tensor               # N_total x 2*d_h
+    z_out: Tensor                # N_total x d_w
+    adjacency: list[np.ndarray]  # one n_j x n_j matrix per sample
+    degrees: np.ndarray          # (N_total,)
+    h_gcn: Tensor                # N_total x 2*d_h
+    h_mask: Tensor               # N_total x 2*d_h
+    alpha: Tensor                # (N_total,), sums to 1 within each sample
+    pooled: Tensor               # B x 2*d_h
+    res_out: Tensor              # B x 2*d_h
+    prob: Tensor                 # B x 3
+    predictions: list[Prediction]
 
 
 class AspectSentimentModel:
@@ -105,28 +116,38 @@ class AspectSentimentModel:
             return build_sdi_adjacency(sample, self.sdi), degrees
         return binary, degrees
 
-    def forward(self, sample: AspectSample) -> ForwardPass:
-        embedded = encoders.embed_sequence(sample, self.vocab, self.embedding)
-        h_lstm = encoders.bilstm_encode(embedded, self.lstm)
-        z_out = encoders.transformer_encode(embedded, self.transformer)
-        adjacency, degrees = self.adjacency(sample)
-        h_gcn = bigcn.bigcn_stack(h_lstm, Tensor(adjacency), degrees, self.gcn_layers)
-        h_mask = head.aspect_mask(h_gcn, sample.aspect_start, sample.aspect_len)
+    def forward(self, samples: list[AspectSample]) -> ForwardPass:
+        """One packed forward pass over a non-empty batch of samples."""
+        if not samples:
+            raise ValueError("forward needs at least one sample")
+        lengths = np.array([s.n for s in samples])
+        embedded = encoders.embed_sequence(samples, self.vocab, self.embedding)
+        h_lstm = encoders.bilstm_encode(embedded, self.lstm, lengths)
+        z_out = encoders.transformer_encode(embedded, self.transformer, lengths)
+        adjacency, degrees = zip(*(self.adjacency(s) for s in samples))
+        adjacency, degrees = list(adjacency), np.concatenate(degrees)
+        h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers)
+        h_mask = head.aspect_mask(h_gcn, [(s.aspect_start, s.aspect_len) for s in samples],
+                                  lengths)
         states = h_lstm if self.config.attention_states == "lstm" else h_gcn
-        alpha, pooled = head.aspect_attention(states, h_mask)
-        res_out = head.fuse(pooled, z_out, self.fusion)
-        prediction = head.classify(res_out, self.classifier)
-        return ForwardPass(embedded=embedded, h_lstm=h_lstm, z_out=z_out,
-                           adjacency=adjacency, degrees=degrees, h_gcn=h_gcn,
-                           h_mask=h_mask, alpha=alpha, pooled=pooled,
-                           res_out=res_out, prediction=prediction)
+        alpha, pooled = head.aspect_attention(states, h_mask, lengths)
+        res_out = head.fuse(pooled, z_out, self.fusion, lengths)
+        prob = head.classify(res_out, self.classifier)
+        return ForwardPass(lengths=lengths, embedded=embedded,
+                           h_lstm=h_lstm, z_out=z_out, adjacency=adjacency,
+                           degrees=degrees, h_gcn=h_gcn, h_mask=h_mask, alpha=alpha,
+                           pooled=pooled, res_out=res_out, prob=prob,
+                           predictions=head.predictions(prob.data))
 
     def predict(self, sample: AspectSample) -> Prediction:
-        return self.forward(sample).prediction
+        return self.forward([sample]).predictions[0]
 
-    def cross_entropy(self, sample: AspectSample) -> Tensor:
-        """Per-sample negative log likelihood (no parameter penalty)."""
-        return head.nll(self.forward(sample).prediction.prob_tensor, sample.label)
+    def predict_all(self, samples) -> list[Prediction]:
+        """Predictions for every sample, computed in chunks of ``config.batch_size``."""
+        samples = list(samples)
+        size = self.config.batch_size
+        return [p for start in range(0, len(samples), size)
+                for p in self.forward(samples[start:start + size]).predictions]
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +158,10 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.nd
         return rng.normal(size=shape)
 
     w = ad.Tensor(arr(3, 2))
+    # three packed sequences, given unsorted so the LSTM reorders them
+    lengths = (2, 3, 1)
+    w6 = arr(6, 3)
+    blocks = [arr(n, n) for n in lengths]
     return [
         ("matmul", lambda a, b: ad.reduce_sum(ad.mul(ad.matmul(a, b), w)),
          [arr(3, 4), arr(4, 2)]),
@@ -165,6 +190,22 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.nd
         ("lstm", lambda x, wx, wh, b: ad.reduce_sum(ad.tanh(ad.concat(
             [ad.lstm(x, wx, wh, b), ad.lstm(x, wx, wh, b, reverse=True)], axis=1))),
          [arr(4, 3), arr(3, 8), arr(2, 8), arr(8)]),
+        ("lstm_lengths", lambda x, wx, wh, b: ad.reduce_sum(ad.tanh(ad.concat(
+            [ad.lstm(x, wx, wh, b, lengths=lengths),
+             ad.lstm(x, wx, wh, b, reverse=True, lengths=lengths)], axis=1))),
+         [arr(6, 3), arr(3, 8), arr(2, 8), arr(8)]),
+        ("attention", lambda q, k, v: ad.reduce_sum(ad.mul(ad.attention(q, k, v, lengths),
+                                                           ad.Tensor(w6))),
+         [arr(6, 2), arr(6, 2), arr(6, 3)]),
+        ("block_matmul", lambda a: ad.reduce_sum(ad.tanh(ad.concat(
+            [ad.block_matmul(blocks, a), ad.block_matmul(blocks, a, transpose=True)], axis=1))),
+         [arr(6, 3)]),
+        ("segment_sum", lambda a: ad.reduce_sum(ad.tanh(ad.segment_sum(a, lengths))),
+         [arr(6, 3)]),
+        ("segment_softmax", lambda a: ad.reduce_sum(ad.mul(ad.segment_softmax(a, lengths),
+                                                           ad.Tensor(w6[:, 0]))), [arr(6)]),
+        ("scale_rows", lambda a, s: ad.reduce_sum(ad.tanh(ad.scale_rows(a, s))),
+         [arr(6, 3), arr(6)]),
     ]
 
 
@@ -173,9 +214,9 @@ def gradient_check_suite(seed: int = 7, eps: float = 1e-5,
                          heads: int = 2) -> list[tuple[str, FiniteDiffReport]]:
     """Finite-difference validation of every primitive and the composed model.
 
-    The composed check runs the full forward-to-loss pass on a random sample
-    at reduced width (one graph layer) and differentiates with respect to
-    every trainable parameter.
+    The composed check runs the full forward-to-loss pass on a packed batch
+    of two random samples of different lengths at reduced width (one graph
+    layer) and differentiates with respect to every trainable parameter.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -183,8 +224,8 @@ def gradient_check_suite(seed: int = 7, eps: float = 1e-5,
         inputs = [ad.Tensor(a, requires_grad=True) for a in arrays]
         results.append((name, ad.finite_diff_check(fn, inputs, eps=eps)))
 
-    samples = [random_tree_sample(rng, n=n_tokens) for _ in range(4)]
-    sample = samples[0]
+    samples = [random_tree_sample(rng, n=max(1, n_tokens - 2 * (i % 2))) for i in range(4)]
+    batch = samples[:2]
     vocab = build_vocab(samples)
     sdi = collect_sdi_stats(samples)
     config = TrainConfig(d_w=d, d_h=d, gcn_layers=1, heads=heads, ffn_width=2 * d,
@@ -192,8 +233,7 @@ def gradient_check_suite(seed: int = 7, eps: float = 1e-5,
     model = AspectSentimentModel(config, vocab, sdi=sdi)
 
     def loss(*_params):
-        prediction = model.forward(sample).prediction
-        return head.compute_loss(prediction.prob_tensor, sample.label,
+        return head.compute_loss(model.forward(batch).prob, [s.label for s in batch],
                                  model.parameters, config.lambda_l2)
 
     results.append(("composed_model",

@@ -82,14 +82,6 @@ def collect_sdi_stats(training_samples, count_root: bool = False,
     return SdiTable(ratios=MappingProxyType(ratios), total_edges=total)
 
 
-@dataclass(frozen=True)
-class AdjacencyPair:
-    """Binary and relation-weighted adjacency for one sentence."""
-
-    binary: np.ndarray
-    weighted: np.ndarray
-
-
 def build_binary_adjacency(sample: AspectSample) -> np.ndarray:
     """Directed 0/1 adjacency: diagonal ones plus (head, dependent) edges."""
     n = sample.n
@@ -121,11 +113,6 @@ def build_sdi_adjacency(sample: AspectSample, sdi: SdiTable) -> np.ndarray:
                 stacklevel=2)
         adj[head, dep] = ratio
     return adj
-
-
-def adjacency_pair(sample: AspectSample, sdi: SdiTable) -> AdjacencyPair:
-    return AdjacencyPair(binary=build_binary_adjacency(sample),
-                         weighted=build_sdi_adjacency(sample, sdi))
 
 
 def out_degrees(binary: np.ndarray) -> np.ndarray:

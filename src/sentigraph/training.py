@@ -1,7 +1,9 @@
 """End-to-end training: mini-batch Adam, evaluation metrics, ablations, sweeps.
 
-Each batch builds one loss graph (mean cross-entropy over the batch plus the
-L2 penalty counted once), backpropagates, and takes a single Adam step.
+Each batch is one packed forward pass and one loss graph (mean
+cross-entropy over the batch plus the L2 penalty counted once, from
+:func:`head.compute_loss`), backpropagated once before a single Adam step.
+Evaluation and prediction files run packed chunks of ``config.batch_size``.
 Model selection keeps the checkpoint with the best dev accuracy, earliest
 epoch winning ties. Relation statistics always come from the training split
 only.
@@ -27,7 +29,7 @@ from .util import make_rng
 
 # re-exported contract surface for consumers of this module
 __all__ = [
-    "Adam", "TrainConfig", "MetricsReport", "EpochStats", "TrainResult",
+    "Adam", "MetricsReport", "EpochStats", "TrainResult",
     "train", "evaluate", "metrics_from_confusion", "confusion_matrix",
     "run_ablation", "layer_sweep", "ABLATION_VARIANTS", "apply_variant",
     "split_dev", "save_checkpoint", "load_checkpoint",
@@ -118,7 +120,7 @@ def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
 
 def evaluate(model: AspectSentimentModel, samples) -> MetricsReport:
     gold = [LABELS.index(s.label) for s in samples]
-    predicted = [LABELS.index(model.predict(s).predicted_label) for s in samples]
+    predicted = [LABELS.index(p.predicted_label) for p in model.predict_all(samples)]
     return metrics_from_confusion(confusion_matrix(gold, predicted))
 
 
@@ -185,7 +187,7 @@ def train(config: TrainConfig, train_samples, dev_samples=None,
     shuffle_rng = make_rng(config.seed, "shuffle")
 
     log: list[EpochStats] = []
-    best_state = model.parameters.state_dict()
+    best_state = None  # the first dev epoch always improves on best_acc
     best_epoch = 0
     best_acc = -1.0
     n = len(train_samples)
@@ -195,14 +197,8 @@ def train(config: TrainConfig, train_samples, dev_samples=None,
         for start in range(0, n, config.batch_size):
             batch = [train_samples[i] for i in order[start:start + config.batch_size]]
             model.parameters.zero_grads()
-            ce_sum = None
-            for sample in batch:
-                ce = model.cross_entropy(sample)
-                ce_sum = ce if ce_sum is None else ad.add(ce_sum, ce)
-            loss = ad.scale(ce_sum, 1.0 / len(batch))
-            if config.lambda_l2 != 0.0:
-                loss = ad.add(loss, ad.scale(head.l2_penalty(model.parameters),
-                                             config.lambda_l2))
+            loss = head.compute_loss(model.forward(batch).prob, [s.label for s in batch],
+                                     model.parameters, config.lambda_l2)
             ad.backward(loss)
             optimizer.step()
             total_loss += loss.item() * len(batch)
@@ -324,7 +320,7 @@ def load_checkpoint(directory) -> AspectSentimentModel:
 
 def predictions_to_jsonl(path, model: AspectSentimentModel, samples) -> None:
     """One JSON record per sample: class probabilities, predicted and gold labels."""
+    samples = list(samples)
     with open(path, "w", encoding="utf-8") as f:
-        for sample in samples:
-            record = model.predict(sample).as_record(gold_label=sample.label)
-            f.write(json.dumps(record) + "\n")
+        for sample, prediction in zip(samples, model.predict_all(samples)):
+            f.write(json.dumps(prediction.as_record(gold_label=sample.label)) + "\n")

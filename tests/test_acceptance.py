@@ -185,7 +185,7 @@ def test_masking():
                                  sdi=collect_sdi_stats(corpus))
     eps = 1e-5
     for sample in corpus:
-        fp = model.forward(sample)
+        fp = model.forward([sample])
         lo, hi = sample.aspect_start, sample.aspect_start + sample.aspect_len
         outside = [i for i in range(sample.n) if not lo <= i < hi]
 
@@ -196,22 +196,20 @@ def test_masking():
         # loss as a function of the graph-convolution output along the mask path
         h_lstm = fp.h_lstm.data.copy()
         z_out = fp.z_out.data.copy()
+        span = [(sample.aspect_start, sample.aspect_len)]
 
         def mask_path_loss(h_gcn_values):
-            masked = head.aspect_mask(Tensor(h_gcn_values),
-                                      sample.aspect_start, sample.aspect_len)
+            masked = head.aspect_mask(Tensor(h_gcn_values), span)
             _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked)
             res = head.fuse(pooled, Tensor(z_out), model.fusion)
-            prediction = head.classify(res, model.classifier)
-            return head.nll(prediction.prob_tensor, sample.label)
+            return head.nll(head.classify(res, model.classifier), [sample.label])
 
         # analytic gradient at masked coordinates is exactly zero
         probe = Tensor(fp.h_gcn.data.copy(), requires_grad=True)
-        masked = head.aspect_mask(probe, sample.aspect_start, sample.aspect_len)
+        masked = head.aspect_mask(probe, span)
         _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked)
         res = head.fuse(pooled, Tensor(z_out), model.fusion)
-        prediction = head.classify(res, model.classifier)
-        ad.backward(head.nll(prediction.prob_tensor, sample.label))
+        ad.backward(head.nll(head.classify(res, model.classifier), [sample.label]))
         assert np.array_equal(probe.grad[outside],
                               np.zeros((len(outside), probe.shape[1])))
 

@@ -257,3 +257,25 @@ def test_tensor_container_rejects_other_files(tmp_path):
     path.write_bytes(b"not a container")
     with pytest.raises(ValueError, match="container"):
         ad.load_tensor_file(path)
+
+
+def test_tensor_container_rejects_truncated_and_extended_files(tmp_path):
+    path = tmp_path / "params.tensors"
+    ad.save_tensor_file(path, {"weights": rand((4, 3)), "bias": rand((3,))})
+    raw = path.read_bytes()
+    cases = {
+        len(raw) - 8: "values of tensor 'bias'",       # last value cut off
+        8 + 4 + 2 + 3: "name of tensor 0",             # inside the first name
+        10: "tensor count",                             # inside the header
+    }
+    for size, field in cases.items():
+        truncated = tmp_path / f"cut{size}.tensors"
+        truncated.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="truncated") as info:
+            ad.load_tensor_file(truncated)
+        assert str(truncated) in str(info.value) and field in str(info.value)
+    extended = tmp_path / "extended.tensors"
+    extended.write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match="after the last tensor") as info:
+        ad.load_tensor_file(extended)
+    assert str(extended) in str(info.value)

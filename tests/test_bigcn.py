@@ -133,6 +133,32 @@ class TestBigcnStack:
         assert out.shape == (5, 4)
         assert np.all(np.isfinite(out.data))
 
+    def test_packed_blocks_match_each_sentence(self, rng):
+        layers, store = self.stack(2, seed=10)
+        samples = [chain_sample(n) for n in (3, 1, 5)]
+        adjs = [build_binary_adjacency(s) for s in samples]
+        adjs[2][4, 0] = 0.5  # not symmetric, so the transposed path differs
+        degrees = [out_degrees(a) for a in adjs]
+        h0 = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(9, 4)))
+
+        def grads(loss):
+            for t in [h0] + store.tensors():
+                t.zero_grad()
+            ad.backward(loss)
+            return [t.grad.copy() for t in [h0] + store.tensors()]
+
+        packed = bigcn_stack(h0, adjs, np.concatenate(degrees), layers)
+        packed_grads = grads(ad.reduce_sum(ad.mul(packed, weight)))
+        parts, loss = [], None
+        for lo, hi, adj, deg in zip((0, 3, 4), (3, 4, 9), adjs, degrees):
+            out = bigcn_stack(ad.slice_axis(h0, 0, lo, hi), Tensor(adj), deg, layers)
+            part = ad.reduce_sum(ad.mul(out, Tensor(weight.data[lo:hi])))
+            parts.append(out.data)
+            loss = part if loss is None else ad.add(loss, part)
+        for got, want in zip([packed.data] + packed_grads, [np.concatenate(parts)] + grads(loss)):
+            assert np.max(np.abs(got - want)) < 1e-12
+
     def test_empty_stack_rejected(self, rng):
         with pytest.raises(ValueError, match="at least one"):
             bigcn_stack(Tensor(rng.normal(size=(2, 4))), Tensor(np.eye(2)),

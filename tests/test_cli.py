@@ -42,6 +42,21 @@ class TestDispatch:
     def test_unknown_flag_exits_2(self, capsys):
         assert cli.main(["gradcheck", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "q"), ("--learning-rate", "fast"),
+        ("--use-dependency", "maybe"), ("--layer-sweep-range", "1,a")])
+    def test_bad_config_flag_value_names_the_flag(self, flag, value, capsys):
+        assert cli.main(["sdi", "--train", "x", "--out", "y", flag, value]) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert flag in last and repr(value) in last
+
+    def test_config_flags_parse_like_config_files(self):
+        args = cli.build_parser().parse_args(
+            ["sdi", "--train", "x", "--out", "y", "--use-dependency", "no",
+             "--layer-sweep-range", "2,4", "--lambda-l2", "0.5", "--batch-size", "3"])
+        assert (args.use_dependency, args.layer_sweep_range) == (False, (2, 4))
+        assert (args.lambda_l2, args.batch_size) == (0.5, 3)
+
     def test_missing_file_exits_1_with_path(self, tmp_path, capsys):
         code = cli.main(["sdi", "--train", str(tmp_path / "nope.jsonl"),
                          "--out", str(tmp_path / "sdi.txt")])

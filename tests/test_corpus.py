@@ -1,4 +1,5 @@
 import json
+import re
 import os
 from collections import Counter
 
@@ -187,8 +188,33 @@ class TestEmbeddings:
     def test_dimension_mismatch_names_line(self, tmp_path):
         vocab = Vocab(["<pad>", "<unk>", "hello"])
         path = self.glove_file(tmp_path, [("hello", [1, 2, 3, 4]), ("bad", [1, 2])])
-        with pytest.raises(DatasetError, match="line 2"):
+        with pytest.raises(DatasetError, match=re.escape(f"{path}:2: expected 4 values, found 2")):
             load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
+
+    def test_word2vec_header_line_skipped(self, tmp_path):
+        vocab = Vocab(["<pad>", "<unk>", "hello"])
+        path = tmp_path / "vectors.txt"
+        path.write_text("3 4\nhello 1 2 3 4\nworld 5 6 7 8\nagain 0 0 0 0\n")
+        table = load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
+        assert table.vectors[vocab.id("hello")].tolist() == [1, 2, 3, 4]
+        path.write_text("3 8\nhello 1 2 3 4\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{path}:1: header declares width 8")):
+            load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
+
+    def test_trailing_whitespace_tolerated(self, tmp_path):
+        vocab = Vocab(["<pad>", "<unk>", "hello"])
+        path = tmp_path / "vectors.txt"
+        path.write_text("hello 1 2 3 4 \nworld\t5 6 7 8\t\n")
+        table = load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
+        assert table.vectors[vocab.id("hello")].tolist() == [1, 2, 3, 4]
+
+    def test_non_numeric_value_names_file_and_line(self, tmp_path):
+        vocab = Vocab(["<pad>", "<unk>", "hello"])
+        path = tmp_path / "vectors.txt"
+        for bad in ("x", "nan"):
+            path.write_text(f"other 1 2 3 4\nhello 1 {bad} 3 4\n")
+            with pytest.raises(DatasetError, match=re.escape(f"{path}:2: ") + ".*'hello'.*not a finite number"):
+                load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
 
     def test_random_embeddings_zero_pad_row(self):
         vocab = Vocab(["<pad>", "<unk>", "a"])

@@ -14,9 +14,44 @@ from sentigraph.encoders import (
     init_bilstm_params,
     init_transformer_params,
     positional_encoding,
-    scaled_dot_attention,
     transformer_encode,
 )
+
+from per_sample_reference import reference_bilstm_encode, reference_transformer_encode
+
+
+def packed_matches_per_sentence(encode_packed, encode_one, x, leaves, lengths, d_out):
+    """Largest gap between a packed encoder and the per-sentence one, on output and grads."""
+    weight = Tensor(np.random.default_rng(3).normal(size=(x.shape[0], d_out)))
+    offsets = np.cumsum([0] + list(lengths))
+
+    def value_and_grads(run):
+        for t in leaves:
+            t.zero_grad()
+        out, loss = run()
+        ad.backward(loss)
+        return out, [t.grad.copy() for t in leaves]
+
+    def packed():
+        out = encode_packed(x, lengths)
+        return out.data, ad.reduce_sum(ad.mul(out, weight))
+
+    def per_sentence():
+        outs, loss = [], None
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            out = encode_one(ad.slice_axis(x, 0, lo, hi))
+            part = ad.reduce_sum(ad.mul(out, Tensor(weight.data[lo:hi])))
+            outs.append(out.data)
+            loss = part if loss is None else ad.add(loss, part)
+        return np.concatenate(outs), loss
+
+    got, got_grads = value_and_grads(packed)
+    want, want_grads = value_and_grads(per_sentence)
+    return max([np.max(np.abs(got - want))]
+               + [np.max(np.abs(a - b)) for a, b in zip(got_grads, want_grads)])
+
+
+MIXED_LENGTHS = (9, 1, 40, 2)  # unsorted, with a one-token sentence
 
 
 def make_sample(tokens):
@@ -44,6 +79,13 @@ class TestEmbedSequence:
         assert np.array_equal(out.data[0], table.data[UNK_ID])
         assert np.array_equal(out.data[1], table.data[UNK_ID])
 
+    def test_list_of_samples_stacks_rows(self, rng):
+        table = self.table(rng)
+        a, b = make_sample(["menu", "good"]), make_sample(["staff"])
+        out = embed_sequence([a, b], self.vocab, table)
+        assert np.array_equal(out.data, np.concatenate(
+            [embed_sequence(a, self.vocab, table).data, embed_sequence(b, self.vocab, table).data]))
+
     def test_permutation_equivariance(self, rng):
         table = self.table(rng)
         tokens = ["menu", "staff", "good"]
@@ -51,39 +93,6 @@ class TestEmbedSequence:
         perm = [2, 0, 1]
         permuted = embed_sequence(make_sample([tokens[i] for i in perm]), self.vocab, table).data
         assert np.array_equal(permuted, base[perm])
-
-
-def _reference_lstm_step(x, h_prev, c_prev, p):
-    d_h = p.wh.shape[0]
-    z = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h_prev, p.wh)), p.b)
-    i = ad.sigmoid(ad.slice_axis(z, 1, 0, d_h))
-    f = ad.sigmoid(ad.slice_axis(z, 1, d_h, 2 * d_h))
-    g = ad.tanh(ad.slice_axis(z, 1, 2 * d_h, 3 * d_h))
-    o = ad.sigmoid(ad.slice_axis(z, 1, 3 * d_h, 4 * d_h))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
-
-
-def _reference_lstm_direction(rows, p):
-    d_h = p.wh.shape[0]
-    h = Tensor(np.zeros((1, d_h)))
-    c = Tensor(np.zeros((1, d_h)))
-    out = []
-    for x in rows:
-        h, c = _reference_lstm_step(x, h, c, p)
-        out.append(h)
-    return out
-
-
-def reference_bilstm_encode(embedded, params):
-    """The Bi-LSTM composed step by step from primitive ops, one slice per token."""
-    n = embedded.shape[0]
-    rows = [ad.slice_axis(embedded, 0, t, t + 1) for t in range(n)]
-    fwd_states = _reference_lstm_direction(rows, params.fwd)
-    bwd_states = list(reversed(_reference_lstm_direction(list(reversed(rows)), params.bwd)))
-    per_token = [ad.concat([f, b], axis=1) for f, b in zip(fwd_states, bwd_states)]
-    return ad.concat(per_token, axis=0)
 
 
 class TestBiLstm:
@@ -153,6 +162,26 @@ class TestBiLstm:
         for name, got, want in zip(names, fused_grads, reference_grads):
             assert np.max(np.abs(got - want)) < 1e-10, name
 
+    def test_packed_batch_matches_step_by_step_reference(self):
+        d_in, d_h = 5, 3
+        p, store = self.params(d_in=d_in, d_h=d_h, seed=11)
+        rng = np.random.default_rng(12)
+        for t in store.tensors():
+            t.data = rng.normal(scale=0.5, size=t.shape)
+        x = Tensor(rng.normal(size=(sum(MIXED_LENGTHS), d_in)), requires_grad=True)
+        gap = packed_matches_per_sentence(
+            lambda x, lengths: bilstm_encode(x, p, lengths),
+            lambda x: reference_bilstm_encode(x, p),
+            x, [x] + store.tensors(), MIXED_LENGTHS, 2 * d_h)
+        assert gap < 1e-10
+
+    def test_packed_lengths_must_cover_the_rows(self):
+        p, _ = self.params()
+        with pytest.raises(ad.ShapeError, match="lstm"):
+            bilstm_encode(Tensor(np.ones((5, 4))), p, [2, 2])
+        with pytest.raises(ad.ShapeError, match="lstm"):
+            bilstm_encode(Tensor(np.ones((5, 4))), p, [5, 0])
+
     def test_records_one_node_per_direction(self):
         p, _ = self.params()
         x = Tensor(np.random.default_rng(9).normal(size=(6, 4)), requires_grad=True)
@@ -204,7 +233,7 @@ class TestScaledDotAttention:
         q = Tensor(rng.normal(size=(1, 4)))
         k = Tensor(rng.normal(size=(1, 4)))
         v = Tensor(rng.normal(size=(1, 3)))
-        out = scaled_dot_attention(q, k, v)
+        out = ad.attention(q, k, v)
         assert np.array_equal(out.data, v.data)
 
     def test_identical_keys_average_values(self, rng):
@@ -212,7 +241,7 @@ class TestScaledDotAttention:
         k = Tensor(np.stack([key_row, key_row]))
         q = Tensor(np.ones((1, 4)))
         v = Tensor(rng.normal(size=(2, 3)))
-        out = scaled_dot_attention(q, k, v)
+        out = ad.attention(q, k, v)
         assert np.array_equal(out.data[0], v.data.mean(axis=0))
 
     def test_weight_rows_sum_to_one(self, rng):
@@ -220,12 +249,21 @@ class TestScaledDotAttention:
         q = Tensor(rng.normal(size=(5, 4)))
         k = Tensor(rng.normal(size=(6, 4)))
         v = Tensor(np.ones((6, 1)))
-        out = scaled_dot_attention(q, k, v)
+        out = ad.attention(q, k, v)
         assert np.allclose(out.data, 1.0, atol=1e-12)
+
+    def test_packed_sentences_attend_only_within_themselves(self, rng):
+        lengths = (3, 1, 4)
+        q, k, v = (Tensor(rng.normal(size=(8, 4))) for _ in range(3))
+        out = ad.attention(q, k, v, lengths).data
+        offsets = np.cumsum((0,) + lengths)
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            alone = ad.attention(*(Tensor(t.data[lo:hi]) for t in (q, k, v))).data
+            assert np.max(np.abs(out[lo:hi] - alone)) < 1e-14
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ad.ShapeError, match="attention"):
-            scaled_dot_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
+            ad.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
                                  Tensor(np.ones((2, 2))))
 
 
@@ -256,6 +294,16 @@ class TestTransformerEncode:
         base = transformer_encode(Tensor(x), params, use_positions=False).data
         permuted = transformer_encode(Tensor(x[perm]), params, use_positions=False).data
         assert np.allclose(permuted, base[perm], atol=1e-12)
+
+    def test_packed_batch_matches_per_sentence_reference(self):
+        params, store = self.setup_block(seed=5)
+        x = Tensor(np.random.default_rng(13).normal(size=(sum(MIXED_LENGTHS), 6)),
+                   requires_grad=True)
+        gap = packed_matches_per_sentence(
+            lambda x, lengths: transformer_encode(x, params, lengths),
+            lambda x: reference_transformer_encode(x, params),
+            x, [x] + store.tensors(), MIXED_LENGTHS, 6)
+        assert gap < 1e-10
 
     def test_indivisible_heads_rejected(self):
         store = ParameterStore()

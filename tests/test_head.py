@@ -17,28 +17,42 @@ from sentigraph.head import (
     init_classifier_params,
     init_fusion_params,
     nll,
+    predictions,
 )
+
+
+def classify_one(x, params):
+    """The Prediction for one fused vector, through a batch of one."""
+    return predictions(classify(Tensor(x[None]), params).data)[0]
 
 
 class TestAspectMask:
     def test_full_span_is_identity(self, rng):
         h = rng.normal(size=(4, 3))
-        out = aspect_mask(Tensor(h), 0, 4)
+        out = aspect_mask(Tensor(h), [(0, 4)])
         assert np.array_equal(out.data, h)
 
     def test_single_token_span_keeps_one_row(self, rng):
         h = rng.normal(size=(5, 3))
-        out = aspect_mask(Tensor(h), 2, 1).data
+        out = aspect_mask(Tensor(h), [(2, 1)]).data
         assert np.array_equal(out[2], h[2])
         assert np.count_nonzero(out.sum(axis=1)) == 1
 
     def test_invalid_span_rejected(self, rng):
         with pytest.raises(ValueError, match="span"):
-            aspect_mask(Tensor(rng.normal(size=(3, 2))), 2, 2)
+            aspect_mask(Tensor(rng.normal(size=(3, 2))), [(2, 2)])
+
+    def test_packed_spans_count_from_each_sentence_start(self, rng):
+        h = rng.normal(size=(5, 2))
+        out = aspect_mask(Tensor(h), [(1, 1), (0, 2)], [2, 3]).data
+        assert np.array_equal(out[[1, 2, 3]], h[[1, 2, 3]])
+        assert np.array_equal(out[[0, 4]], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="span"):
+            aspect_mask(Tensor(h), [(1, 2), (0, 1)], [2, 3])
 
     def test_masked_rows_get_exactly_zero_gradient(self, rng):
         h = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        ad.backward(ad.reduce_sum(ad.tanh(aspect_mask(h, 1, 2))))
+        ad.backward(ad.reduce_sum(ad.tanh(aspect_mask(h, [(1, 2)]))))
         assert np.array_equal(h.grad[0], np.zeros(3))
         assert np.array_equal(h.grad[3:], np.zeros((2, 3)))
         assert np.any(h.grad[1:3] != 0)
@@ -49,7 +63,7 @@ class TestAspectMask:
         context = rng.normal(size=(4, 3))
 
         def loss_value(h_val):
-            masked = aspect_mask(Tensor(h_val), 1, 1)
+            masked = aspect_mask(Tensor(h_val), [(1, 1)])
             _alpha, pooled = aspect_attention(Tensor(context), masked)
             return float(ad.reduce_sum(ad.tanh(pooled)).data)
 
@@ -73,7 +87,7 @@ class TestAspectAttention:
         alpha, pooled = aspect_attention(Tensor(rng.normal(size=(5, 4))),
                                          Tensor(np.zeros((5, 4))))
         assert np.allclose(alpha.data, 0.2, atol=1e-12)
-        assert pooled.shape == (4,)
+        assert pooled.shape == (1, 4)
 
     def test_three_token_hand_example(self):
         # beta_i = context_i . (sum of masked rows) = context_i . [2, 1]
@@ -90,6 +104,18 @@ class TestAspectAttention:
         expected_pooled = sum(a * context[i] for i, a in enumerate(expected_alpha))
         assert np.allclose(pooled.data, expected_pooled, atol=1e-12)
 
+    def test_packed_sentences_pool_separately(self, rng):
+        lengths = (2, 4, 1)
+        context, masked = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+        alpha, pooled = aspect_attention(Tensor(context), Tensor(masked), lengths)
+        assert pooled.shape == (3, 3)
+        for j, (lo, hi) in enumerate(((0, 2), (2, 6), (6, 7))):
+            alone_alpha, alone_pooled = aspect_attention(Tensor(context[lo:hi]),
+                                                         Tensor(masked[lo:hi]))
+            assert alpha.data[lo:hi].sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(alpha.data[lo:hi], alone_alpha.data, atol=1e-15)
+            assert np.allclose(pooled.data[j], alone_pooled.data[0], atol=1e-15)
+
     def test_width_mismatch_rejected(self, rng):
         with pytest.raises(ad.ShapeError, match="attention"):
             aspect_attention(Tensor(rng.normal(size=(3, 4))),
@@ -105,20 +131,20 @@ class TestFuse:
 
     def test_zero_transformer_passes_pooled_through(self, rng):
         params, _ = self.setup_params()
-        pooled = rng.normal(size=6)
+        pooled = rng.normal(size=(1, 6))
         out = fuse(Tensor(pooled), Tensor(np.zeros((3, 4))), params)
         assert np.array_equal(out.data, pooled)
 
     def test_zero_pooled_gives_projected_mean(self, rng):
         params, _ = self.setup_params()
         z = rng.normal(size=(3, 4))
-        out = fuse(Tensor(np.zeros(6)), Tensor(z), params)
+        out = fuse(Tensor(np.zeros((1, 6))), Tensor(z), params)
         expected = z.mean(axis=0) @ params.w_proj.data + params.b_proj.data
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_gradient_check(self, rng):
         params, store = self.setup_params(seed=1)
-        pooled = Tensor(rng.normal(size=6), requires_grad=True)
+        pooled = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
         z = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
         def loss(*_inputs):
@@ -138,14 +164,14 @@ class TestClassify:
 
     def test_zero_weights_give_uniform_distribution(self, rng):
         params = self.zeroed_params()
-        prediction = classify(Tensor(rng.normal(size=5)), params)
+        prediction = classify_one(rng.normal(size=5), params)
         assert np.allclose(prediction.prob, 1 / 3, atol=1e-12)
         assert prediction.predicted_label == "positive"  # first index wins ties
 
     def test_dominant_bias_wins(self, rng):
         params = self.zeroed_params()
         params.b.data[:] = [10.0, 0.0, -10.0]
-        prediction = classify(Tensor(rng.normal(size=5)), params)
+        prediction = classify_one(rng.normal(size=5), params)
         assert prediction.predicted_label == "positive"
         assert np.argmax(prediction.prob) == 0
 
@@ -155,7 +181,7 @@ class TestClassify:
         gen = np.random.default_rng(seed)
         store = ParameterStore()
         params = init_classifier_params(store, "cls", 4, 3, gen)
-        prediction = classify(Tensor(gen.normal(size=4)), params)
+        prediction = classify_one(gen.normal(size=4), params)
         assert prediction.prob.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(prediction.prob >= 0) and np.all(prediction.prob <= 1)
 
@@ -168,7 +194,7 @@ class TestClassify:
     def test_prediction_record_shape(self, rng):
         store = ParameterStore()
         params = init_classifier_params(store, "cls", 4, 3, rng)
-        prediction = classify(Tensor(rng.normal(size=4)), params)
+        prediction = classify_one(rng.normal(size=4), params)
         record = prediction.as_record(gold_label="neutral")
         assert set(record) == {"prob", "predicted_label", "gold_label"}
         assert len(record["prob"]) == 3
@@ -176,52 +202,56 @@ class TestClassify:
 
 class TestComputeLoss:
     def test_perfect_prediction_zero_loss(self):
-        prob = Tensor(np.array([1.0, 0.0, 0.0]))
-        loss = compute_loss(prob, "positive", ParameterStore(), 0.0)
+        prob = Tensor(np.array([[1.0, 0.0, 0.0]]))
+        loss = compute_loss(prob, ["positive"], ParameterStore(), 0.0)
         assert loss.item() == 0.0
 
     def test_uniform_prediction_is_log_three(self):
-        prob = Tensor(np.full(3, 1 / 3))
-        loss = compute_loss(prob, "neutral", ParameterStore(), 0.0)
+        prob = Tensor(np.full((1, 3), 1 / 3))
+        loss = compute_loss(prob, ["neutral"], ParameterStore(), 0.0)
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_l2_term_adds_lambda_times_square(self):
         store = ParameterStore()
         store.add("w", np.array([2.0]))
-        prob = Tensor(np.array([1.0, 0.0, 0.0]))
-        loss = compute_loss(prob, "positive", store, 0.01)
+        prob = Tensor(np.array([[1.0, 0.0, 0.0]]))
+        loss = compute_loss(prob, ["positive"], store, 0.01)
         assert loss.item() == pytest.approx(0.04, abs=1e-15)
 
     def test_biases_excluded_from_penalty(self):
         store = ParameterStore()
         store.add("w", np.array([2.0]))
         store.add("cls.b", np.array([5.0]), no_decay=True)
-        prob = Tensor(np.array([1.0, 0.0, 0.0]))
-        loss = compute_loss(prob, "positive", store, 0.01)
+        prob = Tensor(np.array([[1.0, 0.0, 0.0]]))
+        loss = compute_loss(prob, ["positive"], store, 0.01)
         assert loss.item() == pytest.approx(0.04, abs=1e-15)
 
+    def test_batch_loss_is_the_mean_of_its_rows(self):
+        prob = np.array([[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
+        loss = nll(Tensor(prob), ["neutral", "negative"]).item()
+        assert loss == pytest.approx(-(math.log(0.25) + math.log(0.7)) / 2, abs=1e-15)
+
     def test_zero_probability_is_floored(self):
-        prob = Tensor(np.array([0.0, 1.0, 0.0]))
-        loss = nll(prob, "positive")
+        prob = Tensor(np.array([[0.0, 1.0, 0.0]]))
+        loss = nll(prob, ["positive"])
         assert loss.item() == pytest.approx(-math.log(1e-12), rel=1e-12)
 
     @settings(max_examples=40)
     @given(p=st.floats(1e-6, 1.0 - 1e-6))
     def test_loss_nonnegative_and_decreasing_in_gold_prob(self, p):
-        prob = Tensor(np.array([p, (1 - p) / 2, (1 - p) / 2]))
-        loss = nll(prob, "positive").item()
+        prob = Tensor(np.array([[p, (1 - p) / 2, (1 - p) / 2]]))
+        loss = nll(prob, ["positive"]).item()
         assert loss >= 0.0
-        higher = nll(Tensor(np.array([min(p + 1e-4, 1.0), 0.0, 0.0])), "positive").item()
+        higher = nll(Tensor(np.array([[min(p + 1e-4, 1.0), 0.0, 0.0]])), ["positive"]).item()
         assert higher <= loss
 
     def test_gradient_flows_through_loss(self, rng):
         store = ParameterStore()
         params = init_classifier_params(store, "cls", 4, 3, rng)
-        x = Tensor(rng.normal(size=4), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
 
         def loss(*_inputs):
-            prediction = classify(x, params)
-            return compute_loss(prediction.prob_tensor, "negative", store, 1e-3)
+            return compute_loss(classify(x, params), ["negative"], store, 1e-3)
 
         report = ad.finite_diff_check(loss, [x] + store.tensors(), eps=1e-5)
         assert report.max_rel_error < 1e-4

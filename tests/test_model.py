@@ -3,12 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sentigraph import bigcn
+from sentigraph import autodiff as ad
+from sentigraph import bigcn, head
 from sentigraph.config import TrainConfig
 from sentigraph.corpus import EmbeddingTable, build_vocab
 from sentigraph.model import AspectSentimentModel, gradient_check_suite
-from sentigraph.synthetic import make_synthetic_corpus
+from sentigraph.synthetic import make_synthetic_corpus, random_tree_sample
 from sentigraph.syntax import build_sdi_adjacency, collect_sdi_stats
+from sentigraph.training import ABLATION_VARIANTS, apply_variant
+
+from per_sample_reference import reference_loss, reference_probabilities
 
 CONFIG = TrainConfig(d_w=8, d_h=8, gcn_layers=2, heads=2, ffn_width=16, seed=2)
 
@@ -29,21 +33,22 @@ class TestForwardPass:
     def test_shapes_and_finiteness(self, fitted, corpus):
         sample = corpus[0]
         n = sample.n
-        fp = fitted.forward(sample)
+        fp = fitted.forward([sample])
         assert fp.embedded.shape == (n, 8)
         assert fp.h_lstm.shape == (n, 16)
         assert fp.z_out.shape == (n, 8)
         assert fp.h_gcn.shape == (n, 16)
         assert fp.alpha.shape == (n,)
-        assert fp.pooled.shape == (16,)
-        assert fp.res_out.shape == (16,)
-        assert fp.prediction.prob.shape == (3,)
+        assert fp.pooled.shape == (1, 16)
+        assert fp.res_out.shape == (1, 16)
+        assert fp.prob.shape == (1, 3)
+        assert fp.predictions[0].prob.shape == (3,)
         for t in (fp.h_lstm, fp.z_out, fp.h_gcn, fp.res_out):
             assert np.all(np.isfinite(t.data))
 
     def test_mask_rows_zero_outside_span(self, fitted, corpus):
         for sample in corpus:
-            fp = fitted.forward(sample)
+            fp = fitted.forward([sample])
             lo, hi = sample.aspect_start, sample.aspect_start + sample.aspect_len
             outside = [i for i in range(sample.n) if not lo <= i < hi]
             assert np.array_equal(fp.h_mask.data[outside], np.zeros((len(outside), 16)))
@@ -65,6 +70,69 @@ class TestForwardPass:
         b = AspectSentimentModel(CONFIG, vocab, sdi=sdi)
         for name in a.parameters.names():
             assert np.array_equal(a.parameters[name].data, b.parameters[name].data)
+
+
+MIXED_LENGTHS = (9, 1, 40, 2)
+
+
+def mixed_batch_model(variant, attention_states):
+    """A model with perturbed parameters and a batch of very different sentence lengths."""
+    rng = np.random.default_rng(31)
+    batch = [random_tree_sample(rng, n=n) for n in MIXED_LENGTHS]
+    config = dataclasses.replace(apply_variant(CONFIG, variant),
+                                 attention_states=attention_states, lambda_l2=1e-3)
+    model = AspectSentimentModel(config, build_vocab(batch), sdi=collect_sdi_stats(batch))
+    for t in model.parameters.tensors():
+        t.data = t.data + rng.normal(scale=0.2, size=t.shape)
+    return model, batch
+
+
+class TestPackedBatch:
+    @pytest.mark.parametrize("attention_states", ["lstm", "gcn"])
+    @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+    def test_matches_per_sample_reference(self, variant, attention_states):
+        model, batch = mixed_batch_model(variant, attention_states)
+        params = model.parameters
+
+        params.zero_grads()
+        fp = model.forward(batch)
+        ad.backward(head.compute_loss(fp.prob, [s.label for s in batch], params,
+                                      model.config.lambda_l2))
+        packed_grads = {name: t.grad.copy() for name, t in params.items()}
+
+        params.zero_grads()
+        reference = np.array([reference_probabilities(model, s).data for s in batch])
+        ad.backward(reference_loss(model, batch))
+
+        assert np.max(np.abs(fp.prob.data - reference)) < 1e-10
+        for name, t in params.items():
+            assert np.max(np.abs(packed_grads[name] - t.grad)) < 1e-10, name
+
+    def test_probabilities_independent_of_batch_position(self):
+        model, batch = mixed_batch_model("full", "lstm")
+        alone = [model.predict(s).prob for s in batch]
+        for shift in range(len(batch)):
+            order = [(i + shift) % len(batch) for i in range(len(batch))]
+            fp = model.forward([batch[i] for i in order])
+            for row, i in enumerate(order):
+                assert np.max(np.abs(fp.predictions[row].prob - alone[i])) < 1e-12
+        # a repeated sample also gets its own row
+        fp = model.forward([batch[1], batch[1], batch[3]])
+        assert np.max(np.abs(fp.prob.data[:2] - alone[1])) < 1e-12
+
+    def test_predict_all_chunks_by_batch_size(self, monkeypatch):
+        model, batch = mixed_batch_model("full", "lstm")
+        model.config = dataclasses.replace(model.config, batch_size=3)
+        sizes = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda b: sizes.append(len(b)) or forward(b))
+        labels = [p.predicted_label for p in model.predict_all(batch)]
+        assert sizes == [3, 1]
+        assert labels == [model.predict(s).predicted_label for s in batch]
+
+    def test_empty_batch_rejected(self, fitted):
+        with pytest.raises(ValueError, match="at least one"):
+            fitted.forward([])
 
 
 class TestConstruction:

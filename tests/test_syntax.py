@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sentigraph.corpus import AspectSample
 from sentigraph.syntax import (
     SdiTable,
-    adjacency_pair,
     build_binary_adjacency,
     build_sdi_adjacency,
     collect_sdi_stats,
@@ -130,7 +129,8 @@ class TestSdiAdjacency:
         samples = [random_tree_sample(gen, n=int(gen.integers(2, 9))) for _ in range(4)]
         table = collect_sdi_stats(samples)
         for sample in samples:
-            pair = adjacency_pair(sample, table)
-            assert np.array_equal(pair.weighted != 0, pair.binary != 0)
-            assert np.all(pair.weighted >= 0) and np.all(pair.weighted <= 1)
-            assert np.all(np.diag(pair.weighted) == 1.0)
+            binary = build_binary_adjacency(sample)
+            weighted = build_sdi_adjacency(sample, table)
+            assert np.array_equal(weighted != 0, binary != 0)
+            assert np.all(weighted >= 0) and np.all(weighted <= 1)
+            assert np.all(np.diag(weighted) == 1.0)

@@ -157,6 +157,25 @@ class TestTrain:
         assert result.best_dev_acc == max(accs)
         assert result.best_epoch == accs.index(max(accs)) + 1  # earliest tie wins
 
+    def test_one_packed_forward_per_batch(self, monkeypatch):
+        sizes = []
+        forward = AspectSentimentModel.forward
+        monkeypatch.setattr(AspectSentimentModel, "forward",
+                            lambda self, batch: sizes.append(len(batch)) or forward(self, batch))
+        config = dataclasses.replace(TINY, max_epochs=1, batch_size=3)
+        train(config, tiny_corpus(7), dev_samples=tiny_corpus(4, seed=1))
+        assert sizes == [3, 3, 1, 3, 1]  # three training batches, then two dev chunks
+
+    def test_parameters_copied_once_per_improving_epoch(self, monkeypatch):
+        copies = []
+        state_dict = ParameterStore.state_dict
+        monkeypatch.setattr(ParameterStore, "state_dict",
+                            lambda self: copies.append(1) or state_dict(self))
+        result = train(dataclasses.replace(TINY, max_epochs=1), tiny_corpus(6),
+                       dev_samples=tiny_corpus(3, seed=1))
+        assert result.best_epoch == 1
+        assert len(copies) == 1
+
     def test_holdout_split_is_seeded_and_disjoint(self):
         corpus = tiny_corpus(20, seed=10)
         train_a, dev_a = split_dev(corpus, 0.1, seed=3)
@@ -280,6 +299,10 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown field"):
             parse_config_text("mystery = 3\n")
+
+    def test_bad_value_names_line_and_field(self):
+        with pytest.raises(ValueError, match="config line 2: config field batch_size"):
+            parse_config_text("seed = 3\nbatch_size = many\n")
 
     def test_validation_catches_bad_values(self):
         with pytest.raises(ValueError, match="divisible"):
