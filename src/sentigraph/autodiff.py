@@ -3,7 +3,9 @@
 A :class:`Tensor` wraps a numpy array and remembers the operation that
 produced it. Calling :func:`backward` on a scalar tensor walks the recorded
 graph once, in reverse topological order, and accumulates gradients into
-every participating tensor with ``requires_grad=True``. Everything runs in
+the ``.grad`` of every reachable leaf (a tensor created with
+``requires_grad=True``, not produced by an operation). Intermediate results
+never hold a gradient array. Everything runs in
 64-bit precision so analytic gradients can be validated tightly against
 central finite differences (:func:`finite_diff_check`).
 
@@ -301,6 +303,21 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     if count == 0:
         raise ShapeError("reduce_mean: empty axis")
     return scale(reduce_sum(a, axis=axis), 1.0 / count)
+
+
+def sum_squares(tensors: list[Tensor]) -> Tensor:
+    """Scalar sum of every squared entry of every tensor, as one tape node.
+
+    The gradient reaching tensor t is ``2 * g * t``.
+    """
+    arrays = [t.data for t in tensors]
+    out = np.array(sum((float(np.vdot(a, a)) for a in arrays), 0.0))
+
+    def backward(g):
+        two_g = 2.0 * g
+        return tuple(two_g * a for a in arrays)
+
+    return _make(out, tuple(tensors), backward, "sum_squares")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
@@ -602,9 +619,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad for every reachable tensor.
+    """Add d(loss)/d(leaf) into ``.grad`` of every reachable leaf, in place.
 
-    Repeated calls keep accumulating; zero grads explicitly between steps.
+    Only leaves that require grad receive a gradient; intermediate tensors
+    and a root that does not require grad get none. Repeated calls keep
+    accumulating into the same arrays; zero grads explicitly between steps.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -617,10 +636,9 @@ def backward(loss: Tensor) -> None:
             continue
         if not np.isfinite(g).all():
             raise NonFiniteError("backward: produced non-finite gradient")
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-        node.grad = node.grad + g
         if node._backward_fn is None:
+            if node.requires_grad:  # a leaf: its accumulator exists from creation
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if not parent.requires_grad or pg is None:
@@ -674,9 +692,6 @@ class ParameterStore:
     def zero_grads(self) -> None:
         for t in self._tensors.values():
             t.zero_grad()
-
-    def squared_norm(self) -> float:
-        return float(sum((t.data ** 2).sum() for t in self._tensors.values()))
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._tensors.items()}

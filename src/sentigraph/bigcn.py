@@ -3,8 +3,7 @@
 Each layer aggregates messages along edges (head -> dependent) and, when
 bidirectional, along the transposed direction as well. The two aggregates
 are concatenated, divided per token by out-degree + 1, and mapped through a
-combine weight, bias, and ReLU. A module-level counter records every
-evaluation of the transposed path so ablations can prove they skip it.
+combine weight, bias, and ReLU.
 
 The states are a packed batch: the token rows of B sentences stacked in
 one N_total x d matrix. The adjacency is the list of the sentences' dense
@@ -25,18 +24,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 
-_TRANSPOSE_PATH_EVALS = 0
-
-
-def transpose_path_count() -> int:
-    return _TRANSPOSE_PATH_EVALS
-
-
-def reset_transpose_path_count() -> None:
-    global _TRANSPOSE_PATH_EVALS
-    _TRANSPOSE_PATH_EVALS = 0
-
-
 @dataclass
 class GcnLayerParams:
     w_fwd: Tensor
@@ -47,10 +34,6 @@ class GcnLayerParams:
     @property
     def d_in(self) -> int:
         return self.w_fwd.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.w_out.shape[1]
 
     @property
     def bidirectional(self) -> bool:
@@ -95,7 +78,6 @@ Adjacency = Tensor | list[np.ndarray]
 def bigcn_layer(h_prev: Tensor, adjacency: Adjacency, degrees: np.ndarray,
                 params: GcnLayerParams) -> Tensor:
     """One message-passing step: aggregate, concatenate, degree-normalize, combine."""
-    global _TRANSPOSE_PATH_EVALS
     n, d_in = h_prev.shape
     blocks = [adjacency.data] if isinstance(adjacency, Tensor) else adjacency
     if sum(blk.shape[0] for blk in blocks) != n:
@@ -105,7 +87,6 @@ def bigcn_layer(h_prev: Tensor, adjacency: Adjacency, degrees: np.ndarray,
         raise ad.ShapeError(f"bigcn_layer: input width {d_in} != weight width {params.d_in}")
     forward = ad.block_matmul(blocks, ad.matmul(h_prev, params.w_fwd))
     if params.bidirectional:
-        _TRANSPOSE_PATH_EVALS += 1
         backward = ad.block_matmul(blocks, ad.matmul(h_prev, params.w_bwd), transpose=True)
         combined = ad.concat([forward, backward], axis=1)
     else:

@@ -147,11 +147,8 @@ def nll(prob: Tensor, labels) -> Tensor:
 
 
 def l2_penalty(parameters: ParameterStore) -> Tensor:
-    """Sum of squared entries over decayed parameters (biases exempt)."""
-    total = Tensor(np.zeros(()))
-    for _name, t in parameters.decayed_items():
-        total = ad.add(total, ad.reduce_sum(ad.mul(t, t)))
-    return total
+    """Sum of squared entries over decayed parameters (biases exempt), one tape node."""
+    return ad.sum_squares([t for _name, t in parameters.decayed_items()])
 
 
 def compute_loss(prob: Tensor, labels, parameters: ParameterStore,

@@ -206,6 +206,8 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.nd
                                                            ad.Tensor(w6[:, 0]))), [arr(6)]),
         ("scale_rows", lambda a, s: ad.reduce_sum(ad.tanh(ad.scale_rows(a, s))),
          [arr(6, 3), arr(6)]),
+        # no saturating wrapper: a wrong factor in its gradient must show in full
+        ("sum_squares", lambda a, b: ad.sum_squares([a, b]), [arr(3, 4), arr(5)]),
     ]
 
 

@@ -28,9 +28,6 @@ class SdiTable:
     ratios: MappingProxyType
     total_edges: int
 
-    def ratio(self, relation: str) -> float:
-        return self.ratios[relation]
-
     @property
     def min_ratio(self) -> float:
         return min(self.ratios.values())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sentigraph import autodiff as ad
 from sentigraph.synthetic import random_tree_sample
 
 __all__ = ["random_tree_sample"]
@@ -9,6 +10,25 @@ __all__ = ["random_tree_sample"]
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def transpose_calls(monkeypatch):
+    """The blocks of every ``ad.block_matmul(..., transpose=True)`` call, in order.
+
+    The reverse Bi-GCN direction is the only caller of the transposed form,
+    so its length counts evaluations of the reverse message-passing path.
+    """
+    calls = []
+    block_matmul = ad.block_matmul
+
+    def counting(blocks, x, transpose=False):
+        if transpose:
+            calls.append(blocks)
+        return block_matmul(blocks, x, transpose=transpose)
+
+    monkeypatch.setattr(ad, "block_matmul", counting)
+    return calls
 
 
 def pytest_runtest_logreport(report):

@@ -2,9 +2,10 @@
 
 This is the per-sample forward pass the packed batch path replaced, kept
 as the oracle for it: no packing, no lengths, no fused attention, graph or
-segment ops, and a Bi-LSTM built step by step from per-token slices. Tests
-compare the packed model against it on probabilities and on the gradient
-of the training loss.
+segment ops, a Bi-LSTM built step by step from per-token slices, and an
+L2 term built per decayed parameter instead of :func:`autodiff.sum_squares`.
+Tests compare the packed model against it on probabilities and on the
+gradient of the training loss.
 """
 
 import numpy as np
@@ -109,6 +110,9 @@ def reference_loss(model, batch):
         total = nll if total is None else ad.add(total, nll)
     loss = ad.scale(total, 1.0 / len(batch))
     if model.config.lambda_l2 != 0.0:
-        loss = ad.add(loss, ad.scale(head.l2_penalty(model.parameters),
-                                     model.config.lambda_l2))
+        # the L2 term as a mul/reduce_sum/add chain, one per decayed parameter
+        l2 = Tensor(np.zeros(()))
+        for _name, t in model.parameters.decayed_items():
+            l2 = ad.add(l2, ad.reduce_sum(ad.mul(t, t)))
+        loss = ad.add(loss, ad.scale(l2, model.config.lambda_l2))
     return loss

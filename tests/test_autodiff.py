@@ -145,6 +145,38 @@ def test_backward_accumulates_until_zeroed():
     assert np.array_equal(p.grad, np.zeros(3))
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    p = ad.Tensor(rand((3,), 52), requires_grad=True)
+    hidden = ad.tanh(ad.scale(p, 2.0))
+    loss = ad.reduce_sum(hidden)
+    ad.backward(loss)
+    accumulator = p.grad
+    assert hidden.grad is None and loss.grad is None
+    first = accumulator.copy()
+    ad.backward(loss)
+    assert p.grad is accumulator
+    assert np.array_equal(p.grad, 2 * first)
+    assert hidden.grad is None and loss.grad is None
+
+
+def test_root_without_grad_receives_nothing():
+    c = ad.Tensor(np.ones(2))
+    loss = ad.reduce_sum(c)
+    ad.backward(loss)
+    assert loss.grad is None and c.grad is None
+
+
+def test_sum_squares_value_and_gradient():
+    a, b = rand((3, 4), 53), rand((5,), 54)
+    out = ad.sum_squares([ad.Tensor(a), ad.Tensor(b)])
+    assert out.item() == pytest.approx((a * a).sum() + (b * b).sum(), rel=1e-15)
+    ta, tb = ad.Tensor(a, requires_grad=True), ad.Tensor(b, requires_grad=True)
+    ad.backward(ad.scale(ad.sum_squares([ta, tb]), 0.5))
+    assert np.array_equal(ta.grad, a) and np.array_equal(tb.grad, b)
+    check(lambda x, y: ad.sum_squares([x, y]), [a, b])
+    assert ad.sum_squares([]).item() == 0.0
+
+
 def test_shared_subexpression_gradient():
     # y = sum(x*x) + sum(x) -> dy/dx = 2x + 1
     x = ad.Tensor(rand((4,), 51), requires_grad=True)

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from sentigraph import autodiff as ad
-from sentigraph import bigcn
 from sentigraph.autodiff import ParameterStore, Tensor
 from sentigraph.bigcn import (
     bigcn_layer,
     bigcn_stack,
     init_gcn_layer,
     init_gcn_stack,
-    reset_transpose_path_count,
-    transpose_path_count,
 )
 from sentigraph.corpus import AspectSample
 from sentigraph.syntax import build_binary_adjacency, out_degrees
@@ -94,19 +91,18 @@ class TestBigcnLayer:
 
 
 class TestTransposePathCounter:
-    def test_counts_bidirectional_evaluations_only(self, rng):
+    def test_counts_bidirectional_evaluations_only(self, rng, transpose_calls):
         adj = build_binary_adjacency(chain_sample(3))
         deg = out_degrees(adj)
         h = Tensor(rng.normal(size=(3, 4)))
 
-        reset_transpose_path_count()
         p_uni, _ = layer(bidirectional=False)
         bigcn_layer(h, Tensor(adj), deg, p_uni)
-        assert transpose_path_count() == 0
+        assert len(transpose_calls) == 0
 
         p_bi, _ = layer()
         bigcn_layer(h, Tensor(adj), deg, p_bi)
-        assert transpose_path_count() == 1
+        assert len(transpose_calls) == 1
 
 
 class TestBigcnStack:

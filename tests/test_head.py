@@ -226,6 +226,16 @@ class TestComputeLoss:
         loss = compute_loss(prob, ["positive"], store, 0.01)
         assert loss.item() == pytest.approx(0.04, abs=1e-15)
 
+    def test_l2_penalty_is_one_node_over_the_decayed_tensors(self):
+        store = ParameterStore()
+        w = store.add("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
+        store.add("cls.b", np.array([5.0]), no_decay=True)
+        v = store.add("v", np.array([0.25]))
+        penalty = head.l2_penalty(store)
+        assert len(penalty._parents) == 2
+        assert penalty._parents[0] is w and penalty._parents[1] is v
+        assert penalty.item() == 14.25 + 0.0625
+
     def test_batch_loss_is_the_mean_of_its_rows(self):
         prob = np.array([[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
         loss = nll(Tensor(prob), ["neutral", "negative"]).item()

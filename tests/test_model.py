@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sentigraph import autodiff as ad
-from sentigraph import bigcn, head
+from sentigraph import head
 from sentigraph.config import TrainConfig
 from sentigraph.corpus import EmbeddingTable, build_vocab
 from sentigraph.model import AspectSentimentModel, gradient_check_suite
@@ -147,14 +147,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="embedding table"):
             AspectSentimentModel(CONFIG, vocab, sdi=sdi, embeddings=bad)
 
-    def test_unidirectional_config_skips_transpose_path(self, corpus):
+    def test_unidirectional_config_skips_transpose_path(self, corpus, transpose_calls):
         vocab = build_vocab(corpus)
         config = dataclasses.replace(CONFIG, use_bidirectional_gcn=False)
         model = AspectSentimentModel(config, vocab, sdi=collect_sdi_stats(corpus))
-        bigcn.reset_transpose_path_count()
         for sample in corpus[:3]:
             model.predict(sample)
-        assert bigcn.transpose_path_count() == 0
+        assert len(transpose_calls) == 0
 
     def test_gcn_attention_states_variant(self, corpus):
         vocab = build_vocab(corpus)
