@@ -2,12 +2,14 @@
 
 A :class:`Tensor` wraps a numpy array and remembers the operation that
 produced it. Calling :func:`backward` on a scalar tensor walks the recorded
-graph once, in reverse topological order, and accumulates gradients into
-the ``.grad`` of every reachable leaf (a tensor created with
-``requires_grad=True``, not produced by an operation). Intermediate results
-never hold a gradient array. Everything runs in
-64-bit precision so analytic gradients can be validated tightly against
-central finite differences (:func:`finite_diff_check`).
+graph once, in reverse topological order, and adds each gradient that
+reaches a leaf (a tensor created with ``requires_grad=True``, not produced
+by an operation) into the leaf's ``.grad`` as it arrives. Intermediate
+results never hold a gradient array. A leaf's accumulator is allocated
+zeroed once and :meth:`Tensor.zero_grad` clears it in place, so a training
+step allocates no parameter-sized gradient array for the leaves. Everything
+runs in 64-bit precision so analytic gradients can be validated tightly
+against central finite differences (:func:`finite_diff_check`).
 
 Supported operand ranks are 0 (scalars), 1 (vectors) and 2 (matrices).
 Broadcasting is deliberately restricted to adding a bias row to a matrix;
@@ -23,12 +25,16 @@ the sequences apart, each as one tape node for the whole batch; padding to
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
+
+from .util import atomic_write
 
 
 class ShapeError(ValueError):
@@ -47,7 +53,9 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         # Leaves that can receive gradients carry an accumulator from the
         # start; repeated backward passes add into it until zero_grad().
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        # np.zeros gets pages the OS has zeroed, so a model that never runs
+        # backward never makes its gradient pages resident.
+        self.grad = np.zeros(self.data.shape) if self.requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
 
@@ -63,7 +71,13 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        """Clear the accumulator in place; reallocate it only if ``data`` changed shape."""
+        if not self.requires_grad:
+            self.grad = None
+        elif self.grad is not None and self.grad.shape == self.data.shape:
+            self.grad.fill(0.0)
+        else:
+            self.grad = np.zeros(self.data.shape)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -308,14 +322,15 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
 def sum_squares(tensors: list[Tensor]) -> Tensor:
     """Scalar sum of every squared entry of every tensor, as one tape node.
 
-    The gradient reaching tensor t is ``2 * g * t``.
+    The gradient reaching tensor t is ``2 * g * t``. Backward yields these
+    one tensor at a time, so only one of them exists at once.
     """
     arrays = [t.data for t in tensors]
     out = np.array(sum((float(np.vdot(a, a)) for a in arrays), 0.0))
 
     def backward(g):
         two_g = 2.0 * g
-        return tuple(two_g * a for a in arrays)
+        return (two_g * a for a in arrays)
 
     return _make(out, tuple(tensors), backward, "sum_squares")
 
@@ -612,36 +627,49 @@ def _toposort(root: Tensor) -> list[Tensor]:
         visited.add(nid)
         stack.append((node, True))
         for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+            # leaves take their gradients as they arrive, so only ops are ordered
+            if parent._backward_fn is not None and id(parent) not in visited:
                 stack.append((parent, False))
     order.reverse()
     return order
+
+
+def _check_finite(g: np.ndarray) -> None:
+    if not np.isfinite(g).all():
+        raise NonFiniteError("backward: produced non-finite gradient")
 
 
 def backward(loss: Tensor) -> None:
     """Add d(loss)/d(leaf) into ``.grad`` of every reachable leaf, in place.
 
     Only leaves that require grad receive a gradient; intermediate tensors
-    and a root that does not require grad get none. Repeated calls keep
-    accumulating into the same arrays; zero grads explicitly between steps.
+    and a root that does not require grad get none. Each gradient reaching a
+    leaf is added into its accumulator when it arrives, so the only
+    gradient totals held are those of intermediate tensors. From a zeroed
+    accumulator the result is bit-identical to summing first and adding
+    once. Repeated calls keep accumulating into the same arrays; zero grads
+    explicitly between steps.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    # Totals propagate through a local map so that stale .grad values from a
-    # previous pass can never leak into this one.
+    if loss._backward_fn is None:  # the root is itself a leaf
+        if loss.requires_grad:
+            loss.grad += 1.0
+        return
+    # Totals of intermediate tensors propagate through a local map so that
+    # stale values from a previous pass can never leak into this one.
     pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
     for node in _toposort(loss):
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if not np.isfinite(g).all():
-            raise NonFiniteError("backward: produced non-finite gradient")
-        if node._backward_fn is None:
-            if node.requires_grad:  # a leaf: its accumulator exists from creation
-                node.grad += g
-            continue
+        _check_finite(g)
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if not parent.requires_grad or pg is None:
+                continue
+            if parent._backward_fn is None:  # a leaf: its accumulator exists from creation
+                _check_finite(pg)
+                parent.grad += pg
                 continue
             key = id(parent)
             prev = pending.get(key)
@@ -697,15 +725,18 @@ class ParameterStore:
         return {n: t.data.copy() for n, t in self._tensors.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the parameter arrays; on any mismatch nothing is copied."""
         missing = set(self._tensors) - set(state)
         extra = set(state) - set(self._tensors)
         if missing or extra:
             raise ValueError(f"state mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
+        arrays = {name: np.asarray(state[name], dtype=np.float64) for name in self._tensors}
         for name, t in self._tensors.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"parameter {name!r}: shape {arr.shape} != {t.data.shape}")
-            t.data = arr.copy()
+            if arrays[name].shape != t.data.shape:
+                raise ShapeError(
+                    f"parameter {name!r}: shape {arrays[name].shape} != {t.data.shape}")
+        for name, t in self._tensors.items():
+            np.copyto(t.data, arrays[name])
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +805,13 @@ _MAGIC = b"SGTENS01"
 
 
 def save_tensor_file(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named float64 tensors: manifest of names, then shape + raw LE values each."""
+    """Write named float64 tensors: manifest of names, then shape + raw LE values each.
+
+    A C-contiguous float64 array's buffer is written without a copy; the
+    file replaces ``path`` only once it is complete.
+    """
     names = list(arrays)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(names)))
         for name in names:
@@ -788,22 +823,36 @@ def save_tensor_file(path, arrays: dict[str, np.ndarray]) -> None:
             f.write(struct.pack("<B", arr.ndim))
             for dim in arr.shape:
                 f.write(struct.pack("<Q", dim))
-            f.write(arr.tobytes())
+            f.write(np.ascontiguousarray(arr))
 
 
 def load_tensor_file(path) -> dict[str, np.ndarray]:
     """Read a :func:`save_tensor_file` container.
 
     A short read anywhere, header fields included, or bytes after the last
-    tensor raise ValueError naming the file and the field or tensor.
+    tensor raise ValueError naming the file and the field or tensor. Values
+    are read straight into the returned arrays.
     """
     with open(path, "rb") as f:
+        def fail(got: int, size: int, what: str):
+            raise ValueError(f"{path}: truncated file: {got} of {size} bytes of the {what}")
+
         def read(size: int, what: str) -> bytes:
             buf = f.read(size)
             if len(buf) != size:
-                raise ValueError(f"{path}: truncated file: {len(buf)} of {size} bytes "
-                                 f"of the {what}")
+                fail(len(buf), size, what)
             return buf
+
+        def read_values(shape, what: str) -> np.ndarray:
+            size = 8 * math.prod(shape)
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if size > left:  # checked before allocating: a corrupt shape can be huge
+                fail(max(left, 0), size, what)
+            flat = np.empty(size // 8, dtype="<f8")
+            got = f.readinto(memoryview(flat).cast("B"))
+            if got != size:
+                fail(got, size, what)
+            return flat.astype(np.float64, copy=False).reshape(shape)
 
         if f.read(8) != _MAGIC:
             raise ValueError(f"{path}: not a tensor container")
@@ -819,9 +868,7 @@ def load_tensor_file(path) -> dict[str, np.ndarray]:
         for name in names:
             (ndim,) = struct.unpack("<B", read(1, f"rank of tensor {name!r}"))
             shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"shape of tensor {name!r}"))
-            n_values = int(np.prod(shape)) if shape else 1
-            buf = read(8 * n_values, f"values of tensor {name!r}")
-            out[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+            out[name] = read_values(shape, f"values of tensor {name!r}")
         if f.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last tensor")
         return out

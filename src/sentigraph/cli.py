@@ -42,7 +42,7 @@ from .training import (
     write_epoch_log,
     write_sweep_series,
 )
-from .util import file_sha256
+from .util import atomic_write, file_sha256
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
@@ -100,7 +100,7 @@ class Manifest:
         self._flush()
 
     def _flush(self):
-        with open(self.path, "w", encoding="utf-8") as f:
+        with atomic_write(self.path) as f:
             json.dump(self.payload, f, indent=2)
             f.write("\n")
 
@@ -194,7 +194,7 @@ def cmd_train(args) -> int:
         "final_dev_f1": _dev_score(final.dev_f1) if final else None,
     }
     summary_path = os.path.join(args.out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as f:
+    with atomic_write(summary_path) as f:
         json.dump(summary, f, indent=2, allow_nan=False)
         f.write("\n")
     manifest.add_artifact("summary", summary_path)
@@ -204,15 +204,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _report_unseen_relations(model) -> None:
+    """One stderr line counting the edges whose relation the checkpoint's statistics lack."""
+    unseen = model.unseen_relations
+    if unseen:
+        counts = ", ".join(f"{rel}={n}" for rel, n in unseen.most_common())
+        print(f"note: {sum(unseen.values())} edges had relations unseen in training, "
+              f"weighted at the minimum ratio: {counts}", file=sys.stderr)
+
+
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.data)
     report = evaluate(model, samples)
+    _report_unseen_relations(model)
     text = json.dumps(report.as_dict(), indent=2)
     if args.out:
         manifest = Manifest(str(args.out) + ".manifest.json", "eval", model.config,
                             {"data": args.data})
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_write(args.out) as f:
             f.write(text + "\n")
         manifest.add_artifact("metrics", args.out)
         manifest.complete()
@@ -226,6 +236,7 @@ def cmd_predict(args) -> int:
     manifest = Manifest(str(args.out) + ".manifest.json", "predict", model.config,
                         {"data": args.data})
     predictions_to_jsonl(args.out, model, samples)
+    _report_unseen_relations(model)
     manifest.add_artifact("predictions", args.out)
     manifest.complete()
     print(f"wrote {len(samples)} prediction records to {args.out}")
@@ -241,7 +252,7 @@ def cmd_ablate(args) -> int:
     eval_samples = load_dataset(args.eval)
     results = run_ablation(config, train_samples, eval_samples, dev_samples=dev_samples)
     table_path = os.path.join(args.out_dir, "ablation.tsv")
-    with open(table_path, "w", encoding="utf-8") as f:
+    with atomic_write(table_path) as f:
         f.write("variant\tacc\tmacro_f1\n")
         for variant, report in results.items():
             f.write(f"{variant}\t{report.acc!r}\t{report.macro_f1!r}\n")

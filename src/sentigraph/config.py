@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .util import atomic_write
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -103,7 +105,7 @@ def config_to_text(config: TrainConfig) -> str:
 
 
 def save_config(path, config: TrainConfig) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(config_to_text(config))
 
 

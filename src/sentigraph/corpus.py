@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import atomic_write
+
 LABELS = ("positive", "neutral", "negative")
 LABEL_TO_INDEX = {label: i for i, label in enumerate(LABELS)}
 
@@ -118,6 +120,22 @@ def _record_to_sample(record: dict, line_no: int) -> AspectSample:
     )
 
 
+def _check_separators(sample: AspectSample, line_no: int) -> None:
+    """Reject what would break the line-based checkpoint files.
+
+    vocab.txt holds one token per line, and sdi.txt one tab-separated
+    relation per line.
+    """
+    for i, token in enumerate(sample.tokens):
+        if "\n" in token or "\r" in token:
+            raise DatasetError(
+                f"line {line_no}: field 'tokens': token {i} {token!r} contains a line break")
+    for _head, _dep, rel in sample.deps:
+        if "\t" in rel or "\n" in rel or "\r" in rel:
+            raise DatasetError(
+                f"line {line_no}: field 'deps': relation {rel!r} contains a tab or a line break")
+
+
 def load_dataset(path, expected_labels=LABELS) -> list[AspectSample]:
     """Read and validate a JSON-lines dataset; raises DatasetError naming the offending line."""
     samples = []
@@ -133,6 +151,8 @@ def load_dataset(path, expected_labels=LABELS) -> list[AspectSample]:
             if not isinstance(record, dict):
                 raise DatasetError(f"line {line_no}: record is not an object")
             sample = _record_to_sample(record, line_no)
+            if "\\" in line:  # JSON strings can hold a tab or a line break only escaped
+                _check_separators(sample, line_no)
             try:
                 sample.validate(expected_labels)
             except DatasetError as e:
@@ -142,7 +162,7 @@ def load_dataset(path, expected_labels=LABELS) -> list[AspectSample]:
 
 
 def save_dataset(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for s in samples:
             record = {
                 "tokens": list(s.tokens),
@@ -178,7 +198,7 @@ class Vocab:
         return np.array([self.id(t) for t in tokens], dtype=np.int64)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for token in self.id_to_token:
                 f.write(token + "\n")
 

@@ -18,11 +18,14 @@ at any position in any batch, up to rounding. ``predict(sample)`` is a
 batch of one; ``predict_all`` runs ``config.batch_size`` chunks.
 
 Ablation switches replace the adjacency with the binary or identity matrix
-and can drop the reversed message-passing direction.
+and can drop the reversed message-passing direction. Edges whose relation
+the training statistics lack are weighted at the smallest ratio and counted
+per relation in ``unseen_relations``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +85,8 @@ class AspectSentimentModel:
         self.config = config
         self.vocab = vocab
         self.sdi = sdi
+        # edges whose relation the statistics lack, per relation, over every forward
+        self.unseen_relations: Counter[str] = Counter()
 
         if embeddings is None:
             embeddings = random_embeddings(vocab, config.d_w, make_rng(config.seed, "oov"))
@@ -113,7 +118,7 @@ class AspectSentimentModel:
         binary = build_binary_adjacency(sample)
         degrees = out_degrees(binary)
         if self.config.use_sdi_weights:
-            return build_sdi_adjacency(sample, self.sdi), degrees
+            return build_sdi_adjacency(sample, self.sdi, self.unseen_relations), degrees
         return binary, degrees
 
     def forward(self, samples: list[AspectSample]) -> ForwardPass:

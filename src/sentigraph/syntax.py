@@ -9,7 +9,6 @@ binary matrix's zero pattern exactly.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -17,6 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .corpus import AspectSample
+from .util import atomic_write
 
 PUNCT_RELATION = "punct"
 
@@ -33,7 +33,7 @@ class SdiTable:
         return min(self.ratios.values())
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             f.write(f"total_edges\t{self.total_edges}\n")
             for label in sorted(self.ratios):
                 f.write(f"{label}\t{self.ratios[label]!r}\n")
@@ -90,11 +90,13 @@ def build_binary_adjacency(sample: AspectSample) -> np.ndarray:
     return adj
 
 
-def build_sdi_adjacency(sample: AspectSample, sdi: SdiTable) -> np.ndarray:
+def build_sdi_adjacency(sample: AspectSample, sdi: SdiTable,
+                        unseen: Counter | None = None) -> np.ndarray:
     """Weighted adjacency: diagonal ones, relation ratios at (head, dependent).
 
     Relations unseen at training time fall back to the smallest training
-    ratio (keeping the edge alive) and emit a warning.
+    ratio (keeping the edge alive); each such edge adds one to its relation
+    in ``unseen`` when a counter is given.
     """
     n = sample.n
     adj = np.eye(n, dtype=np.float64)
@@ -104,10 +106,8 @@ def build_sdi_adjacency(sample: AspectSample, sdi: SdiTable) -> np.ndarray:
         ratio = sdi.ratios.get(relation)
         if ratio is None:
             ratio = sdi.min_ratio
-            warnings.warn(
-                f"relation {relation!r} unseen in training statistics; "
-                f"substituting minimum ratio {ratio!r}",
-                stacklevel=2)
+            if unseen is not None:
+                unseen[relation] += 1
         adj[head, dep] = ratio
     return adj
 

@@ -25,7 +25,7 @@ from .config import TrainConfig, load_config, save_config
 from .corpus import LABELS, EmbeddingTable, Vocab, build_vocab
 from .model import AspectSentimentModel
 from .syntax import SdiTable, collect_sdi_stats
-from .util import make_rng
+from .util import atomic_write, make_rng
 
 # re-exported contract surface for consumers of this module
 __all__ = [
@@ -38,7 +38,22 @@ __all__ = [
 
 
 class Adam:
-    """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+
+    ``step`` updates the moments and the parameters in place. It sweeps each
+    tensor's flat view in blocks of at most ``block_size`` elements (512 KB,
+    small enough to stay in a per-core L2 cache) through two scratch
+    buffers allocated once, so a step allocates nothing the size of a
+    parameter. Per element it computes, in this order,
+
+        m = b1*m + (1-b1)*g,   v = b2*v + ((1-b2)*g)*g,
+        w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+
+    with c1 = 1 - b1**t and c2 = 1 - b2**t, the same operations in the same
+    order as the out-of-place formula, so the result is bit-identical to it.
+    """
+
+    block_size = 65536
 
     def __init__(self, parameters: ParameterStore, learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -48,18 +63,40 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in parameters.items()}
-        self._v = {name: np.zeros_like(t.data) for name, t in parameters.items()}
+        # np.zeros gets pages the OS has already zeroed instead of filling them
+        self._m = {name: np.zeros(t.data.shape) for name, t in parameters.items()}
+        self._v = {name: np.zeros(t.data.shape) for name, t in parameters.items()}
+        largest = max((t.data.size for t in parameters.tensors()), default=0)
+        scratch = min(self.block_size, largest)
+        self._scratch = (np.empty(scratch), np.empty(scratch))
 
     def step(self) -> None:
         self.t += 1
+        b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for name, tensor in self.parameters.items():
-            g = tensor.grad
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            tensor.data = tensor.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not tensor.data.flags.c_contiguous:  # a rebound array: its flat view must not copy
+                tensor.data = tensor.data.copy()
+            w, g = tensor.data.reshape(-1), tensor.grad.reshape(-1)
+            m, v = self._m[name].reshape(-1), self._v[name].reshape(-1)
+            for lo in range(0, w.size, self.block_size):
+                span = slice(lo, lo + self.block_size)
+                wb, gb, mb, vb = w[span], g[span], m[span], v[span]
+                s1, s2 = (buf[:wb.size] for buf in self._scratch)
+                mb *= b1
+                np.multiply(gb, 1 - b1, out=s1)
+                mb += s1
+                vb *= b2
+                np.multiply(gb, 1 - b2, out=s1)
+                s1 *= gb
+                vb += s1
+                np.divide(mb, c1, out=s1)
+                s1 *= lr
+                np.divide(vb, c2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                s1 /= s2
+                wb -= s1
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +260,7 @@ def train(config: TrainConfig, train_samples, dev_samples=None,
 
 
 def write_epoch_log(path, log: list[EpochStats]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write("epoch\ttrain_loss\tdev_acc\tdev_f1\n")
         for e in log:
             f.write(f"{e.epoch}\t{e.train_loss!r}\t{e.dev_acc!r}\t{e.dev_f1!r}\n")
@@ -281,7 +318,7 @@ def layer_sweep(config: TrainConfig, train_samples, eval_samples,
 
 
 def write_sweep_series(path, points: list[SweepPoint]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write("gcn_layers\tacc\tmacro_f1\n")
         for p in points:
             f.write(f"{p.gcn_layers}\t{p.acc!r}\t{p.macro_f1!r}\n")
@@ -321,6 +358,6 @@ def load_checkpoint(directory) -> AspectSentimentModel:
 def predictions_to_jsonl(path, model: AspectSentimentModel, samples) -> None:
     """One JSON record per sample: class probabilities, predicted and gold labels."""
     samples = list(samples)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for sample, prediction in zip(samples, model.predict_all(samples)):
             f.write(json.dumps(prediction.as_record(gold_label=sample.label)) + "\n")

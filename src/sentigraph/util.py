@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,3 +25,23 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file next to ``path``; replace ``path`` with it on success.
+
+    Readers see the previous complete file or the new complete one, never a
+    torn one. If the block raises, the temporary file is removed and
+    ``path`` is untouched. There is no fsync: this guards against a crash
+    of the program, not of the machine.
+    """
+    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -1,3 +1,8 @@
+import math
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +182,68 @@ def test_sum_squares_value_and_gradient():
     assert ad.sum_squares([]).item() == 0.0
 
 
+def test_nonfinite_gradient_reaching_a_leaf_raises_and_leaves_it_untouched():
+    p = ad.Tensor(np.array([1e-320, 1.0]), requires_grad=True)
+    loss = ad.reduce_sum(ad.log(p))  # finite, but d/dp = 1/p overflows
+    with np.errstate(over="ignore"), \
+            pytest.raises(ad.NonFiniteError, match="backward: produced non-finite gradient"):
+        ad.backward(loss)
+    assert np.array_equal(p.grad, np.zeros(2))
+
+
+def test_leaf_reached_by_several_paths_matches_summing_first():
+    # the accumulator takes each contribution as it arrives; from zero that is
+    # bit-identical to adding the summed contributions once
+    x = ad.Tensor(rand((50,), 55), requires_grad=True)
+    w = [rand((50,), 56 + i) for i in range(4)]
+    terms = [ad.reduce_sum(ad.mul(ad.tanh(ad.scale(x, 1.0 + i)), ad.Tensor(wi)))
+             for i, wi in enumerate(w)]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    ad.backward(loss)
+    parts = [wi * (1.0 - np.tanh(x.data * (1.0 + i)) ** 2) * (1.0 + i)
+             for i, wi in enumerate(w)]
+    summed = parts[0]
+    for part in parts[1:]:  # contributions arrive in the order the terms were added
+        summed = summed + part
+    assert np.array_equal(x.grad, np.zeros(50) + summed)
+
+
+def test_zero_grad_clears_in_place_and_allocates_nothing():
+    store = ad.ParameterStore()
+    tensors = [store.add(f"p{i}", rand((200, 50), i)) for i in range(4)]
+    ad.backward(ad.sum_squares(tensors))
+    accumulators = [t.grad for t in tensors]
+    tracemalloc.start()
+    try:
+        store.zero_grads()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    assert all(t.grad is acc and not acc.any() for t, acc in zip(tensors, accumulators))
+    tensors[0].data = rand((3, 3))  # a rebound array of another shape gets a new accumulator
+    tensors[0].zero_grad()
+    assert tensors[0].grad.shape == (3, 3) and not tensors[0].grad.any()
+
+
+def test_sum_squares_backward_never_holds_all_gradients():
+    # its 2*g*t terms are made one tensor at a time and added as they arrive
+    size = 250_000  # 2 MB per tensor
+    tensors = [ad.Tensor(rand((size,), i), requires_grad=True) for i in range(6)]
+    loss = ad.sum_squares(tensors)
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * size
+    for t in tensors:
+        assert np.array_equal(t.grad, 2.0 * t.data)
+
+
 def test_shared_subexpression_gradient():
     # y = sum(x*x) + sum(x) -> dy/dx = 2x + 1
     x = ad.Tensor(rand((4,), 51), requires_grad=True)
@@ -266,6 +333,26 @@ class TestParameterStore:
         with pytest.raises(ValueError, match="state mismatch"):
             store.load_state_dict({})
 
+    def test_load_copies_into_the_existing_arrays(self):
+        store = ad.ParameterStore()
+        w = store.add("w", rand((3, 2)))
+        array = w.data
+        state = {"w": rand((3, 2), 1)}
+        store.load_state_dict(state)
+        assert w.data is array and np.array_equal(w.data, state["w"])
+        assert not np.shares_memory(w.data, state["w"])
+
+    def test_shape_mismatch_on_the_last_tensor_loads_nothing(self):
+        store = ad.ParameterStore()
+        for i, shape in enumerate([(3, 2), (4,), (2, 2)]):
+            store.add(f"p{i}", rand(shape, i))
+        before = store.state_dict()
+        state = {"p0": rand((3, 2), 7), "p1": rand((4,), 8), "p2": rand((2, 3), 9)}
+        with pytest.raises(ad.ShapeError, match="'p2'"):
+            store.load_state_dict(state)
+        for name, t in store.items():
+            assert np.array_equal(t.data, before[name])
+
 
 def test_tensor_container_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
@@ -282,6 +369,80 @@ def test_tensor_container_roundtrip_is_bit_exact(tmp_path):
         assert loaded[name].shape == arr.shape
         assert np.array_equal(loaded[name], arr)
         assert loaded[name].tobytes() == arr.tobytes()
+
+
+def reference_tensor_bytes(arrays) -> bytes:
+    """The container format spelled out field by field, as the format's reference."""
+    out = [b"SGTENS01", struct.pack("<I", len(arrays))]
+    for name in arrays:
+        raw = name.encode("utf-8")
+        out += [struct.pack("<H", len(raw)), raw]
+    for arr in arrays.values():
+        arr = np.asarray(arr, dtype="<f8")
+        out += [struct.pack("<B", arr.ndim)] + [struct.pack("<Q", d) for d in arr.shape]
+        out.append(arr.tobytes())
+    return b"".join(out)
+
+
+_special_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                   1.7976931348623157e308, float("inf"), float("-inf")])
+_tensor_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _special_floats)
+
+
+@st.composite
+def _named_arrays(draw):
+    names = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+                          unique=True, max_size=4))
+    arrays = {}
+    for name in names:
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        values = draw(st.lists(_tensor_values, min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+        order = draw(st.sampled_from("CF"))
+        arrays[name] = np.array(values, dtype=np.float64).reshape(shape, order=order)
+    return arrays
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays=_named_arrays())
+def test_tensor_container_round_trips_any_names_shapes_and_values(tmp_path_factory, arrays):
+    path = tmp_path_factory.mktemp("tensors") / "params.tensors"
+    ad.save_tensor_file(path, arrays)
+    assert path.read_bytes() == reference_tensor_bytes(arrays)
+    loaded = ad.load_tensor_file(path)
+    assert list(loaded) == list(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == np.float64 and loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()  # bit-exact: -0.0, NaN, subnormals
+        assert loaded[name].flags.writeable
+    assert os.listdir(path.parent) == ["params.tensors"]
+
+
+class _FailsOnSecondTensor(dict):
+    """An array mapping whose second tensor cannot be read, failing a save half-way."""
+
+    def __getitem__(self, name):
+        if name == list(self)[1]:
+            raise RuntimeError("simulated failure half-way through the save")
+        return super().__getitem__(name)
+
+
+def test_failed_save_keeps_the_previous_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "params.tensors"
+    ad.save_tensor_file(path, {"w": rand((4, 3))})
+    previous = path.read_bytes()
+    with pytest.raises(RuntimeError, match="half-way"):
+        ad.save_tensor_file(path, _FailsOnSecondTensor(w=rand((4, 3), 1), b=rand((3,))))
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["params.tensors"]
+
+
+def test_tensor_container_rejects_a_shape_larger_than_the_file(tmp_path):
+    # a corrupt shape is reported as truncation without allocating its size
+    path = tmp_path / "huge.tensors"
+    path.write_bytes(b"SGTENS01" + struct.pack("<IH", 1, 1) + b"w" + struct.pack("<BQQ", 2, 2**40, 2**20))
+    with pytest.raises(ValueError, match=r"truncated file: 0 of \d+ bytes of the values of tensor 'w'"):
+        ad.load_tensor_file(path)
 
 
 def test_tensor_container_rejects_other_files(tmp_path):

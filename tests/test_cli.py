@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import os
+import warnings
 
 import pytest
 
@@ -185,6 +188,49 @@ class TestEvalPredict:
             assert set(record) == {"prob", "predicted_label", "gold_label"}
             assert len(record["prob"]) == 3
             assert abs(sum(record["prob"]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_unseen_relations_are_counted_in_one_line(self, data_dir, checkpoint, command,
+                                                      capsys):
+        samples = load_dataset(data_dir / "test.jsonl")
+        renamed = [  # every non-root edge of samples 0 and 3
+            dataclasses.replace(s, deps=tuple((h, d, r if h == -1 else "never_seen")
+                                              for h, d, r in s.deps)) if i in (0, 3) else s
+            for i, s in enumerate(samples)]
+        expected = samples[0].n - 1 + samples[3].n - 1
+        data = data_dir / "unseen.jsonl"
+        save_dataset(data, renamed)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--checkpoint", str(checkpoint), "--data", str(data),
+                             "--out", str(data_dir / f"{command}.out")])
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if "unseen" in line]
+        assert lines == [f"note: {expected} edges had relations unseen in training, "
+                         f"weighted at the minimum ratio: never_seen={expected}"]
+        if command == "eval":
+            json.loads(captured.out)  # the metrics on stdout stay valid JSON
+
+
+class TestArtifacts:
+    def test_failed_manifest_write_keeps_the_previous_complete_file(self, tmp_path,
+                                                                    monkeypatch):
+        path = tmp_path / "run.manifest.json"
+        manifest = cli.Manifest(path, "prepare", None, {})
+        previous = path.read_text()
+
+        def dump_half_then_fail(obj, f, **kwargs):
+            f.write('{"command": ')
+            raise OSError("simulated failure half-way through the write")
+
+        monkeypatch.setattr(cli.json, "dump", dump_half_then_fail)
+        with pytest.raises(OSError, match="half-way"):
+            manifest.complete()
+        assert path.read_text() == previous
+        assert json.loads(previous)["status"] == "incomplete"
+        assert os.listdir(tmp_path) == ["run.manifest.json"]
 
 
 class TestAblateSweep:

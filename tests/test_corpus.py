@@ -104,6 +104,29 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="tree"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("token", ["two\nlines", "carriage\rreturn"])
+    def test_token_with_line_break_rejected(self, tmp_path, token):
+        # such a token would split into two lines of vocab.txt
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, [make_record(), make_record(tokens=["the", token, "was", "limited"])])
+        with pytest.raises(DatasetError, match=r"line 2: field 'tokens': token 1 .*line break"):
+            load_dataset(path)
+
+    def test_unicode_escaped_line_break_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(make_record()).replace('"menu"', '"me\\u000anu"') + "\n")
+        with pytest.raises(DatasetError, match=r"line 1: field 'tokens': token 1 'me\\nnu'"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("relation", ["n\tsubj", "n\nsubj", "n\rsubj"])
+    def test_relation_with_tab_or_line_break_rejected(self, tmp_path, relation):
+        # such a relation would corrupt the tab-separated lines of sdi.txt
+        path = tmp_path / "bad.jsonl"
+        deps = [[1, 0, "det"], [3, 1, relation], [3, 2, "cop"], [-1, 3, "root"]]
+        write_jsonl(path, [make_record(deps=deps)])
+        with pytest.raises(DatasetError, match=r"line 1: field 'deps': relation .*tab"):
+            load_dataset(path)
+
     def test_reload_is_identical(self, tmp_path, rng):
         path = tmp_path / "data.jsonl"
         save_dataset(path, [random_tree_sample(rng) for _ in range(20)])
@@ -117,6 +140,23 @@ def test_random_trees_always_validate(seed):
     sample.validate()
     heads = [d[0] for d in sample.deps]
     assert heads.count(-1) == 1
+
+
+# any text a vocabulary line can hold: no line breaks, no surrogates
+_token_text = st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters="\n\r"), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tokens=st.lists(_token_text, unique=True, max_size=20))
+def test_vocab_save_load_round_trips(tmp_path_factory, tokens):
+    tokens = [t for t in tokens if t not in (corpus.PAD_TOKEN, corpus.UNK_TOKEN)]
+    vocab = Vocab([corpus.PAD_TOKEN, corpus.UNK_TOKEN] + tokens)
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    vocab.save(path)
+    loaded = Vocab.load(path)
+    assert loaded.id_to_token == vocab.id_to_token
+    assert os.listdir(path.parent) == ["vocab.txt"]
 
 
 class TestBuildVocab:

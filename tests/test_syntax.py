@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,11 +119,16 @@ class TestSdiAdjacency:
         assert adj[1, 0] == 0.0
 
     def test_unseen_relation_falls_back_with_warning(self):
+        # the fallback is counted per relation, not warned about
         table = collect_sdi_stats(TOY)
-        sample = sample_with([(-1, 0, "root"), (0, 1, "xcomp")])
-        with pytest.warns(UserWarning, match="xcomp"):
-            adj = build_sdi_adjacency(sample, table)
-        assert adj[0, 1] == table.min_ratio
+        sample = sample_with([(-1, 0, "root"), (0, 1, "xcomp"), (0, 2, "xcomp")], n=3)
+        unseen = Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adj = build_sdi_adjacency(sample, table, unseen)
+            build_sdi_adjacency(sample, table)
+        assert adj[0, 1] == adj[0, 2] == table.min_ratio
+        assert unseen == Counter({"xcomp": 2})
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1))

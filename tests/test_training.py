@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from sentigraph.synthetic import make_synthetic_corpus
 from sentigraph.syntax import build_binary_adjacency, collect_sdi_stats
 from sentigraph.training import (
     Adam,
+    EpochStats,
     apply_variant,
     confusion_matrix,
     evaluate,
@@ -35,7 +38,73 @@ def tiny_corpus(n=12, seed=0):
     return make_synthetic_corpus(n, seed=seed)
 
 
+def reference_adam_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The out-of-place Adam update, kept as the reference for the blocked in-place one."""
+    for name in params:
+        g = grads[name]
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        m_hat = m[name] / (1 - b1 ** t)
+        v_hat = v[name] / (1 - b2 ** t)
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
+    def test_blocked_in_place_step_is_bit_identical_to_reference(self):
+        rng = np.random.default_rng(11)
+        shapes = {"multi_block": (2 * Adam.block_size + 1234,),  # two blocks and a ragged tail
+                  "matrix": (301, 437), "single": (1,), "no_grad": (5, 7)}
+        store = ParameterStore()
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape))
+        optimizer = Adam(store, learning_rate=3e-3)
+        ref = store.state_dict()
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        arrays = {n: t.data for n, t in store.items()}
+        for t in range(1, 4):
+            store.zero_grads()
+            grads = {n: rng.normal(scale=10.0 ** -t, size=s) for n, s in shapes.items()}
+            grads["no_grad"][:] = 0.0
+            for name, tensor in store.items():
+                tensor.grad += grads[name]
+            optimizer.step()
+            reference_adam_step(ref, grads, m, v, t, lr=3e-3)
+            for name, tensor in store.items():
+                assert tensor.data is arrays[name]  # updated in place
+                assert tensor.data.tobytes() == ref[name].tobytes(), name
+                assert optimizer._m[name].tobytes() == m[name].tobytes(), name
+                assert optimizer._v[name].tobytes() == v[name].tobytes(), name
+
+    def test_step_allocates_nothing_parameter_sized(self):
+        store = ParameterStore()
+        p = store.add("p", np.random.default_rng(3).normal(size=1_000_000))
+        store.add("small", np.ones(3))
+        optimizer = Adam(store, learning_rate=1e-3)
+        p.grad += 1e-2
+        tracemalloc.start()
+        try:
+            optimizer.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # bytes; one full-size temporary alone would be 8 MB
+
+    def test_scratch_fits_the_largest_parameter(self):
+        store = ParameterStore()
+        store.add("p", np.ones((3, 4)))
+        optimizer = Adam(store, learning_rate=1e-3)
+        assert [buf.size for buf in optimizer._scratch] == [12, 12]
+
+    def test_step_updates_a_rebound_non_contiguous_parameter(self):
+        store = ParameterStore()
+        p = store.add("p", np.zeros((3, 4)))
+        optimizer = Adam(store, learning_rate=0.1)
+        p.data = np.ones((4, 3)).T  # Fortran order: its flat view would be a copy
+        p.grad += 1.0
+        optimizer.step()
+        assert np.array_equal(p.data, np.full((3, 4), 1.0 - 0.1 / (1.0 + 1e-8)))
+
     def test_first_step_closed_form(self):
         # with constant gradient g, the bias-corrected first update is lr * g / (|g| + eps)
         store = ParameterStore()
@@ -57,6 +126,22 @@ class TestAdam:
             ad.backward(ad.reduce_sum(ad.mul(shifted, shifted)))
             optimizer.step()
         assert p.data[0] == pytest.approx(2.0, abs=1e-3)
+
+
+class _ReprFails(float):
+    def __repr__(self):
+        raise OSError("simulated failure half-way through the write")
+
+
+def test_failed_epoch_log_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "epochs.tsv"
+    write_epoch_log(path, [EpochStats(1, 0.9, 0.5, 0.4)])
+    previous = path.read_text()
+    with pytest.raises(OSError, match="half-way"):
+        write_epoch_log(path, [EpochStats(1, 0.9, 0.5, 0.4),
+                               EpochStats(2, _ReprFails(0.8), 0.6, 0.5)])
+    assert path.read_text() == previous
+    assert os.listdir(tmp_path) == ["epochs.tsv"]
 
 
 class TestMetrics:
