@@ -21,6 +21,9 @@ The sequence ops (:func:`lstm`, :func:`attention`, :func:`block_matmul`,
 :func:`segment_sum`, :func:`segment_softmax`) take such a matrix and keep
 the sequences apart, each as one tape node for the whole batch; padding to
 3-d blocks happens inside them only.
+
+:func:`relu` and :func:`clamp_min` record the pivot of their kink on their
+tape node, where :func:`finite_diff_check` finds it: the module keeps no state.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ from __future__ import annotations
 import math
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .util import atomic_write
 
@@ -46,7 +47,7 @@ class NonFiniteError(FloatingPointError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_kink")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -58,6 +59,7 @@ class Tensor:
         self.grad = np.zeros(self.data.shape) if self.requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
+        self._kink: float | None = None  # the pivot of a relu or clamp_min node
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -83,7 +85,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str,
+          kink: float | None = None) -> Tensor:
     """Build an op result, recording the tape edge only when a parent needs it."""
     if not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: produced non-finite values")
@@ -92,40 +95,12 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
+        out._kink = kink
     return out
 
 
 def _shape_fail(op: str, *shapes) -> None:
     raise ShapeError(f"{op}: incompatible shapes {' and '.join(str(s) for s in shapes)}")
-
-
-# ---------------------------------------------------------------------------
-# kink monitoring for the finite-difference checker
-
-_KINK_TOL: float | None = None
-_KINK_HIT: bool = False
-
-
-def _note_kink(values: np.ndarray, pivot: float = 0.0) -> None:
-    global _KINK_HIT
-    if _KINK_TOL is not None and not _KINK_HIT:
-        if np.any(np.abs(values - pivot) <= _KINK_TOL):
-            _KINK_HIT = True
-
-
-@contextmanager
-def _watch_kinks(tol: float):
-    global _KINK_TOL, _KINK_HIT
-    prev_tol, prev_hit = _KINK_TOL, _KINK_HIT
-    _KINK_TOL, _KINK_HIT = tol, False
-    try:
-        yield
-    finally:
-        _KINK_TOL, _KINK_HIT = prev_tol, prev_hit
-
-
-def _kink_was_hit() -> bool:
-    return _KINK_HIT
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +211,30 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(out, (table,), backward, "gather_rows")
 
 
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)), into ``out`` if given. Callers ignore overflow: exp(-z) = inf gives 0."""
+    out = np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = expit(a.data)
+    with np.errstate(over="ignore"):
+        out = _sigmoid(a.data)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
 def relu(a: Tensor) -> Tensor:
     ad = a.data
-    _note_kink(ad)
     # subgradient at 0 is 0
     mask = (ad > 0).astype(np.float64)
-    return _make(np.maximum(ad, 0.0), (a,), lambda g: (g * mask,), "relu")
+    return _make(np.maximum(ad, 0.0), (a,), lambda g: (g * mask,), "relu", kink=0.0)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -274,9 +257,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(a, floor) elementwise; gradient is zero where the floor is active."""
     ad = a.data
-    _note_kink(ad, pivot=floor)
     mask = (ad > floor).astype(np.float64)
-    return _make(np.maximum(ad, floor), (a,), lambda g: (g * mask,), "clamp_min")
+    return _make(np.maximum(ad, floor), (a,), lambda g: (g * mask,), "clamp_min",
+                 kink=float(floor))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -568,17 +551,18 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False,
     c = np.zeros((n_max + 1, n_seq, d_h))
     h = np.zeros((n_max + 1, n_seq, d_h))
     tanh_c = np.zeros((n_max, n_seq, d_h))
-    for t, k in enumerate(active):
-        zt = z[t, k]
-        zt += h[t, k] @ whd
-        zt += bd
-        gt = gates[t, k]
-        gt[..., :2 * d_h] = expit(zt[..., :2 * d_h])
-        gt[..., 2 * d_h:3 * d_h] = np.tanh(zt[..., 2 * d_h:3 * d_h])
-        gt[..., 3 * d_h:] = expit(zt[..., 3 * d_h:])
-        c[t + 1, k] = gt[..., d_h:2 * d_h] * c[t, k] + gt[..., :d_h] * gt[..., 2 * d_h:3 * d_h]
-        tanh_c[t, k] = np.tanh(c[t + 1, k])
-        h[t + 1, k] = gt[..., 3 * d_h:] * tanh_c[t, k]
+    with np.errstate(over="ignore"):
+        for t, k in enumerate(active):
+            zt = z[t, k]
+            zt += h[t, k] @ whd
+            zt += bd
+            # sigmoid of the whole row, then tanh over the g columns
+            gt = _sigmoid(zt, out=gates[t, k])
+            np.tanh(zt[..., 2 * d_h:3 * d_h], out=gt[..., 2 * d_h:3 * d_h])
+            c[t + 1, k] = (gt[..., d_h:2 * d_h] * c[t, k]
+                           + gt[..., :d_h] * gt[..., 2 * d_h:3 * d_h])
+            tanh_c[t, k] = np.tanh(c[t + 1, k])
+            h[t + 1, k] = gt[..., 3 * d_h:] * tanh_c[t, k]
     if not np.isfinite(z).all():
         raise NonFiniteError("lstm: non-finite gate pre-activation")
 
@@ -755,12 +739,21 @@ class FiniteDiffReport:
         return self.max_rel_error
 
 
+def _near_kink(out: Tensor, tol: float) -> bool:
+    """Whether a kinked node on ``out``'s tape has an input within ``tol`` of its pivot."""
+    return any(node._kink is not None
+               and np.any(np.abs(node._parents[0].data - node._kink) <= tol)
+               for node in _toposort(out))
+
+
 def finite_diff_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> FiniteDiffReport:
     """Compare analytic gradients of ``fn(*inputs)`` against central differences.
 
-    Coordinates whose probes land within ``eps`` of a relu/clamp kink are
-    excluded from the maximum and reported in ``skipped`` instead of failing.
-    The relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
+    A coordinate is excluded from the maximum and reported in ``skipped``
+    instead of failing when either probe's output has a relu or clamp_min
+    node on its tape whose input lies within ``eps`` of the pivot: a
+    difference across a kink measures no derivative. The relative error per
+    coordinate is |analytic - numeric| / max(1, |analytic|).
     """
     out = fn(*inputs)
     if out.data.shape != ():
@@ -778,17 +771,18 @@ def finite_diff_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> FiniteDiff
         flat = t.data.reshape(-1)
         for c in range(flat.size):
             orig = flat[c]
-            with _watch_kinks(eps):
-                flat[c] = orig + eps
-                f_plus = float(fn(*inputs).data)
-                flat[c] = orig - eps
-                f_minus = float(fn(*inputs).data)
-                flat[c] = orig
-                hit = _kink_was_hit()
+            f, hit = [], False
+            for value in (orig + eps, orig - eps):
+                flat[c] = value
+                probe = fn(*inputs)
+                # read before the next write to flat, which an op on an input still sees
+                hit = hit or _near_kink(probe, eps)
+                f.append(float(probe.data))
+            flat[c] = orig
             if hit:
                 skipped.append((i, c))
                 continue
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f[0] - f[1]) / (2.0 * eps)
             a = analytic[i].reshape(-1)[c]
             err = abs(a - numeric) / max(1.0, abs(a))
             checked += 1

@@ -270,8 +270,7 @@ def cmd_sweep(args) -> int:
                         config, {"train": args.train, "eval": args.eval})
     train_samples, dev_samples = _load_split(args, config)
     eval_samples = load_dataset(args.eval)
-    points = layer_sweep(config, train_samples, eval_samples,
-                         k_range=config.layer_sweep_range, dev_samples=dev_samples)
+    points = layer_sweep(config, train_samples, eval_samples, dev_samples=dev_samples)
     series_path = os.path.join(args.out_dir, "sweep.tsv")
     write_sweep_series(series_path, points)
     manifest.add_artifact("series", series_path)

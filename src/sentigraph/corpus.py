@@ -49,7 +49,7 @@ class AspectSample:
     def n(self) -> int:
         return len(self.tokens)
 
-    def validate(self, expected_labels=LABELS) -> None:
+    def validate(self) -> None:
         n = self.n
         if n < 1:
             raise DatasetError("field 'tokens': empty sentence")
@@ -58,8 +58,8 @@ class AspectSample:
             raise DatasetError(
                 f"field 'aspect_start'/'aspect_len': span [{self.aspect_start}, "
                 f"{self.aspect_start + self.aspect_len}) outside sentence of length {n}")
-        if self.label not in expected_labels:
-            raise DatasetError(f"field 'label': {self.label!r} not in {tuple(expected_labels)}")
+        if self.label not in LABELS:
+            raise DatasetError(f"field 'label': {self.label!r} not in {LABELS}")
         if len(self.deps) != n:
             raise DatasetError(f"field 'deps': {len(self.deps)} entries for {n} tokens")
         seen = set()
@@ -91,25 +91,25 @@ class AspectSample:
             raise DatasetError("field 'deps': edges do not form a single-rooted tree")
 
 
-def _record_to_sample(record: dict, line_no: int) -> AspectSample:
+def _record_to_sample(record: dict) -> AspectSample:
     def need(field, kind):
         if field not in record:
-            raise DatasetError(f"line {line_no}: missing field {field!r}")
+            raise DatasetError(f"missing field {field!r}")
         value = record[field]
         if not isinstance(value, kind):
-            raise DatasetError(f"line {line_no}: field {field!r} has wrong type")
+            raise DatasetError(f"field {field!r} has wrong type")
         return value
 
     tokens = need("tokens", list)
     if not all(isinstance(t, str) and t for t in tokens):
-        raise DatasetError(f"line {line_no}: field 'tokens' must be non-empty strings")
+        raise DatasetError("field 'tokens' must be non-empty strings")
     deps_raw = need("deps", list)
     deps = []
     for entry in deps_raw:
         if (not isinstance(entry, list)) or len(entry) != 3 \
                 or not isinstance(entry[0], int) or not isinstance(entry[1], int) \
                 or not isinstance(entry[2], str):
-            raise DatasetError(f"line {line_no}: field 'deps' entries must be [head, dependent, relation]")
+            raise DatasetError("field 'deps' entries must be [head, dependent, relation]")
         deps.append((entry[0], entry[1], entry[2]))
     return AspectSample(
         tokens=tuple(tokens),
@@ -120,7 +120,7 @@ def _record_to_sample(record: dict, line_no: int) -> AspectSample:
     )
 
 
-def _check_separators(sample: AspectSample, line_no: int) -> None:
+def _check_separators(sample: AspectSample) -> None:
     """Reject what would break the line-based checkpoint files.
 
     vocab.txt holds one token per line, and sdi.txt one tab-separated
@@ -128,16 +128,14 @@ def _check_separators(sample: AspectSample, line_no: int) -> None:
     """
     for i, token in enumerate(sample.tokens):
         if "\n" in token or "\r" in token:
-            raise DatasetError(
-                f"line {line_no}: field 'tokens': token {i} {token!r} contains a line break")
+            raise DatasetError(f"field 'tokens': token {i} {token!r} contains a line break")
     for _head, _dep, rel in sample.deps:
         if "\t" in rel or "\n" in rel or "\r" in rel:
-            raise DatasetError(
-                f"line {line_no}: field 'deps': relation {rel!r} contains a tab or a line break")
+            raise DatasetError(f"field 'deps': relation {rel!r} contains a tab or a line break")
 
 
-def load_dataset(path, expected_labels=LABELS) -> list[AspectSample]:
-    """Read and validate a JSON-lines dataset; raises DatasetError naming the offending line."""
+def load_dataset(path) -> list[AspectSample]:
+    """Read and validate a JSON-lines dataset; raises DatasetError naming the file and line."""
     samples = []
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
@@ -145,18 +143,18 @@ def load_dataset(path, expected_labels=LABELS) -> list[AspectSample]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"line {line_no}: invalid JSON ({e.msg})") from e
-            if not isinstance(record, dict):
-                raise DatasetError(f"line {line_no}: record is not an object")
-            sample = _record_to_sample(record, line_no)
-            if "\\" in line:  # JSON strings can hold a tab or a line break only escaped
-                _check_separators(sample, line_no)
-            try:
-                sample.validate(expected_labels)
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DatasetError(f"invalid JSON ({e.msg})") from e
+                if not isinstance(record, dict):
+                    raise DatasetError("record is not an object")
+                sample = _record_to_sample(record)
+                if "\\" in line:  # JSON strings can hold a tab or a line break only escaped
+                    _check_separators(sample)
+                sample.validate()
             except DatasetError as e:
-                raise DatasetError(f"line {line_no}: {e}") from e
+                raise DatasetError(f"{path}: line {line_no}: {e}") from e
             samples.append(sample)
     return samples
 
@@ -217,7 +215,9 @@ def build_vocab(samples, min_freq: int = 1) -> Vocab:
     counts = Counter()
     for s in samples:
         counts.update(s.tokens)
-    kept = sorted((t for t, c in counts.items() if c >= min_freq),
+    # a dataset's own <pad> and <unk> map to the reserved ids
+    kept = sorted((t for t, c in counts.items()
+                   if c >= min_freq and t not in (PAD_TOKEN, UNK_TOKEN)),
                   key=lambda t: (-counts[t], t))
     return Vocab([PAD_TOKEN, UNK_TOKEN] + kept)
 
@@ -312,7 +312,7 @@ def read_conllu(path) -> list[dict]:
                 continue
             cols = line.split("\t")
             if len(cols) < 8:
-                raise DatasetError(f"line {line_no}: expected >= 8 tab-separated columns")
+                raise DatasetError(f"{path}: line {line_no}: expected >= 8 tab-separated columns")
             try:
                 index = int(cols[0])
             except ValueError:
@@ -320,16 +320,16 @@ def read_conllu(path) -> list[dict]:
             try:
                 head = int(cols[6])
             except ValueError as e:
-                raise DatasetError(f"line {line_no}: head column is not an integer") from e
+                raise DatasetError(f"{path}: line {line_no}: head column is not an integer") from e
             tokens.append(cols[1])
             deps.append((head - 1, index - 1, cols[7]))
     flush()
     return sentences
 
 
-def read_aspect_labels(path) -> list[tuple[int, int, int, str]]:
-    """Aspect annotations: whitespace-separated
-    ``sentence_index aspect_start aspect_len label`` per line, '#' comments allowed.
+def read_aspect_labels(path) -> list[tuple[int, int, int, int, str]]:
+    """Rows ``(line_no, sentence_index, aspect_start, aspect_len, label)`` of an
+    annotation file: four whitespace-separated columns per line, '#' comments allowed.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as f:
@@ -339,28 +339,29 @@ def read_aspect_labels(path) -> list[tuple[int, int, int, str]]:
                 continue
             parts = line.split()
             if len(parts) != 4:
-                raise DatasetError(f"line {line_no}: expected 4 columns, found {len(parts)}")
+                raise DatasetError(
+                    f"{path}: line {line_no}: expected 4 columns, found {len(parts)}")
             try:
-                rows.append((int(parts[0]), int(parts[1]), int(parts[2]), parts[3]))
+                rows.append((line_no, int(parts[0]), int(parts[1]), int(parts[2]), parts[3]))
             except ValueError as e:
-                raise DatasetError(f"line {line_no}: non-integer index column") from e
+                raise DatasetError(f"{path}: line {line_no}: non-integer index column") from e
     return rows
 
 
-def conllu_to_samples(conllu_path, labels_path, expected_labels=LABELS) -> list[AspectSample]:
-    """Join parsed sentences with aspect annotations into validated samples."""
+def conllu_to_samples(conllu_path, labels_path) -> list[AspectSample]:
+    """Join parsed sentences with aspect annotations into samples validated per annotation line."""
     sentences = read_conllu(conllu_path)
     samples = []
-    for row_no, (sent_index, start, length, label) in enumerate(read_aspect_labels(labels_path), 1):
-        if not (0 <= sent_index < len(sentences)):
-            raise DatasetError(
-                f"annotation {row_no}: sentence index {sent_index} outside 0..{len(sentences) - 1}")
-        sent = sentences[sent_index]
-        sample = AspectSample(tokens=sent["tokens"], aspect_start=start,
-                              aspect_len=length, label=label, deps=sent["deps"])
+    for line_no, sent_index, start, length, label in read_aspect_labels(labels_path):
         try:
-            sample.validate(expected_labels)
+            if not (0 <= sent_index < len(sentences)):
+                raise DatasetError(f"sentence index {sent_index} outside "
+                                   f"0..{len(sentences) - 1} of {conllu_path}")
+            sent = sentences[sent_index]
+            sample = AspectSample(tokens=sent["tokens"], aspect_start=start,
+                                  aspect_len=length, label=label, deps=sent["deps"])
+            sample.validate()
         except DatasetError as e:
-            raise DatasetError(f"annotation {row_no}: {e}") from e
+            raise DatasetError(f"{labels_path}: line {line_no}: {e}") from e
         samples.append(sample)
     return samples

@@ -40,21 +40,20 @@ class SdiTable:
 
     @classmethod
     def load(cls, path) -> "SdiTable":
-        ratios: dict[str, float] = {}
-        total = None
+        """Read a :meth:`save` file: the ``total_edges`` header, then one relation per line.
+
+        Only the first line is the header, so a relation may be named ``total_edges``.
+        """
         with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                key, value = line.split("\t")
-                if key == "total_edges":
-                    total = int(value)
-                else:
-                    ratios[key] = float(value)
-        if total is None or not ratios:
-            raise ValueError(f"{path}: malformed relation-statistics file")
-        return cls(ratios=MappingProxyType(ratios), total_edges=total)
+            lines = [line.rstrip("\n").split("\t") for line in f if line != "\n"]
+        try:
+            (key, total), *relations = lines
+            ratios = {rel: float(r) for rel, r in relations}
+            if key == "total_edges" and ratios:
+                return cls(ratios=MappingProxyType(ratios), total_edges=int(total))
+        except ValueError:
+            pass
+        raise ValueError(f"{path}: malformed relation-statistics file")
 
 
 def collect_sdi_stats(training_samples, count_root: bool = False,

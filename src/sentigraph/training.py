@@ -53,15 +53,14 @@ class Adam:
     order as the out-of-place formula, so the result is bit-identical to it.
     """
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
     block_size = 65536
 
-    def __init__(self, parameters: ParameterStore, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, parameters: ParameterStore, learning_rate: float):
         self.parameters = parameters
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         # np.zeros gets pages the OS has already zeroed instead of filling them
         self._m = {name: np.zeros(t.data.shape) for name, t in parameters.items()}
@@ -285,10 +284,10 @@ def apply_variant(config: TrainConfig, variant: str) -> TrainConfig:
 
 
 def run_ablation(config: TrainConfig, train_samples, eval_samples,
-                 dev_samples=None, variants=None) -> dict[str, MetricsReport]:
+                 dev_samples=None) -> dict[str, MetricsReport]:
     """Train every variant from the same seed and score it on the eval split."""
     results: dict[str, MetricsReport] = {}
-    for variant in (variants or list(ABLATION_VARIANTS)):
+    for variant in ABLATION_VARIANTS:
         variant_config = apply_variant(config, variant)
         result = train(variant_config, list(train_samples), dev_samples)
         results[variant] = evaluate(result.restore_best(), eval_samples)
@@ -303,10 +302,10 @@ class SweepPoint:
 
 
 def layer_sweep(config: TrainConfig, train_samples, eval_samples,
-                k_range=None, dev_samples=None) -> list[SweepPoint]:
-    """Train one model per layer count and collect plot-ready scores."""
+                dev_samples=None) -> list[SweepPoint]:
+    """Train one model per layer count of ``config.layer_sweep_range`` and collect the scores."""
     points = []
-    for k in (k_range if k_range is not None else config.layer_sweep_range):
+    for k in config.layer_sweep_range:
         k_config = dataclasses.replace(config, gcn_layers=int(k))
         result = train(k_config, list(train_samples), dev_samples)
         metrics = evaluate(result.restore_best(), eval_samples)

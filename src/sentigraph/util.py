@@ -38,7 +38,11 @@ def atomic_write(path, mode: str = "w"):
     """
     tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+        f = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    except FileNotFoundError as e:  # a missing directory: name the file asked for
+        raise FileNotFoundError(e.errno, e.strerror, os.fspath(path)) from None
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -246,9 +246,8 @@ def test_determinism():
 def test_layer_sweep_harness(tmp_path):
     corpus = make_synthetic_corpus(9, seed=81)
     config = TrainConfig(d_w=8, d_h=8, gcn_layers=1, heads=2, ffn_width=16,
-                         max_epochs=1, batch_size=8, seed=9)
-    points = layer_sweep(config, corpus, corpus, k_range=(1, 2, 3, 4),
-                         dev_samples=corpus)
+                         max_epochs=1, batch_size=8, seed=9, layer_sweep_range=(1, 2, 3, 4))
+    points = layer_sweep(config, corpus, corpus, dev_samples=corpus)
     path = tmp_path / "sweep.tsv"
     write_sweep_series(path, points)
     lines = path.read_text().strip().splitlines()

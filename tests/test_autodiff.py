@@ -2,6 +2,7 @@ import math
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,48 @@ def test_relu_kink_probe_reports_excluded_coordinates():
     # perturbing the zero coordinate straddles the kink: skipped, not failed
     assert (0, 0) in report.skipped
     assert report.max_rel_error < 1e-6
+
+
+@pytest.mark.parametrize("fn, x", [
+    (lambda x: ad.reduce_sum(ad.clamp_min(x, 0.1)), [0.1, 1.0, 0.5]),
+    # the kinked node's input is an intermediate, not the checked leaf
+    (lambda x: ad.reduce_sum(ad.relu(ad.scale(x, 0.5))), [0.0, 1.0, -1.0]),
+])
+def test_kink_probe_skips_the_coordinate_at_the_pivot(fn, x):
+    report = ad.finite_diff_check(fn, [ad.Tensor(np.array(x), requires_grad=True)], eps=1e-5)
+    assert (0, 0) in report.skipped
+    assert report.max_rel_error < 1e-6
+
+
+def _math_sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def test_sigmoid_matches_math_reference():
+    x = np.concatenate([np.linspace(-700.0, 40.0, 20001),
+                        np.random.default_rng(0).normal(scale=20.0, size=20000)])
+    got = ad.sigmoid(ad.Tensor(x)).data
+    want = np.array([_math_sigmoid(v) for v in x])
+    kept = want >= 1e-300
+    assert kept.sum() > 39000
+    assert np.max(np.abs(got[kept] - want[kept]) / want[kept]) <= 1e-15
+
+
+def test_saturated_sigmoid_and_lstm_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.sigmoid(ad.Tensor(np.array([-1000.0, 0.0, 1000.0]))).data
+        assert out.tolist() == [0.0, 0.5, 1.0]
+        # every pre-activation at -1000: the gates close and the state stays zero
+        x, wx = ad.Tensor(np.ones((3, 1))), ad.Tensor(np.zeros((1, 8)))
+        wh = ad.Tensor(np.zeros((2, 8)))
+        b = ad.Tensor(np.full(8, -1000.0))
+        for lengths in (None, (2, 1)):
+            h = ad.lstm(x, wx, wh, b, lengths=lengths).data
+            assert np.array_equal(h, np.zeros((3, 2)))
 
 
 def test_layer_norm_rows_standardized_and_differentiable():

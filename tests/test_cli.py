@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -10,6 +12,7 @@ from sentigraph.autodiff import FiniteDiffReport
 from sentigraph.corpus import load_dataset, save_dataset
 from sentigraph.synthetic import make_synthetic_corpus
 from sentigraph.syntax import SdiTable
+from sentigraph.util import atomic_write
 
 CONLLU = """\
 1\tthe\t_\t_\t_\t_\t2\tdet\t_\t_
@@ -67,6 +70,16 @@ class TestDispatch:
         assert "nope.jsonl" in capsys.readouterr().err
 
 
+def test_runtime_imports_load_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, sentigraph.cli, sentigraph.training; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestPrepare:
     def test_converts_and_writes_manifest(self, tmp_path, capsys):
         conllu = tmp_path / "parses.conllu"
@@ -83,6 +96,16 @@ class TestPrepare:
         assert manifest["command"] == "prepare"
         assert set(manifest["inputs"]) == {"conllu", "labels"}
         assert all(len(v["sha256"]) == 64 for v in manifest["inputs"].values())
+
+    def test_bad_parse_line_names_the_file_and_line(self, tmp_path, capsys):
+        conllu = tmp_path / "parses.conllu"
+        conllu.write_text(CONLLU + "\n1\tword\n")
+        labels = tmp_path / "aspects.txt"
+        labels.write_text("0 1 1 negative\n")
+        assert cli.main(["prepare", "--conllu", str(conllu), "--labels", str(labels),
+                         "--out", str(tmp_path / "data.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {conllu}: line 6: expected >= 8 tab-separated columns\n")
 
 
 class TestSdi:
@@ -133,6 +156,14 @@ class TestTrain:
                          "--out-dir", str(out_dir)])
         assert code == 0
         assert read_manifest(out_dir / "manifest.json")["config"]["batch_size"] == 6
+
+    def test_bad_dev_file_is_named(self, data_dir, capsys):
+        dev = data_dir / "dev.jsonl"
+        dev.write_text((data_dir / "test.jsonl").read_text().replace('"neutral"', '"meh"'))
+        code = cli.main(["train", "--train", str(data_dir / "train.jsonl"), "--dev", str(dev),
+                         "--out-dir", str(data_dir / "run_bad_dev")] + TINY_FLAGS)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {dev}: line 2: field 'label': 'meh'")
 
     @pytest.mark.parametrize("no_dev", ["fraction_zero", "empty_dev_file"])
     def test_run_without_dev_samples_keeps_last_epoch(self, data_dir, no_dev):
@@ -231,6 +262,22 @@ class TestArtifacts:
         assert path.read_text() == previous
         assert json.loads(previous)["status"] == "incomplete"
         assert os.listdir(tmp_path) == ["run.manifest.json"]
+
+    def test_atomic_write_into_missing_directory_names_the_target(self, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_write(target) as f:
+                f.write("never written")
+        assert info.value.filename == str(target)
+        assert ".tmp" not in str(info.value)
+
+    def test_output_into_missing_directory_names_it(self, data_dir, capsys):
+        out = data_dir / "missing" / "sdi.txt"
+        assert cli.main(["sdi", "--train", str(data_dir / "train.jsonl"),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert ".tmp" not in err
 
 
 class TestAblateSweep:

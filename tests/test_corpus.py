@@ -89,6 +89,21 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "record is not an object"),
+        (json.dumps({k: v for k, v in make_record().items() if k != "deps"}),
+         "missing field 'deps'"),
+        (json.dumps(make_record(label="angry")), "field 'label'"),
+        (json.dumps(make_record(tokens=["the", "me\nnu", "was", "limited"])),
+         "field 'tokens': token 1"),
+    ], ids=["json", "object", "field", "label", "line_break"])
+    def test_errors_start_with_the_file_and_name_the_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(make_record()) + "\n\n" + line + "\n")
+        with pytest.raises(DatasetError, match="^" + re.escape(f"{path}: line 3: {message}")):
+            load_dataset(path)
+
     def test_double_headed_token_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [make_record(deps=[[1, 0, "det"], [3, 1, "nsubj"],
@@ -316,6 +331,24 @@ class TestConlluConverter:
         labels.write_text("7 0 1 positive\n")
         with pytest.raises(DatasetError, match="sentence index 7"):
             conllu_to_samples(conllu, labels)
+
+    @pytest.mark.parametrize("bad_file, content, message", [
+        ("conllu", "1\tword\n", "line 1: expected >= 8 tab-separated columns"),
+        ("conllu", CONLLU.replace("\t2\tdet", "\tx\tdet"), "line 2: head column"),
+        ("labels", "# comment\n0 1 1\n", "line 2: expected 4 columns"),
+        ("labels", "0 1 1 negative\nx 1 1 positive\n", "line 2: non-integer index"),
+        ("labels", "\n0 1 1 negative\n7 0 1 positive\n", "line 3: sentence index 7"),
+        ("labels", "0 1 1 negative\n1 1 1 glad\n", "line 2: field 'label'"),
+        ("labels", "0 3 2 negative\n", "line 1: field 'aspect_start'"),
+    ], ids=["columns", "head", "label_columns", "index", "sentence", "label", "span"])
+    def test_errors_start_with_the_file_and_name_the_line(self, tmp_path, bad_file,
+                                                         content, message):
+        paths = {"conllu": tmp_path / "p.conllu", "labels": tmp_path / "a.txt"}
+        paths["conllu"].write_text(CONLLU)
+        paths["labels"].write_text("0 1 1 negative\n")
+        paths[bad_file].write_text(content)
+        with pytest.raises(DatasetError, match="^" + re.escape(f"{paths[bad_file]}: {message}")):
+            conllu_to_samples(paths["conllu"], paths["labels"])
 
     def test_short_line_rejected(self, tmp_path):
         conllu = tmp_path / "p.conllu"

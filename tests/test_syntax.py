@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentigraph.corpus import AspectSample
+from sentigraph.corpus import AspectSample, load_dataset, save_dataset
 from sentigraph.syntax import (
     SdiTable,
     build_binary_adjacency,
@@ -28,6 +28,22 @@ TOY = [
     sample_with([(-1, 0, "root"), (0, 1, "nsubj"), (0, 2, "dobj")]),
     sample_with([(-1, 0, "root"), (0, 1, "nsubj"), (1, 2, "amod")]),
 ]
+
+
+# any relation name load_dataset accepts: no tab, CR or LF (and, as text, no surrogates)
+_relation = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n"),
+                    max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relations=st.lists(st.one_of(st.just("total_edges"), _relation), min_size=1, max_size=8))
+def test_sdi_table_save_load_round_trips(tmp_path_factory, relations):
+    path = tmp_path_factory.mktemp("sdi") / "data.jsonl"
+    save_dataset(path, [sample_with([(-1, 0, "root")]
+                                    + [(0, i, rel) for i, rel in enumerate(relations, 1)])])
+    table = collect_sdi_stats(load_dataset(path))
+    table.save(path.parent / "sdi.txt")
+    assert SdiTable.load(path.parent / "sdi.txt") == table
 
 
 class TestCollectSdiStats:

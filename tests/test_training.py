@@ -9,7 +9,7 @@ import pytest
 from sentigraph import autodiff as ad
 from sentigraph.autodiff import ParameterStore
 from sentigraph.config import TrainConfig, load_config, parse_config_text, save_config
-from sentigraph.corpus import LABELS, build_vocab
+from sentigraph.corpus import LABELS, PAD_ID, UNK_ID, build_vocab, load_dataset, save_dataset
 from sentigraph.model import AspectSentimentModel
 from sentigraph.synthetic import make_synthetic_corpus
 from sentigraph.syntax import build_binary_adjacency, collect_sdi_stats
@@ -322,16 +322,15 @@ class TestAblation:
 class TestLayerSweep:
     def test_single_k_gives_single_row(self):
         corpus = tiny_corpus(6, seed=15)
-        config = dataclasses.replace(TINY, max_epochs=1)
-        points = layer_sweep(config, corpus, corpus, k_range=[1], dev_samples=corpus)
+        config = dataclasses.replace(TINY, max_epochs=1, layer_sweep_range=(1,))
+        points = layer_sweep(config, corpus, corpus, dev_samples=corpus)
         assert len(points) == 1
         assert points[0].gcn_layers == 1
 
     def test_three_k_values_all_finite(self, tmp_path):
         corpus = tiny_corpus(6, seed=16)
-        config = dataclasses.replace(TINY, max_epochs=1)
-        points = layer_sweep(config, corpus, corpus, k_range=[1, 2, 3],
-                             dev_samples=corpus)
+        config = dataclasses.replace(TINY, max_epochs=1, layer_sweep_range=(1, 2, 3))
+        points = layer_sweep(config, corpus, corpus, dev_samples=corpus)
         assert [p.gcn_layers for p in points] == [1, 2, 3]
         assert all(math.isfinite(p.acc) and math.isfinite(p.macro_f1) for p in points)
         path = tmp_path / "sweep.tsv"
@@ -354,6 +353,21 @@ class TestCheckpoint:
             b = restored.predict(sample)
             assert np.array_equal(a.prob, b.prob)
             assert a.predicted_label == b.predicted_label
+
+    def test_dataset_with_reserved_tokens_trains_and_reloads(self, tmp_path):
+        # a corpus's own <pad> and <unk> take the reserved ids instead of new entries
+        corpus = [dataclasses.replace(s, tokens=("<pad>", "<unk>") + s.tokens[2:])
+                  for s in tiny_corpus(8, seed=20) if s.n >= 2]
+        save_dataset(tmp_path / "data.jsonl", corpus)
+        corpus = load_dataset(tmp_path / "data.jsonl")
+        result = train(dataclasses.replace(TINY, max_epochs=1), corpus, dev_samples=corpus)
+        vocab = result.model.vocab
+        assert (vocab.id("<pad>"), vocab.id("<unk>")) == (PAD_ID, UNK_ID)
+        assert vocab.id_to_token.count("<pad>") == vocab.id_to_token.count("<unk>") == 1
+        save_checkpoint(tmp_path / "ckpt", result.model)
+        restored = load_checkpoint(tmp_path / "ckpt")
+        for a, b in zip(result.model.predict_all(corpus), restored.predict_all(corpus)):
+            assert np.array_equal(a.prob, b.prob)
 
     def test_checkpoint_contains_statistics(self, tmp_path):
         corpus = tiny_corpus(8, seed=19)
