@@ -20,10 +20,12 @@ A batch of B sequences is packed: their rows stacked in one matrix, with
 The sequence ops (:func:`lstm`, :func:`attention`, :func:`block_matmul`,
 :func:`segment_sum`, :func:`segment_softmax`) take such a matrix and keep
 the sequences apart, each as one tape node for the whole batch; padding to
-3-d blocks happens inside them only.
+3-d blocks happens inside them only. :func:`attention` runs every head of a
+multi-head layer in its one node.
 
-:func:`relu` and :func:`clamp_min` record the pivot of their kink on their
-tape node, where :func:`finite_diff_check` finds it: the module keeps no state.
+:func:`relu` and :func:`clamp_min` record on their tape node which side of
+the kink each input element lies on, where :func:`finite_diff_check` finds
+it: the module keeps no state.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class Tensor:
         self.grad = np.zeros(self.data.shape) if self.requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
-        self._kink: float | None = None  # the pivot of a relu or clamp_min node
+        self._kink: np.ndarray | None = None  # which inputs of a relu or clamp_min pass
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -86,7 +88,7 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str,
-          kink: float | None = None) -> Tensor:
+          kink: np.ndarray | None = None) -> Tensor:
     """Build an op result, recording the tape edge only when a parent needs it."""
     if not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: produced non-finite values")
@@ -234,7 +236,7 @@ def relu(a: Tensor) -> Tensor:
     ad = a.data
     # subgradient at 0 is 0
     mask = (ad > 0).astype(np.float64)
-    return _make(np.maximum(ad, 0.0), (a,), lambda g: (g * mask,), "relu", kink=0.0)
+    return _make(np.maximum(ad, 0.0), (a,), lambda g: (g * mask,), "relu", kink=mask)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -258,8 +260,7 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(a, floor) elementwise; gradient is zero where the floor is active."""
     ad = a.data
     mask = (ad > floor).astype(np.float64)
-    return _make(np.maximum(ad, floor), (a,), lambda g: (g * mask,), "clamp_min",
-                 kink=float(floor))
+    return _make(np.maximum(ad, floor), (a,), lambda g: (g * mask,), "clamp_min", kink=mask)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -430,56 +431,63 @@ def block_matmul(blocks: list[np.ndarray], x: Tensor, transpose: bool = False) -
                  "block_matmul")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, lengths=None) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v with row-wise softmax, within each sequence.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tensor:
+    """Multi-head softmax(q_h k_h^T / sqrt(d_k)) v_h within each sequence, as one node.
 
-    Query i attends only to the keys of its own sequence, so no N x N score
-    matrix exists: the scores are a (B x n_max x n_max) stack padded per
-    sequence, with the padded keys at -inf. With ``lengths=None`` ``q`` and
+    Columns ``h*d_k:(h+1)*d_k`` of ``q`` and ``k`` are head h, and so are
+    columns ``h*d_v:(h+1)*d_v`` of ``v`` and of the result, the heads' outputs
+    side by side. Query i attends only to the keys of its own sequence, so no
+    N x N score matrix exists: the scores are a (B x heads x n_max x n_max)
+    stack padded per sequence, with the padded keys at -inf. One sequence is
+    read through views, without padding; with ``lengths=None`` ``q`` and
     ``k`` are one sequence each and may differ in length.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or qd.shape[1] != kd.shape[1]
-            or kd.shape[0] != vd.shape[0]
+            or kd.shape[0] != vd.shape[0] or heads < 1
+            or qd.shape[1] % heads or vd.shape[1] % heads
             or (lengths is not None and qd.shape[0] != kd.shape[0])):
-        _shape_fail("attention", qd.shape, kd.shape, vd.shape)
-    c = 1.0 / np.sqrt(qd.shape[1])
+        _shape_fail("attention", qd.shape, kd.shape, vd.shape, f"{heads} heads")
+    c = 1.0 / np.sqrt(qd.shape[1] // heads)
+    rows = None
     if lengths is not None:
         lengths, offsets = segment_layout(lengths, qd.shape[0], "attention")
-    if lengths is None or lengths.size == 1:
-        index = None
-        qp, kp, vp = qd[None], kd[None], vd[None]
-    else:
-        # row r of sequence j sits at flat position j * n_max + (r - offsets[j])
-        shape = (lengths.size, int(lengths.max()))
-        seq = np.repeat(np.arange(shape[0]), lengths)
-        index = seq * shape[1] + (np.arange(qd.shape[0]) - offsets[seq])
+        if lengths.size > 1:
+            # row r of sequence j sits at position r - offsets[j] of block j
+            seq = np.repeat(np.arange(lengths.size), lengths)
+            rows = (seq, np.arange(qd.shape[0]) - offsets[seq])
+            n_max = int(lengths.max())
 
-        def pad(rows):
-            block = np.zeros((shape[0] * shape[1], rows.shape[1]))
-            block[index] = rows
-            return block.reshape(*shape, rows.shape[1])
+    def split(a):
+        """(N x heads*d) rows as a (B x heads x n x d) stack, padded when B > 1."""
+        if rows is None:
+            block = a[None]
+        else:
+            block = np.zeros((lengths.size, n_max, a.shape[1]))
+            block[rows] = a
+        return block.reshape(*block.shape[:2], heads, a.shape[1] // heads).transpose(0, 2, 1, 3)
 
-        qp, kp, vp = pad(qd), pad(kd), pad(vd)
-    scores = (qp @ kp.transpose(0, 2, 1)) * c
-    if index is not None:
+    def merge(stack):
+        """The inverse of split: back to N x heads*d rows."""
+        block = stack.transpose(0, 2, 1, 3)
+        block = block[0] if rows is None else block[rows]
+        return block.reshape(block.shape[0], -1)
+
+    qp, kp, vp = split(qd), split(kd), split(vd)
+    scores = (qp @ kp.swapaxes(2, 3)) * c
+    if rows is not None:
         # padded keys get -inf, so their weight is exactly zero
-        scores += np.where(np.arange(shape[1]) < lengths[:, None], 0.0, -np.inf)[:, None, :]
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    weights = e / e.sum(axis=2, keepdims=True)
-    out = weights @ vp
-
-    def unpad(block):
-        return block[0] if index is None else block.reshape(-1, block.shape[2])[index]
+        scores += np.where(np.arange(n_max) < lengths[:, None], 0.0, -np.inf)[:, None, None, :]
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    weights = e / e.sum(axis=3, keepdims=True)
 
     def backward(g):
-        gp = g[None] if index is None else pad(g)
-        dw = gp @ vp.transpose(0, 2, 1)
-        ds = (dw - (dw * weights).sum(axis=2, keepdims=True)) * weights * c
-        return (unpad(ds @ kp), unpad(ds.transpose(0, 2, 1) @ qp),
-                unpad(weights.transpose(0, 2, 1) @ gp))
+        gp = split(g)
+        dw = gp @ vp.swapaxes(2, 3)
+        ds = (dw - (dw * weights).sum(axis=3, keepdims=True)) * weights * c
+        return merge(ds @ kp), merge(ds.swapaxes(2, 3) @ qp), merge(weights.swapaxes(2, 3) @ gp)
 
-    return _make(unpad(out), (q, k, v), backward, "attention")
+    return _make(merge(weights @ vp), (q, k, v), backward, "attention")
 
 
 def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False,
@@ -682,12 +690,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -733,27 +735,16 @@ class FiniteDiffReport:
     max_rel_error: float
     checked: int
     skipped: list[tuple[int, int]] = field(default_factory=list)
-    worst: tuple[int, int] | None = None
-
-    def __float__(self) -> float:
-        return self.max_rel_error
-
-
-def _near_kink(out: Tensor, tol: float) -> bool:
-    """Whether a kinked node on ``out``'s tape has an input within ``tol`` of its pivot."""
-    return any(node._kink is not None
-               and np.any(np.abs(node._parents[0].data - node._kink) <= tol)
-               for node in _toposort(out))
 
 
 def finite_diff_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> FiniteDiffReport:
     """Compare analytic gradients of ``fn(*inputs)`` against central differences.
 
     A coordinate is excluded from the maximum and reported in ``skipped``
-    instead of failing when either probe's output has a relu or clamp_min
-    node on its tape whose input lies within ``eps`` of the pivot: a
-    difference across a kink measures no derivative. The relative error per
-    coordinate is |analytic - numeric| / max(1, |analytic|).
+    instead of failing when the two probes put some element of a relu or
+    clamp_min input on different sides of its kink: a difference across a
+    kink measures no derivative. The relative error per coordinate is
+    |analytic - numeric| / max(1, |analytic|).
     """
     out = fn(*inputs)
     if out.data.shape != ():
@@ -766,30 +757,26 @@ def finite_diff_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> FiniteDiff
     max_err = 0.0
     checked = 0
     skipped: list[tuple[int, int]] = []
-    worst: tuple[int, int] | None = None
     for i, t in enumerate(inputs):
-        flat = t.data.reshape(-1)
-        for c in range(flat.size):
+        flat = t.data.flat  # writes through, whatever the array's strides
+        for c in range(t.data.size):
             orig = flat[c]
-            f, hit = [], False
+            f, sides = [], []
             for value in (orig + eps, orig - eps):
                 flat[c] = value
                 probe = fn(*inputs)
-                # read before the next write to flat, which an op on an input still sees
-                hit = hit or _near_kink(probe, eps)
                 f.append(float(probe.data))
+                # the side masks of the probe's relu and clamp_min nodes, in tape order
+                sides.append([n._kink for n in _toposort(probe) if n._kink is not None])
             flat[c] = orig
-            if hit:
+            if len(sides[0]) != len(sides[1]) or not all(map(np.array_equal, *sides)):
                 skipped.append((i, c))
                 continue
             numeric = (f[0] - f[1]) / (2.0 * eps)
             a = analytic[i].reshape(-1)[c]
-            err = abs(a - numeric) / max(1.0, abs(a))
             checked += 1
-            if err > max_err:
-                max_err = err
-                worst = (i, c)
-    return FiniteDiffReport(max_rel_error=max_err, checked=checked, skipped=skipped, worst=worst)
+            max_err = max(max_err, abs(a - numeric) / max(1.0, abs(a)))
+    return FiniteDiffReport(max_rel_error=max_err, checked=checked, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

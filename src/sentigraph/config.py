@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .util import atomic_write
@@ -51,10 +52,10 @@ class TrainConfig:
         positive = ["d_w", "d_h", "gcn_layers", "heads", "ffn_width", "learning_rate",
                     "batch_size", "max_epochs", "min_freq"]
         for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config field {name} must be positive")
-        if self.lambda_l2 < 0:
-            raise ValueError("config field lambda_l2 must be >= 0")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails as well
+                raise ValueError(f"config field {name} must be positive and finite")
+        if not 0 <= self.lambda_l2 < math.inf:
+            raise ValueError("config field lambda_l2 must be finite and >= 0")
         if not 0 <= self.dev_fraction < 1:
             raise ValueError("config field dev_fraction must be in [0, 1)")
         if self.d_w % 2 != 0:

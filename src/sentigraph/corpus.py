@@ -15,6 +15,7 @@ one token followed by its decimals per line.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ import numpy as np
 from .util import atomic_write
 
 LABELS = ("positive", "neutral", "negative")
-LABEL_TO_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -120,42 +120,58 @@ def _record_to_sample(record: dict) -> AspectSample:
     )
 
 
-def _check_separators(sample: AspectSample) -> None:
-    """Reject what would break the line-based checkpoint files.
+# what would break the line-based, UTF-8 checkpoint files: vocab.txt holds one
+# token per line, sdi.txt one tab-separated relation per line, and a lone
+# surrogate has no UTF-8 form
+_BAD_TOKEN = re.compile("[\n\r\ud800-\udfff]")
+_BAD_RELATION = re.compile("[\t\n\r\ud800-\udfff]")
 
-    vocab.txt holds one token per line, and sdi.txt one tab-separated
-    relation per line.
-    """
+
+def _check_escapes(sample: AspectSample) -> None:
     for i, token in enumerate(sample.tokens):
-        if "\n" in token or "\r" in token:
-            raise DatasetError(f"field 'tokens': token {i} {token!r} contains a line break")
+        if _BAD_TOKEN.search(token):
+            raise DatasetError(f"field 'tokens': token {i} {token!r} contains a line break "
+                               f"or a lone surrogate")
     for _head, _dep, rel in sample.deps:
-        if "\t" in rel or "\n" in rel or "\r" in rel:
-            raise DatasetError(f"field 'deps': relation {rel!r} contains a tab or a line break")
+        if _BAD_RELATION.search(rel):
+            raise DatasetError(f"field 'deps': relation {rel!r} contains a tab, a line break "
+                               f"or a lone surrogate")
+
+
+def _numbered_lines(path):
+    """``(line_no, text)`` pairs of a UTF-8 file; a bad byte raises DatasetError naming the line."""
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, 1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DatasetError(
+                    f"{path}: line {line_no}: not UTF-8 text ({e.reason} at byte {e.start})"
+                ) from None
 
 
 def load_dataset(path) -> list[AspectSample]:
     """Read and validate a JSON-lines dataset; raises DatasetError naming the file and line."""
     samples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+    for line_no, line in _numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
             try:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise DatasetError(f"invalid JSON ({e.msg})") from e
-                if not isinstance(record, dict):
-                    raise DatasetError("record is not an object")
-                sample = _record_to_sample(record)
-                if "\\" in line:  # JSON strings can hold a tab or a line break only escaped
-                    _check_separators(sample)
-                sample.validate()
-            except DatasetError as e:
-                raise DatasetError(f"{path}: line {line_no}: {e}") from e
-            samples.append(sample)
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DatasetError(f"invalid JSON ({e.msg})") from e
+            if not isinstance(record, dict):
+                raise DatasetError("record is not an object")
+            sample = _record_to_sample(record)
+            # a line break, a tab or a lone surrogate reaches a JSON string only escaped
+            if "\\" in line:
+                _check_escapes(sample)
+            sample.validate()
+        except DatasetError as e:
+            raise DatasetError(f"{path}: line {line_no}: {e}") from e
+        samples.append(sample)
     return samples
 
 
@@ -254,30 +270,29 @@ def load_pretrained_embeddings(path, vocab: Vocab, d_w: int,
     numbers. Failures raise DatasetError naming ``path:line``.
     """
     table = random_embeddings(vocab, d_w, rng).vectors
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            parts = line.split()
-            if len(parts) < 2:
-                continue
-            token, values = parts[0], parts[1:]
-            if line_no == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
-                if int(values[0]) != d_w:
-                    raise DatasetError(
-                        f"{path}:1: header declares width {values[0]}, expected {d_w}")
-                continue
-            if len(values) != d_w:
+    for line_no, line in _numbered_lines(path):
+        parts = line.split()
+        if len(parts) < 2:
+            continue
+        token, values = parts[0], parts[1:]
+        if line_no == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+            if int(values[0]) != d_w:
                 raise DatasetError(
-                    f"{path}:{line_no}: expected {d_w} values, found {len(values)}")
-            if token in vocab:
-                try:
-                    row = np.array([float(v) for v in values])
-                except ValueError:
-                    row = None
-                if row is None or not np.all(np.isfinite(row)):
-                    raise DatasetError(
-                        f"{path}:{line_no}: the vector of {token!r} holds a value "
-                        f"that is not a finite number")
-                table[vocab.id(token)] = row
+                    f"{path}:1: header declares width {values[0]}, expected {d_w}")
+            continue
+        if len(values) != d_w:
+            raise DatasetError(
+                f"{path}:{line_no}: expected {d_w} values, found {len(values)}")
+        if token in vocab:
+            try:
+                row = np.array([float(v) for v in values])
+            except ValueError:
+                row = None
+            if row is None or not np.all(np.isfinite(row)):
+                raise DatasetError(
+                    f"{path}:{line_no}: the vector of {token!r} holds a value "
+                    f"that is not a finite number")
+            table[vocab.id(token)] = row
     table[PAD_ID] = 0.0
     return EmbeddingTable(vectors=table)
 
@@ -302,27 +317,26 @@ def read_conllu(path) -> list[dict]:
             tokens.clear()
             deps.clear()
 
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            if line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 8:
-                raise DatasetError(f"{path}: line {line_no}: expected >= 8 tab-separated columns")
-            try:
-                index = int(cols[0])
-            except ValueError:
-                continue  # multiword range or empty node
-            try:
-                head = int(cols[6])
-            except ValueError as e:
-                raise DatasetError(f"{path}: line {line_no}: head column is not an integer") from e
-            tokens.append(cols[1])
-            deps.append((head - 1, index - 1, cols[7]))
+    for line_no, line in _numbered_lines(path):
+        line = line.rstrip("\r\n")  # the file is read in binary: CRLF stays
+        if not line.strip():
+            flush()
+            continue
+        if line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) < 8:
+            raise DatasetError(f"{path}: line {line_no}: expected >= 8 tab-separated columns")
+        try:
+            index = int(cols[0])
+        except ValueError:
+            continue  # multiword range or empty node
+        try:
+            head = int(cols[6])
+        except ValueError as e:
+            raise DatasetError(f"{path}: line {line_no}: head column is not an integer") from e
+        tokens.append(cols[1])
+        deps.append((head - 1, index - 1, cols[7]))
     flush()
     return sentences
 
@@ -332,19 +346,18 @@ def read_aspect_labels(path) -> list[tuple[int, int, int, int, str]]:
     annotation file: four whitespace-separated columns per line, '#' comments allowed.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DatasetError(
-                    f"{path}: line {line_no}: expected 4 columns, found {len(parts)}")
-            try:
-                rows.append((line_no, int(parts[0]), int(parts[1]), int(parts[2]), parts[3]))
-            except ValueError as e:
-                raise DatasetError(f"{path}: line {line_no}: non-integer index column") from e
+    for line_no, line in _numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise DatasetError(
+                f"{path}: line {line_no}: expected 4 columns, found {len(parts)}")
+        try:
+            rows.append((line_no, int(parts[0]), int(parts[1]), int(parts[2]), parts[3]))
+        except ValueError as e:
+            raise DatasetError(f"{path}: line {line_no}: non-integer index column") from e
     return rows
 
 

@@ -18,10 +18,11 @@ sum for the bias) over all rows.
 
 The transformer encoder adds sinusoidal position signals (restarting at
 each sentence) to the raw embeddings, applies multi-head scaled dot-product
-attention within each sentence (one :func:`autodiff.attention` node per
-head) and a position-wise feed-forward, each followed by a residual
-connection and layer normalization, giving an N_total x d_model matrix of
-global features.
+attention within each sentence and a position-wise feed-forward, each
+followed by a residual connection and layer normalization, giving an
+N_total x d_model matrix of global features. The heads share one d_model-wide
+projection each for queries, keys and values, head h reading its column
+block, and all of them run as one :func:`autodiff.attention` node.
 """
 
 from __future__ import annotations
@@ -102,15 +103,11 @@ def positional_encoding(n: int, d_model: int) -> np.ndarray:
 
 
 @dataclass
-class AttentionHeadParams:
-    wq: Tensor
+class TransformerParams:
+    heads: int
+    wq: Tensor  # (d_model, d_model), head h in columns h*d_k:(h+1)*d_k
     wk: Tensor
     wv: Tensor
-
-
-@dataclass
-class TransformerParams:
-    heads: list[AttentionHeadParams]
     wo: Tensor
     ffn_w1: Tensor
     ffn_b1: Tensor
@@ -131,18 +128,16 @@ def init_transformer_params(store: ParameterStore, prefix: str, d_model: int,
                             rng: np.random.Generator) -> TransformerParams:
     if d_model % n_heads != 0:
         raise ValueError(f"model width {d_model} not divisible by {n_heads} heads")
-    d_k = d_model // n_heads
     bound = 1.0 / np.sqrt(d_model)
-    heads = []
-    for h in range(n_heads):
-        heads.append(AttentionHeadParams(
-            wq=store.add(f"{prefix}.head{h}.wq", rng.uniform(-bound, bound, (d_model, d_k))),
-            wk=store.add(f"{prefix}.head{h}.wk", rng.uniform(-bound, bound, (d_model, d_k))),
-            wv=store.add(f"{prefix}.head{h}.wv", rng.uniform(-bound, bound, (d_model, d_k))),
-        ))
+    # drawn head by head, wq then wk then wv, and laid side by side per projection
+    draws = rng.uniform(-bound, bound, (n_heads, 3, d_model, d_model // n_heads))
+    wq, wk, wv = draws.transpose(1, 2, 0, 3).reshape(3, d_model, d_model)
     ffn_bound = 1.0 / np.sqrt(ffn_width)
     return TransformerParams(
-        heads=heads,
+        heads=n_heads,
+        wq=store.add(f"{prefix}.wq", wq),
+        wk=store.add(f"{prefix}.wk", wk),
+        wv=store.add(f"{prefix}.wv", wv),
         wo=store.add(f"{prefix}.wo", rng.uniform(-bound, bound, (d_model, d_model))),
         ffn_w1=store.add(f"{prefix}.ffn.w1", rng.uniform(-bound, bound, (d_model, ffn_width))),
         ffn_b1=store.add(f"{prefix}.ffn.b1", np.zeros(ffn_width), no_decay=True),
@@ -156,27 +151,23 @@ def init_transformer_params(store: ParameterStore, prefix: str, d_model: int,
 
 
 def multi_head_attention(x: Tensor, params: TransformerParams, lengths=None) -> Tensor:
-    head_outputs = [
-        ad.attention(ad.matmul(x, h.wq), ad.matmul(x, h.wk), ad.matmul(x, h.wv), lengths)
-        for h in params.heads
-    ]
-    return ad.matmul(ad.concat(head_outputs, axis=1), params.wo)
+    """Concat(head_1..head_H) wo, every head in one attention node."""
+    heads = ad.attention(ad.matmul(x, params.wq), ad.matmul(x, params.wk),
+                         ad.matmul(x, params.wv), params.heads, lengths)
+    return ad.matmul(heads, params.wo)
 
 
-def transformer_encode(embedded: Tensor, params: TransformerParams, lengths=None,
-                       use_positions: bool = True) -> Tensor:
+def transformer_encode(embedded: Tensor, params: TransformerParams, lengths=None) -> Tensor:
     """One encoder block over embeddings + position signals, attending within each sentence."""
     n, d_model = embedded.shape
     if d_model != params.d_model:
         raise ad.ShapeError(
             f"transformer_encode: input width {d_model} != model width {params.d_model}")
-    x = embedded
-    if use_positions:
-        sizes, offsets = ad.segment_layout(lengths, n, "transformer_encode")
-        signals = positional_encoding(int(sizes.max()), d_model)
-        if sizes.size > 1:
-            signals = signals[np.arange(n) - np.repeat(offsets[:-1], sizes)]
-        x = ad.add(x, Tensor(signals))
+    sizes, offsets = ad.segment_layout(lengths, n, "transformer_encode")
+    signals = positional_encoding(int(sizes.max()), d_model)
+    if sizes.size > 1:
+        signals = signals[np.arange(n) - np.repeat(offsets[:-1], sizes)]
+    x = ad.add(embedded, Tensor(signals))
     attended = ad.add(x, multi_head_attention(x, params, lengths))
     normed = ad.layer_norm(attended, params.ln1_gain, params.ln1_bias)
     hidden = ad.relu(ad.add(ad.matmul(normed, params.ffn_w1), params.ffn_b1))

@@ -6,7 +6,7 @@ N_total rows; sentence j owns rows ``offsets[j]:offsets[j + 1]``, where
 ``offsets`` is the running sum of ``lengths`` (the sentence lengths):
 
     embeddings -> Bi-LSTM context states      (N_total x 2*d_h)
-               -> transformer global features (N_total x d_w)
+               -> transformer global features (N_total x d_w, every head in one node)
     context states + each sentence's weighted dependency adjacency
     -> stacked Bi-GCN -> aspect masks
     -> retrieval attention within each sentence -> pooled rows (B x 2*d_h)
@@ -199,9 +199,10 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.nd
             [ad.lstm(x, wx, wh, b, lengths=lengths),
              ad.lstm(x, wx, wh, b, reverse=True, lengths=lengths)], axis=1))),
          [arr(6, 3), arr(3, 8), arr(2, 8), arr(8)]),
-        ("attention", lambda q, k, v: ad.reduce_sum(ad.mul(ad.attention(q, k, v, lengths),
-                                                           ad.Tensor(w6))),
-         [arr(6, 2), arr(6, 2), arr(6, 3)]),
+        # two heads; v is cut from a 6 x 3 draw to leave the later entries' draws unchanged
+        ("attention", lambda q, k, v: ad.reduce_sum(ad.mul(ad.attention(q, k, v, 2, lengths),
+                                                           ad.Tensor(w6[:, :2]))),
+         [arr(6, 2), arr(6, 2), arr(6, 3)[:, :2]]),
         ("block_matmul", lambda a: ad.reduce_sum(ad.tanh(ad.concat(
             [ad.block_matmul(blocks, a), ad.block_matmul(blocks, a, transpose=True)], axis=1))),
          [arr(6, 3)]),

@@ -59,8 +59,13 @@ def reference_attention(q, k, v):
 def reference_transformer_encode(embedded, params):
     n, d_model = embedded.shape
     x = ad.add(embedded, Tensor(positional_encoding(n, d_model)))
-    heads = [reference_attention(ad.matmul(x, h.wq), ad.matmul(x, h.wk), ad.matmul(x, h.wv))
-             for h in params.heads]
+    d_k = d_model // params.heads
+
+    def project(w, h):  # head h reads columns h*d_k:(h+1)*d_k of each projection
+        return ad.matmul(x, ad.slice_axis(w, 1, h * d_k, (h + 1) * d_k))
+
+    heads = [reference_attention(project(params.wq, h), project(params.wk, h),
+                                 project(params.wv, h)) for h in range(params.heads)]
     attended = ad.add(x, ad.matmul(ad.concat(heads, axis=1), params.wo))
     normed = ad.layer_norm(attended, params.ln1_gain, params.ln1_bias)
     hidden = ad.relu(ad.add(ad.matmul(normed, params.ffn_w1), params.ffn_b1))

@@ -89,7 +89,8 @@ def test_relu_kink_probe_reports_excluded_coordinates():
     t = ad.Tensor(np.array([0.0, 1.0, -1.0]), requires_grad=True)
     report = ad.finite_diff_check(lambda x: ad.reduce_sum(ad.relu(x)), [t], eps=1e-5)
     # perturbing the zero coordinate straddles the kink: skipped, not failed
-    assert (0, 0) in report.skipped
+    assert report.skipped == [(0, 0)]
+    assert report.checked == 2
     assert report.max_rel_error < 1e-6
 
 
@@ -97,10 +98,14 @@ def test_relu_kink_probe_reports_excluded_coordinates():
     (lambda x: ad.reduce_sum(ad.clamp_min(x, 0.1)), [0.1, 1.0, 0.5]),
     # the kinked node's input is an intermediate, not the checked leaf
     (lambda x: ad.reduce_sum(ad.relu(ad.scale(x, 0.5))), [0.0, 1.0, -1.0]),
+    # behind a gain above 1 the probes land 2 * eps from the pivot
+    (lambda x: ad.reduce_sum(ad.relu(ad.scale(x, 2.0))), [0.0, 1.0, -1.0]),
 ])
 def test_kink_probe_skips_the_coordinate_at_the_pivot(fn, x):
     report = ad.finite_diff_check(fn, [ad.Tensor(np.array(x), requires_grad=True)], eps=1e-5)
-    assert (0, 0) in report.skipped
+    # only the coordinate at the pivot: the others are checked
+    assert report.skipped == [(0, 0)]
+    assert report.checked == 2
     assert report.max_rel_error < 1e-6
 
 

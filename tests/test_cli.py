@@ -5,10 +5,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from sentigraph import cli
-from sentigraph.autodiff import FiniteDiffReport
+from sentigraph.autodiff import FiniteDiffReport, load_tensor_file, save_tensor_file
 from sentigraph.corpus import load_dataset, save_dataset
 from sentigraph.synthetic import make_synthetic_corpus
 from sentigraph.syntax import SdiTable
@@ -180,6 +181,22 @@ class TestTrain:
         assert summary == {"best_epoch": 2, "best_dev_acc": None, "final_epoch": 2,
                            "final_dev_acc": None, "final_dev_f1": None}
 
+    @pytest.mark.parametrize("bad_text", ["lone_surrogate", "byte_0xff"])
+    def test_text_that_is_not_unicode_fails_before_training(self, data_dir, capsys, bad_text):
+        path = data_dir / "bad.jsonl"
+        lines = (data_dir / "train.jsonl").read_bytes().splitlines(keepends=True)
+        start = lines[2].index(b'"tokens": ["') + len(b'"tokens": ["')
+        lines[2] = lines[2][:start] + (b"\\ud800" if bad_text == "lone_surrogate" else b"\xff") \
+            + lines[2][start:]
+        path.write_bytes(b"".join(lines))
+        out_dir = data_dir / "run_bad_text"
+        code = cli.main(["train", "--train", str(path), "--out-dir", str(out_dir)] + TINY_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: ") and err.count("\n") == 1
+        assert not (out_dir / "checkpoint").exists()
+        assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
+
     def test_failed_run_leaves_incomplete_manifest(self, data_dir):
         empty = data_dir / "empty.jsonl"
         empty.write_text("")
@@ -219,6 +236,27 @@ class TestEvalPredict:
             assert set(record) == {"prob", "predicted_label", "gold_label"}
             assert len(record["prob"]) == 3
             assert abs(sum(record["prob"]) - 1.0) < 1e-9
+
+    def test_checkpoint_with_per_head_names_fails_in_one_line(self, data_dir, checkpoint,
+                                                              capsys):
+        # the layout with one projection tensor per head and kind; it is not converted
+        params = checkpoint / "params.tensors"
+        arrays = load_tensor_file(params)
+        for kind in ("wq", "wk", "wv"):
+            joined = arrays.pop(f"transformer.{kind}")
+            for h, block in enumerate(np.split(joined, 2, axis=1)):
+                arrays[f"transformer.head{h}.{kind}"] = block
+        save_tensor_file(params, arrays)
+        capsys.readouterr()
+        code = cli.main(["predict", "--checkpoint", str(checkpoint),
+                         "--data", str(data_dir / "test.jsonl"),
+                         "--out", str(data_dir / "preds.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: state mismatch: missing ['transformer.wk', 'transformer.wq', "
+            "'transformer.wv'], unexpected ['transformer.head0.wk', 'transformer.head0.wq', "
+            "'transformer.head0.wv', 'transformer.head1.wk', 'transformer.head1.wq', "
+            "'transformer.head1.wv']\n")
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_unseen_relations_are_counted_in_one_line(self, data_dir, checkpoint, command,

@@ -142,6 +142,15 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"line 1: field 'deps': relation .*tab"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, name", [("tokens", '"menu"'), ("deps", '"nsubj"')])
+    def test_escaped_lone_surrogate_rejected(self, tmp_path, field, name):
+        # a lone surrogate has no UTF-8 form: vocab.txt or sdi.txt could not hold it
+        path = tmp_path / "bad.jsonl"
+        line = json.dumps(make_record())
+        path.write_text(line + "\n" + line.replace(name, '"\\ud800"') + "\n")
+        with pytest.raises(DatasetError, match=f"line 2: field '{field}': .*lone surrogate"):
+            load_dataset(path)
+
     def test_reload_is_identical(self, tmp_path, rng):
         path = tmp_path / "data.jsonl"
         save_dataset(path, [random_tree_sample(rng) for _ in range(20)])
@@ -172,6 +181,35 @@ def test_vocab_save_load_round_trips(tmp_path_factory, tokens):
     loaded = Vocab.load(path)
     assert loaded.id_to_token == vocab.id_to_token
     assert os.listdir(path.parent) == ["vocab.txt"]
+
+
+_relation_text = st.text(st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters="\t\n\r"), max_size=8)
+
+
+@st.composite
+def aspect_samples(draw):
+    """Any sample ``load_dataset`` accepts: a labelled span over a random dependency tree."""
+    tokens = draw(st.lists(_token_text, min_size=1, max_size=8))
+    n = len(tokens)
+    # each token in a random order hangs from one placed before it
+    order = draw(st.permutations(range(n)))
+    heads = {order[0]: -1}
+    for pos in range(1, n):
+        heads[order[pos]] = order[draw(st.integers(0, pos - 1))]
+    start = draw(st.integers(0, n - 1))
+    deps = [(heads[d], d, draw(_relation_text)) for d in draw(st.permutations(range(n)))]
+    return AspectSample(tokens=tuple(tokens), aspect_start=start,
+                        aspect_len=draw(st.integers(1, n - start)),
+                        label=draw(st.sampled_from(corpus.LABELS)), deps=tuple(deps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(samples=st.lists(aspect_samples(), max_size=4))
+def test_dataset_save_load_round_trips(tmp_path_factory, samples):
+    path = tmp_path_factory.mktemp("data") / "data.jsonl"
+    save_dataset(path, samples)
+    assert load_dataset(path) == samples
 
 
 class TestBuildVocab:
@@ -277,6 +315,21 @@ class TestEmbeddings:
         assert np.array_equal(table.vectors[PAD_ID], np.zeros(8))
         assert table.vectors.shape == (3, 8)
         assert np.all(np.abs(table.vectors) <= 0.25)
+
+
+@pytest.mark.parametrize("reader", ["dataset", "conllu", "labels", "embeddings"])
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, reader):
+    first_line, read = {
+        "dataset": (json.dumps(make_record()), load_dataset),
+        "conllu": (CONLLU.splitlines()[1], corpus.read_conllu),
+        "labels": ("0 1 1 negative", corpus.read_aspect_labels),
+        "embeddings": ("menu 0.1 0.2 0.3 0.4", lambda p: load_pretrained_embeddings(
+            p, Vocab(["<pad>", "<unk>", "menu"]), 4, np.random.default_rng(0))),
+    }[reader]
+    path = tmp_path / "input.txt"
+    path.write_bytes(first_line.encode() + b"\ncaf\xff\n")
+    with pytest.raises(DatasetError, match="^" + re.escape(f"{path}: line 2: not UTF-8")):
+        read(path)
 
 
 FULL_DATA_DIR = os.environ.get("SENTIGRAPH_FULL_DATA_DIR")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -237,7 +238,7 @@ class TestScaledDotAttention:
         q = Tensor(rng.normal(size=(1, 4)))
         k = Tensor(rng.normal(size=(1, 4)))
         v = Tensor(rng.normal(size=(1, 3)))
-        out = ad.attention(q, k, v)
+        out = ad.attention(q, k, v, 1)
         assert np.array_equal(out.data, v.data)
 
     def test_identical_keys_average_values(self, rng):
@@ -245,7 +246,7 @@ class TestScaledDotAttention:
         k = Tensor(np.stack([key_row, key_row]))
         q = Tensor(np.ones((1, 4)))
         v = Tensor(rng.normal(size=(2, 3)))
-        out = ad.attention(q, k, v)
+        out = ad.attention(q, k, v, 1)
         assert np.array_equal(out.data[0], v.data.mean(axis=0))
 
     def test_weight_rows_sum_to_one(self, rng):
@@ -253,22 +254,48 @@ class TestScaledDotAttention:
         q = Tensor(rng.normal(size=(5, 4)))
         k = Tensor(rng.normal(size=(6, 4)))
         v = Tensor(np.ones((6, 1)))
-        out = ad.attention(q, k, v)
+        out = ad.attention(q, k, v, 1)
         assert np.allclose(out.data, 1.0, atol=1e-12)
 
     def test_packed_sentences_attend_only_within_themselves(self, rng):
         lengths = (3, 1, 4)
         q, k, v = (Tensor(rng.normal(size=(8, 4))) for _ in range(3))
-        out = ad.attention(q, k, v, lengths).data
+        out = ad.attention(q, k, v, 1, lengths).data
         offsets = np.cumsum((0,) + lengths)
         for lo, hi in zip(offsets[:-1], offsets[1:]):
-            alone = ad.attention(*(Tensor(t.data[lo:hi]) for t in (q, k, v))).data
+            alone = ad.attention(*(Tensor(t.data[lo:hi]) for t in (q, k, v)), 1).data
             assert np.max(np.abs(out[lo:hi] - alone)) < 1e-14
+
+    @pytest.mark.parametrize("lengths", [None, (3, 1, 4)])
+    def test_heads_match_one_head_calls_on_column_blocks(self, rng, lengths):
+        heads, d_k, d_v = 3, 2, 4
+        q, k = (Tensor(rng.normal(size=(8, heads * d_k)), requires_grad=True) for _ in range(2))
+        v = Tensor(rng.normal(size=(8, heads * d_v)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(8, heads * d_v)))
+
+        def run(attend):
+            for t in (q, k, v):
+                t.zero_grad()
+            out = attend()
+            ad.backward(ad.reduce_sum(ad.mul(out, weight)))
+            return out.data, [t.grad.copy() for t in (q, k, v)]
+
+        def per_head():
+            def cols(t, h, d):
+                return ad.slice_axis(t, 1, h * d, (h + 1) * d)
+            return ad.concat([ad.attention(cols(q, h, d_k), cols(k, h, d_k), cols(v, h, d_v),
+                                           1, lengths) for h in range(heads)], axis=1)
+
+        fused, fused_grads = run(lambda: ad.attention(q, k, v, heads, lengths))
+        split, split_grads = run(per_head)
+        assert np.max(np.abs(fused - split)) <= 1e-14
+        for a, b in zip(fused_grads, split_grads):
+            assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ad.ShapeError, match="attention"):
             ad.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
-                                 Tensor(np.ones((2, 2))))
+                                 Tensor(np.ones((2, 2))), 1)
 
 
 class TestTransformerEncode:
@@ -295,9 +322,34 @@ class TestTransformerEncode:
         params, _ = self.setup_block()
         x = rng.normal(size=(5, 6))
         perm = [3, 1, 4, 0, 2]
-        base = transformer_encode(Tensor(x), params, use_positions=False).data
-        permuted = transformer_encode(Tensor(x[perm]), params, use_positions=False).data
+        # multi-head attention is the block's only step that mixes rows
+        base = encoders.multi_head_attention(Tensor(x), params).data
+        permuted = encoders.multi_head_attention(Tensor(x[perm]), params).data
         assert np.allclose(permuted, base[perm], atol=1e-12)
+
+    def test_heads_are_column_blocks_of_per_head_draws(self):
+        # each head drawn in turn as d_model x d_k blocks, wq then wk then wv
+        params, _ = self.setup_block(d_model=6, heads=3, seed=2)
+        rng = np.random.default_rng(2)
+        bound = 1.0 / np.sqrt(6)
+        for h in range(3):
+            for w in (params.wq, params.wk, params.wv):
+                draw = rng.uniform(-bound, bound, (6, 2))
+                assert np.array_equal(w.data[:, 2 * h:2 * h + 2], draw)
+        assert np.array_equal(params.wo.data, rng.uniform(-bound, bound, (6, 6)))
+
+    def test_tape_is_the_same_for_any_head_count(self, rng):
+        x = Tensor(rng.normal(size=(7, 8)), requires_grad=True)
+
+        def ops(heads):
+            params, _ = self.setup_block(d_model=8, heads=heads)
+            out = transformer_encode(x, params, (3, 4))
+            # an op's backward function is named inside it, e.g. "attention.<locals>.backward"
+            return Counter(node._backward_fn.__qualname__.split(".")[0]
+                           for node in ad._toposort(out))
+
+        assert ops(1) == ops(2) == ops(4)
+        assert ops(4)["attention"] == 1
 
     def test_packed_batch_matches_per_sentence_reference(self):
         params, store = self.setup_block(seed=5)

@@ -5,10 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sentigraph import autodiff as ad
 from sentigraph.autodiff import ParameterStore
-from sentigraph.config import TrainConfig, load_config, parse_config_text, save_config
+from sentigraph.config import (
+    TrainConfig,
+    config_to_text,
+    load_config,
+    parse_config_text,
+    save_config,
+)
 from sentigraph.corpus import LABELS, PAD_ID, UNK_ID, build_vocab, load_dataset, save_dataset
 from sentigraph.model import AspectSentimentModel
 from sentigraph.synthetic import make_synthetic_corpus
@@ -380,6 +388,48 @@ class TestCheckpoint:
         assert (tmp_path / "ckpt" / "config.txt").exists()
 
 
+def _config_fields():
+    """A strategy per TrainConfig field, over values that can pass validate()."""
+    # in range of every float field half the time, any float (NaN included) otherwise
+    number = st.floats(0.0, 1.0, exclude_max=True) | st.floats()
+    return {
+        "d_h": st.integers(1, 10**6), "gcn_layers": st.integers(1, 10**6),
+        "ffn_width": st.integers(1, 10**6), "learning_rate": number,
+        "batch_size": st.integers(1, 10**6), "max_epochs": st.integers(1, 10**6),
+        "lambda_l2": number, "min_freq": st.integers(1, 10**6), "seed": st.integers(),
+        "dev_fraction": number, "use_dependency": st.booleans(),
+        "use_sdi_weights": st.booleans(), "use_bidirectional_gcn": st.booleans(),
+        "attention_states": st.sampled_from(["lstm", "gcn"]),
+        "count_root_edges": st.booleans(), "count_punct_edges": st.booleans(),
+        "layer_sweep_range": st.lists(st.integers(), min_size=1, max_size=5).map(tuple),
+    }
+
+
+@st.composite
+def train_configs(draw):
+    # d_w must be even and a multiple of the head count
+    heads = draw(st.integers(1, 12))
+    d_w = math.lcm(2, heads) * draw(st.integers(1, 100))
+    config = TrainConfig(d_w=d_w, heads=heads,
+                         **{name: draw(s) for name, s in _config_fields().items()})
+    try:
+        config.validate()
+    except ValueError:
+        assume(False)
+    return config
+
+
+def test_config_strategy_sets_every_field():
+    names = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert set(_config_fields()) | {"d_w", "heads"} == names
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=train_configs())
+def test_config_text_round_trips(config):
+    assert parse_config_text(config_to_text(config)) == config
+
+
 class TestConfigFile:
     def test_text_roundtrip(self, tmp_path):
         config = dataclasses.replace(TINY, learning_rate=0.0025,
@@ -408,5 +458,9 @@ class TestConfigFile:
             dataclasses.replace(TrainConfig(), d_w=10, heads=4).validate()
         with pytest.raises(ValueError, match="positive"):
             dataclasses.replace(TrainConfig(), gcn_layers=0).validate()
+        for name in ("learning_rate", "lambda_l2"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    dataclasses.replace(TrainConfig(), **{name: value}).validate()
         with pytest.raises(ValueError, match="attention_states"):
             dataclasses.replace(TrainConfig(), attention_states="other").validate()
