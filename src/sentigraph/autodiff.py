@@ -30,14 +30,9 @@ it: the module keeps no state.
 
 from __future__ import annotations
 
-import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .util import atomic_write
 
 
 class ShapeError(ValueError):
@@ -679,9 +674,10 @@ class ParameterStore:
         self._no_decay: set[str] = set()
 
     def add(self, name: str, data, no_decay: bool = False) -> Tensor:
+        """Register ``data``; a float64 array is kept without a copy and updated in place."""
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+        t = Tensor(data, requires_grad=True)
         self._tensors[name] = t
         if no_decay:
             self._no_decay.add(name)
@@ -778,78 +774,3 @@ def finite_diff_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> FiniteDiff
             max_err = max(max_err, abs(a - numeric) / max(1.0, abs(a)))
     return FiniteDiffReport(max_rel_error=max_err, checked=checked, skipped=skipped)
 
-
-# ---------------------------------------------------------------------------
-# named-tensor container (checkpoint format)
-
-_MAGIC = b"SGTENS01"
-
-
-def save_tensor_file(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named float64 tensors: manifest of names, then shape + raw LE values each.
-
-    A C-contiguous float64 array's buffer is written without a copy; the
-    file replaces ``path`` only once it is complete.
-    """
-    names = list(arrays)
-    with atomic_write(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-        for name in names:
-            arr = np.asarray(arrays[name], dtype="<f8")
-            f.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(np.ascontiguousarray(arr))
-
-
-def load_tensor_file(path) -> dict[str, np.ndarray]:
-    """Read a :func:`save_tensor_file` container.
-
-    A short read anywhere, header fields included, or bytes after the last
-    tensor raise ValueError naming the file and the field or tensor. Values
-    are read straight into the returned arrays.
-    """
-    with open(path, "rb") as f:
-        def fail(got: int, size: int, what: str):
-            raise ValueError(f"{path}: truncated file: {got} of {size} bytes of the {what}")
-
-        def read(size: int, what: str) -> bytes:
-            buf = f.read(size)
-            if len(buf) != size:
-                fail(len(buf), size, what)
-            return buf
-
-        def read_values(shape, what: str) -> np.ndarray:
-            size = 8 * math.prod(shape)
-            left = os.fstat(f.fileno()).st_size - f.tell()
-            if size > left:  # checked before allocating: a corrupt shape can be huge
-                fail(max(left, 0), size, what)
-            flat = np.empty(size // 8, dtype="<f8")
-            got = f.readinto(memoryview(flat).cast("B"))
-            if got != size:
-                fail(got, size, what)
-            return flat.astype(np.float64, copy=False).reshape(shape)
-
-        if f.read(8) != _MAGIC:
-            raise ValueError(f"{path}: not a tensor container")
-        (count,) = struct.unpack("<I", read(4, "tensor count"))
-        names = []
-        for i in range(count):
-            (nlen,) = struct.unpack("<H", read(2, f"name length of tensor {i}"))
-            try:
-                names.append(read(nlen, f"name of tensor {i}").decode("utf-8"))
-            except UnicodeDecodeError as e:
-                raise ValueError(f"{path}: name of tensor {i} is not UTF-8") from e
-        out: dict[str, np.ndarray] = {}
-        for name in names:
-            (ndim,) = struct.unpack("<B", read(1, f"rank of tensor {name!r}"))
-            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"shape of tensor {name!r}"))
-            out[name] = read_values(shape, f"values of tensor {name!r}")
-        if f.read(1):
-            raise ValueError(f"{path}: unexpected bytes after the last tensor")
-        return out

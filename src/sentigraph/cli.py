@@ -11,9 +11,12 @@ Subcommands::
     sweep      train once per graph-layer count and emit a score series
     gradcheck  run the finite-difference suite over ops and the composed model
 
-Every file-producing run writes a manifest first (marked incomplete) and
-completes it on success, so interrupted runs are recognizable. Config files
-use flat ``key = value`` lines; command-line flags override file values.
+``train`` writes ``<out-dir>/checkpoint.npz``, the one file ``eval`` and
+``predict`` take as ``--checkpoint``. Every file-producing run writes a
+manifest first (marked incomplete) and completes it on success, so
+interrupted runs are recognizable; a failure, a diverging run included,
+prints one ``error:`` line and exits 1. Config files use flat
+``key = value`` lines; command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, corpus, training
+from .autodiff import NonFiniteError
 from .config import TrainConfig, _parse_value, load_config
 from .corpus import DatasetError, build_vocab, load_dataset, load_pretrained_embeddings
 from .model import gradient_check_suite
@@ -181,9 +187,9 @@ def cmd_train(args) -> int:
     write_epoch_log(log_path, result.log)
     manifest.add_artifact("epoch_log", log_path)
 
-    checkpoint_dir = os.path.join(args.out_dir, "checkpoint")
-    save_checkpoint(checkpoint_dir, result.model, state=result.best_state)
-    manifest.add_artifact("checkpoint", checkpoint_dir)
+    checkpoint_path = os.path.join(args.out_dir, "checkpoint.npz")
+    save_checkpoint(checkpoint_path, result.model, state=result.best_state)
+    manifest.add_artifact("checkpoint", checkpoint_path)
 
     final = result.log[-1] if result.log else None
     summary = {
@@ -200,7 +206,7 @@ def cmd_train(args) -> int:
     manifest.add_artifact("summary", summary_path)
     manifest.complete()
     print(f"best dev accuracy {result.best_dev_acc:.4f} at epoch {result.best_epoch}; "
-          f"checkpoint in {checkpoint_dir}")
+          f"checkpoint in {checkpoint_path}")
     return 0
 
 
@@ -323,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint.npz written by train")
     p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("predict", help="write prediction records for a dataset")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint.npz written by train")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_predict)
@@ -366,11 +372,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.handler(args)
+        # every op checks its result and raises NonFiniteError, reported below as one
+        # line; numpy's overflow and invalid-value warnings would only print before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except FileNotFoundError as e:
         print(f"error: file not found: {e.filename or e}", file=sys.stderr)
         return 1
-    except (DatasetError, ValueError) as e:
+    except (DatasetError, ValueError, NonFiniteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

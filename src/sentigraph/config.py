@@ -6,8 +6,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .util import atomic_write
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -103,11 +101,6 @@ def config_to_text(config: TrainConfig) -> str:
     lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
              for f in dataclasses.fields(config)]
     return "\n".join(lines) + "\n"
-
-
-def save_config(path, config: TrainConfig) -> None:
-    with atomic_write(path) as f:
-        f.write(config_to_text(config))
 
 
 def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:

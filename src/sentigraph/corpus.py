@@ -96,7 +96,7 @@ def _record_to_sample(record: dict) -> AspectSample:
         if field not in record:
             raise DatasetError(f"missing field {field!r}")
         value = record[field]
-        if not isinstance(value, kind):
+        if type(value) is not kind:  # JSON gives exact types; a bool is no int here
             raise DatasetError(f"field {field!r} has wrong type")
         return value
 
@@ -107,8 +107,8 @@ def _record_to_sample(record: dict) -> AspectSample:
     deps = []
     for entry in deps_raw:
         if (not isinstance(entry, list)) or len(entry) != 3 \
-                or not isinstance(entry[0], int) or not isinstance(entry[1], int) \
-                or not isinstance(entry[2], str):
+                or type(entry[0]) is not int or type(entry[1]) is not int \
+                or type(entry[2]) is not str:
             raise DatasetError("field 'deps' entries must be [head, dependent, relation]")
         deps.append((entry[0], entry[1], entry[2]))
     return AspectSample(
@@ -120,9 +120,9 @@ def _record_to_sample(record: dict) -> AspectSample:
     )
 
 
-# what would break the line-based, UTF-8 checkpoint files: vocab.txt holds one
-# token per line, sdi.txt one tab-separated relation per line, and a lone
-# surrogate has no UTF-8 form
+# what would break sdi.txt, which `sentigraph sdi` writes as one tab-separated
+# relation per UTF-8 line: a tab or a line break in a relation, or a lone
+# surrogate, which has no UTF-8 form; tokens are held to the same line-safe text
 _BAD_TOKEN = re.compile("[\n\r\ud800-\udfff]")
 _BAD_RELATION = re.compile("[\t\n\r\ud800-\udfff]")
 
@@ -210,16 +210,6 @@ class Vocab:
 
     def encode(self, tokens) -> np.ndarray:
         return np.array([self.id(t) for t in tokens], dtype=np.int64)
-
-    def save(self, path) -> None:
-        with atomic_write(path) as f:
-            for token in self.id_to_token:
-                f.write(token + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls([line.rstrip("\n") for line in f if line.rstrip("\n")])
 
 
 def build_vocab(samples, min_freq: int = 1) -> Vocab:

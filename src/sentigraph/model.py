@@ -89,15 +89,17 @@ class AspectSentimentModel:
         self.unseen_relations: Counter[str] = Counter()
 
         if embeddings is None:
-            embeddings = random_embeddings(vocab, config.d_w, make_rng(config.seed, "oov"))
-        if embeddings.vectors.shape != (len(vocab), config.d_w):
+            vectors = random_embeddings(vocab, config.d_w, make_rng(config.seed, "oov")).vectors
+        else:  # the caller's table: the parameter store owns its arrays and updates them in place
+            vectors = embeddings.vectors.copy()
+        if vectors.shape != (len(vocab), config.d_w):
             raise ValueError(
-                f"embedding table {embeddings.vectors.shape} does not match "
+                f"embedding table {vectors.shape} does not match "
                 f"vocab size {len(vocab)} and width {config.d_w}")
 
         rng = make_rng(config.seed, "init")
         store = ParameterStore()
-        self.embedding = store.add("embedding", embeddings.vectors)
+        self.embedding = store.add("embedding", vectors)
         self.lstm = encoders.init_bilstm_params(store, "lstm", config.d_w, config.d_h, rng)
         self.transformer = encoders.init_transformer_params(
             store, "transformer", config.d_model, config.heads, config.ffn_width, rng)

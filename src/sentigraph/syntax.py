@@ -33,27 +33,11 @@ class SdiTable:
         return min(self.ratios.values())
 
     def save(self, path) -> None:
+        """The ``sentigraph sdi`` file: ``total_edges``, then a relation and its ratio a line."""
         with atomic_write(path) as f:
             f.write(f"total_edges\t{self.total_edges}\n")
             for label in sorted(self.ratios):
                 f.write(f"{label}\t{self.ratios[label]!r}\n")
-
-    @classmethod
-    def load(cls, path) -> "SdiTable":
-        """Read a :meth:`save` file: the ``total_edges`` header, then one relation per line.
-
-        Only the first line is the header, so a relation may be named ``total_edges``.
-        """
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [line.rstrip("\n").split("\t") for line in f if line != "\n"]
-        try:
-            (key, total), *relations = lines
-            ratios = {rel: float(r) for rel, r in relations}
-            if key == "total_edges" and ratios:
-                return cls(ratios=MappingProxyType(ratios), total_edges=int(total))
-        except ValueError:
-            pass
-        raise ValueError(f"{path}: malformed relation-statistics file")
 
 
 def collect_sdi_stats(training_samples, count_root: bool = False,

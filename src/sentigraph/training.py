@@ -4,24 +4,30 @@ Each batch is one packed forward pass and one loss graph (mean
 cross-entropy over the batch plus the L2 penalty counted once, from
 :func:`head.compute_loss`), backpropagated once before a single Adam step.
 Evaluation and prediction files run packed chunks of ``config.batch_size``.
-Model selection keeps the checkpoint with the best dev accuracy, earliest
+Model selection keeps the parameters with the best dev accuracy, earliest
 epoch winning ties. Relation statistics always come from the training split
 only.
+
+A checkpoint is one uncompressed ``.npz`` file of parameters, vocabulary,
+relation statistics and config, CRC-checked on load; only
+:func:`save_checkpoint` and :func:`load_checkpoint` know its layout.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
+import math
+import zipfile
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from . import autodiff as ad
 from . import head
 from .autodiff import ParameterStore
-from .config import TrainConfig, load_config, save_config
+from .config import TrainConfig, config_to_text, parse_config_text
 from .corpus import LABELS, EmbeddingTable, Vocab, build_vocab
 from .model import AspectSentimentModel
 from .syntax import SdiTable, collect_sdi_stats
@@ -324,33 +330,67 @@ def write_sweep_series(path, points: list[SweepPoint]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: parameters + vocabulary + relation statistics + config
+# checkpoints: one uncompressed .npz file
 
-PARAMS_FILE = "params.tensors"
-VOCAB_FILE = "vocab.txt"
-SDI_FILE = "sdi.txt"
-CONFIG_FILE = "config.txt"
+_META = "__meta__"  # the JSON entry; parameter names are dotted paths such as ``lstm.fwd.wx``
 
 
-def save_checkpoint(directory, model: AspectSentimentModel,
+def save_checkpoint(path, model: AspectSentimentModel,
                     state: dict[str, np.ndarray] | None = None) -> None:
-    os.makedirs(directory, exist_ok=True)
-    ad.save_tensor_file(os.path.join(directory, PARAMS_FILE),
-                        state if state is not None else model.parameters.state_dict())
-    model.vocab.save(os.path.join(directory, VOCAB_FILE))
-    save_config(os.path.join(directory, CONFIG_FILE), model.config)
-    if model.sdi is not None:
-        model.sdi.save(os.path.join(directory, SDI_FILE))
+    """Write ``state`` (default: the model's parameters) to ``path`` as an uncompressed .npz.
+
+    One member per parameter, named as in the model, and ``__meta__``: the
+    UTF-8 JSON ``{"config": config text, "vocab": tokens by id, "relations":
+    {"total_edges": n, "ratios": {relation: ratio}} or null}``. The file
+    replaces ``path`` only once complete, so no reader sees two checkpoints.
+    """
+    sdi = model.sdi
+    meta = {"config": config_to_text(model.config), "vocab": model.vocab.id_to_token,
+            "relations": None if sdi is None else {"total_edges": sdi.total_edges,
+                                                   "ratios": dict(sdi.ratios)}}
+    if state is None:
+        state = {name: t.data for name, t in model.parameters.items()}
+    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with atomic_write(path, "wb") as f:
+        # a parameter named _META repeats the keyword: a TypeError, not a lost entry
+        np.savez(f, **state, **{_META: meta_bytes})
 
 
-def load_checkpoint(directory) -> AspectSentimentModel:
-    config = load_config(os.path.join(directory, CONFIG_FILE))
-    vocab = Vocab.load(os.path.join(directory, VOCAB_FILE))
-    sdi_path = os.path.join(directory, SDI_FILE)
-    sdi = SdiTable.load(sdi_path) if os.path.exists(sdi_path) else None
-    model = AspectSentimentModel(config, vocab, sdi=sdi)
-    model.parameters.load_state_dict(
-        ad.load_tensor_file(os.path.join(directory, PARAMS_FILE)))
+def load_checkpoint(path) -> AspectSentimentModel:
+    """Rebuild the model :func:`save_checkpoint` wrote to ``path``.
+
+    Every member's CRC-32, then each ``.npy`` header's size, is checked before
+    a value is read; the parameters must match the rebuilt model's names and
+    shapes exactly. Any failure is a ValueError naming ``path``.
+    """
+    try:
+        with zipfile.ZipFile(path) as archive:
+            damaged = archive.testzip()
+            if damaged is not None:
+                raise ValueError(f"member {damaged!r} fails its CRC-32 check")
+            arrays = {}
+            for info in archive.infolist():
+                with archive.open(info) as member:
+                    version = np.lib.format.read_magic(member)
+                    shape, fortran, dtype = (np.lib.format.read_array_header_1_0(member)
+                                             if version == (1, 0) else
+                                             np.lib.format.read_array_header_2_0(member))
+                    size = info.file_size - member.tell()
+                    if dtype.hasobject or math.prod(shape) * dtype.itemsize != size:
+                        raise ValueError(f"member {info.filename!r} declares shape {shape} "
+                                         f"of {dtype}, which its {size} bytes do not hold")
+                    values = np.frombuffer(member.read(), dtype)
+                arrays[info.filename.removesuffix(".npy")] = values.reshape(
+                    shape, order="F" if fortran else "C")
+        meta = json.loads(arrays.pop(_META).tobytes())
+        relations = meta["relations"]
+        sdi = None if relations is None else SdiTable(
+            MappingProxyType(relations["ratios"]), relations["total_edges"])
+        model = AspectSentimentModel(parse_config_text(meta["config"]), Vocab(meta["vocab"]),
+                                     sdi=sdi)
+        model.parameters.load_state_dict(arrays)
+    except Exception as e:  # outside input: zipfile and numpy raise many kinds of error
+        raise ValueError(f"{path}: not a loadable checkpoint: {e}") from e
     return model
 
 

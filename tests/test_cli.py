@@ -1,18 +1,19 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
 from sentigraph import cli
-from sentigraph.autodiff import FiniteDiffReport, load_tensor_file, save_tensor_file
+from sentigraph.autodiff import FiniteDiffReport
 from sentigraph.corpus import load_dataset, save_dataset
 from sentigraph.synthetic import make_synthetic_corpus
-from sentigraph.syntax import SdiTable
 from sentigraph.util import atomic_write
 
 CONLLU = """\
@@ -36,6 +37,70 @@ def data_dir(tmp_path):
 def read_manifest(path):
     with open(path) as f:
         return json.load(f)
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def rewrite_members(path, edit) -> None:
+    """Rewrite the archive at ``path`` after ``edit`` changed its ``{member name: bytes}``."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    edit(members)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def huge_member(members):
+    # a header declaring 2^20 x 2^20 float64 values (8 TiB) over 64 bytes of data
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (2**20, 2**20)})
+    members["embedding.npy"] = buf.getvalue() + bytes(64)
+
+
+def flip_last_embedding_byte(path):
+    raw = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        first, second = archive.infolist()[:2]
+    assert first.filename == "embedding.npy"  # its data ends where the next member starts
+    raw[second.header_offset - 1] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def damage(kind, checkpoint):
+    """The path of a checkpoint damaged as ``kind`` says, and a phrase its error holds."""
+    if kind == "missing":
+        return checkpoint.parent / "no_such.npz", "No such file"
+    if kind == "old_directory":
+        old = checkpoint.parent / "checkpoint"
+        old.mkdir()
+        (old / "params.tensors").write_bytes(b"SGTENS01")
+        return old, "Is a directory"
+    if kind == "not_a_zip":
+        checkpoint.write_bytes(b"SGTENS01" + bytes(100))
+        return checkpoint, "not a zip file"
+    if kind == "truncated":
+        checkpoint.write_bytes(checkpoint.read_bytes()[:-200])
+        return checkpoint, "not a zip file"
+    if kind == "crc_mismatch":
+        flip_last_embedding_byte(checkpoint)
+        return checkpoint, "member 'embedding.npy' fails its CRC-32 check"
+    edits = {
+        "huge_shape": (huge_member, "member 'embedding.npy' declares shape (1048576, 1048576)"),
+        "missing_tensor": (lambda m: m.pop("classifier.b.npy"), "missing ['classifier.b']"),
+        "extra_tensor": (lambda m: m.update({"classifier.c.npy": npy_bytes(np.zeros(3))}),
+                         "unexpected ['classifier.c']"),
+        "wrong_shape": (lambda m: m.update({"classifier.b.npy": npy_bytes(np.zeros(4))}),
+                        "'classifier.b': shape (4,) != (3,)"),
+    }
+    edit, phrase = edits[kind]
+    rewrite_members(checkpoint, edit)
+    return checkpoint, phrase
 
 
 class TestDispatch:
@@ -114,8 +179,9 @@ class TestSdi:
         out = data_dir / "sdi.txt"
         assert cli.main(["sdi", "--train", str(data_dir / "train.jsonl"),
                          "--out", str(out)]) == 0
-        table = SdiTable.load(out)
-        assert table.total_edges > 0
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert header.startswith("total_edges\t") and int(header.split("\t")[1]) > 0
+        assert sum(float(row.split("\t")[1]) for row in rows) == pytest.approx(1.0)
         assert read_manifest(str(out) + ".manifest.json")["status"] == "complete"
 
 
@@ -128,7 +194,8 @@ class TestTrain:
         manifest = read_manifest(out_dir / "manifest.json")
         assert manifest["status"] == "complete"
         assert set(manifest["artifacts"]) == {"epoch_log", "checkpoint", "summary"}
-        assert (out_dir / "checkpoint" / "params.tensors").exists()
+        assert manifest["artifacts"]["checkpoint"] == str(out_dir / "checkpoint.npz")
+        assert zipfile.is_zipfile(out_dir / "checkpoint.npz")
         epochs = (out_dir / "epochs.tsv").read_text().strip().splitlines()
         assert len(epochs) == 3  # header + 2 epochs
 
@@ -194,7 +261,20 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 3: ") and err.count("\n") == 1
-        assert not (out_dir / "checkpoint").exists()
+        assert not (out_dir / "checkpoint.npz").exists()
+        assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
+
+    def test_diverging_run_fails_in_one_line(self, data_dir, capsys):
+        out_dir = data_dir / "run_diverging"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print a line of its own
+            code = cli.main(["train", "--train", str(data_dir / "train.jsonl"),
+                             "--out-dir", str(out_dir)]
+                            + TINY_FLAGS + ["--learning-rate", "1e300"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+        assert not (out_dir / "checkpoint.npz").exists()
         assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
 
     def test_failed_run_leaves_incomplete_manifest(self, data_dir):
@@ -213,7 +293,7 @@ class TestEvalPredict:
         out_dir = data_dir / "run"
         assert cli.main(["train", "--train", str(data_dir / "train.jsonl"),
                          "--out-dir", str(out_dir)] + TINY_FLAGS) == 0
-        return out_dir / "checkpoint"
+        return out_dir / "checkpoint.npz"
 
     def test_eval_prints_and_writes_metrics(self, data_dir, checkpoint, capsys):
         out = data_dir / "metrics.json"
@@ -240,23 +320,39 @@ class TestEvalPredict:
     def test_checkpoint_with_per_head_names_fails_in_one_line(self, data_dir, checkpoint,
                                                               capsys):
         # the layout with one projection tensor per head and kind; it is not converted
-        params = checkpoint / "params.tensors"
-        arrays = load_tensor_file(params)
-        for kind in ("wq", "wk", "wv"):
-            joined = arrays.pop(f"transformer.{kind}")
-            for h, block in enumerate(np.split(joined, 2, axis=1)):
-                arrays[f"transformer.head{h}.{kind}"] = block
-        save_tensor_file(params, arrays)
+        def split_heads(members):
+            for kind in ("wq", "wk", "wv"):
+                joined = np.load(io.BytesIO(members.pop(f"transformer.{kind}.npy")))
+                for h, block in enumerate(np.split(joined, 2, axis=1)):
+                    members[f"transformer.head{h}.{kind}.npy"] = npy_bytes(block)
+
+        rewrite_members(checkpoint, split_heads)
         capsys.readouterr()
         code = cli.main(["predict", "--checkpoint", str(checkpoint),
                          "--data", str(data_dir / "test.jsonl"),
                          "--out", str(data_dir / "preds.jsonl")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: state mismatch: missing ['transformer.wk', 'transformer.wq', "
+            f"error: {checkpoint}: not a loadable checkpoint: "
+            "state mismatch: missing ['transformer.wk', 'transformer.wq', "
             "'transformer.wv'], unexpected ['transformer.head0.wk', 'transformer.head0.wq', "
             "'transformer.head0.wv', 'transformer.head1.wk', 'transformer.head1.wq', "
             "'transformer.head1.wv']\n")
+
+    @pytest.mark.parametrize("kind", [
+        "missing", "old_directory", "not_a_zip", "truncated", "crc_mismatch", "huge_shape",
+        "missing_tensor", "extra_tensor", "wrong_shape"])
+    def test_unloadable_checkpoint_fails_in_one_line_naming_it(self, data_dir, checkpoint,
+                                                               kind, capsys):
+        path, phrase = damage(kind, checkpoint)
+        capsys.readouterr()
+        code = cli.main(["predict", "--checkpoint", str(path),
+                         "--data", str(data_dir / "test.jsonl"),
+                         "--out", str(data_dir / "preds.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a loadable checkpoint: ")
+        assert phrase in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_unseen_relations_are_counted_in_one_line(self, data_dir, checkpoint, command,

@@ -1,6 +1,6 @@
 import json
-import re
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -97,7 +97,11 @@ class TestLoadDataset:
         (json.dumps(make_record(label="angry")), "field 'label'"),
         (json.dumps(make_record(tokens=["the", "me\nnu", "was", "limited"])),
          "field 'tokens': token 1"),
-    ], ids=["json", "object", "field", "label", "line_break"])
+        (json.dumps(make_record(aspect_start=True)), "field 'aspect_start' has wrong type"),
+        (json.dumps(make_record(deps=[[True, False, "det"], [3, 1, "nsubj"], [3, 2, "cop"],
+                                      [-1, 3, "root"]])),
+         "field 'deps' entries must be [head, dependent, relation]"),
+    ], ids=["json", "object", "field", "label", "line_break", "bool_index", "bool_edge"])
     def test_errors_start_with_the_file_and_name_the_line(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(make_record()) + "\n\n" + line + "\n")
@@ -121,7 +125,7 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("token", ["two\nlines", "carriage\rreturn"])
     def test_token_with_line_break_rejected(self, tmp_path, token):
-        # such a token would split into two lines of vocab.txt
+        # tokens are held to the line-safe text sdi.txt needs of relations
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [make_record(), make_record(tokens=["the", token, "was", "limited"])])
         with pytest.raises(DatasetError, match=r"line 2: field 'tokens': token 1 .*line break"):
@@ -144,7 +148,7 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("field, name", [("tokens", '"menu"'), ("deps", '"nsubj"')])
     def test_escaped_lone_surrogate_rejected(self, tmp_path, field, name):
-        # a lone surrogate has no UTF-8 form: vocab.txt or sdi.txt could not hold it
+        # a lone surrogate has no UTF-8 form: sdi.txt could not hold it
         path = tmp_path / "bad.jsonl"
         line = json.dumps(make_record())
         path.write_text(line + "\n" + line.replace(name, '"\\ud800"') + "\n")
@@ -166,21 +170,9 @@ def test_random_trees_always_validate(seed):
     assert heads.count(-1) == 1
 
 
-# any text a vocabulary line can hold: no line breaks, no surrogates
+# any token load_dataset accepts: no line breaks, no surrogates
 _token_text = st.text(st.characters(blacklist_categories=("Cs",),
                                     blacklist_characters="\n\r"), min_size=1, max_size=12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(tokens=st.lists(_token_text, unique=True, max_size=20))
-def test_vocab_save_load_round_trips(tmp_path_factory, tokens):
-    tokens = [t for t in tokens if t not in (corpus.PAD_TOKEN, corpus.UNK_TOKEN)]
-    vocab = Vocab([corpus.PAD_TOKEN, corpus.UNK_TOKEN] + tokens)
-    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
-    vocab.save(path)
-    loaded = Vocab.load(path)
-    assert loaded.id_to_token == vocab.id_to_token
-    assert os.listdir(path.parent) == ["vocab.txt"]
 
 
 _relation_text = st.text(st.characters(blacklist_categories=("Cs",),
@@ -241,11 +233,6 @@ class TestBuildVocab:
         vocab = build_vocab(self.samples_for([["a", "b"]]))
         ids = vocab.encode(["a", "mystery", "b"])
         assert ids.tolist() == [vocab.id("a"), UNK_ID, vocab.id("b")]
-
-    def test_save_load_roundtrip(self, tmp_path):
-        vocab = build_vocab(self.samples_for([["a", "b", "c"]]))
-        vocab.save(tmp_path / "vocab.txt")
-        assert Vocab.load(tmp_path / "vocab.txt").id_to_token == vocab.id_to_token
 
 
 class TestEmbeddings:

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import zipfile
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,12 +17,22 @@ from sentigraph.config import (
     config_to_text,
     load_config,
     parse_config_text,
-    save_config,
 )
-from sentigraph.corpus import LABELS, PAD_ID, UNK_ID, build_vocab, load_dataset, save_dataset
+from sentigraph.corpus import (
+    LABELS,
+    PAD_ID,
+    PAD_TOKEN,
+    UNK_ID,
+    UNK_TOKEN,
+    Vocab,
+    build_vocab,
+    load_dataset,
+    random_embeddings,
+    save_dataset,
+)
 from sentigraph.model import AspectSentimentModel
 from sentigraph.synthetic import make_synthetic_corpus
-from sentigraph.syntax import build_binary_adjacency, collect_sdi_stats
+from sentigraph.syntax import SdiTable, build_binary_adjacency, collect_sdi_stats
 from sentigraph.training import (
     Adam,
     EpochStats,
@@ -216,6 +228,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train(TINY, [])
 
+    def test_callers_embedding_table_is_unchanged_by_training(self):
+        corpus = tiny_corpus(8, seed=23)
+        vocab = build_vocab(corpus)
+        table = random_embeddings(vocab, TINY.d_w, np.random.default_rng(3))
+        before = table.vectors.copy()
+        result = train(dataclasses.replace(TINY, max_epochs=1), corpus, dev_samples=corpus,
+                       embeddings=table, vocab=vocab)
+        assert np.array_equal(table.vectors, before)
+        assert not np.array_equal(result.model.embedding.data, before)  # training moved its copy
+
     def test_loss_decreases_on_single_sample(self):
         corpus = tiny_corpus(1, seed=4)
         config = dataclasses.replace(TINY, max_epochs=10, batch_size=1)
@@ -353,8 +375,8 @@ class TestCheckpoint:
         corpus = tiny_corpus(8, seed=18)
         result = train(dataclasses.replace(TINY, max_epochs=2), corpus,
                        dev_samples=corpus)
-        save_checkpoint(tmp_path / "ckpt", result.model, state=result.best_state)
-        restored = load_checkpoint(tmp_path / "ckpt")
+        save_checkpoint(tmp_path / "ckpt.npz", result.model, state=result.best_state)
+        restored = load_checkpoint(tmp_path / "ckpt.npz")
         result.restore_best()
         for sample in corpus:
             a = result.model.predict(sample)
@@ -372,8 +394,8 @@ class TestCheckpoint:
         vocab = result.model.vocab
         assert (vocab.id("<pad>"), vocab.id("<unk>")) == (PAD_ID, UNK_ID)
         assert vocab.id_to_token.count("<pad>") == vocab.id_to_token.count("<unk>") == 1
-        save_checkpoint(tmp_path / "ckpt", result.model)
-        restored = load_checkpoint(tmp_path / "ckpt")
+        save_checkpoint(tmp_path / "ckpt.npz", result.model)
+        restored = load_checkpoint(tmp_path / "ckpt.npz")
         for a, b in zip(result.model.predict_all(corpus), restored.predict_all(corpus)):
             assert np.array_equal(a.prob, b.prob)
 
@@ -381,11 +403,74 @@ class TestCheckpoint:
         corpus = tiny_corpus(8, seed=19)
         result = train(dataclasses.replace(TINY, max_epochs=1), corpus,
                        dev_samples=corpus)
-        save_checkpoint(tmp_path / "ckpt", result.model)
-        assert (tmp_path / "ckpt" / "params.tensors").exists()
-        assert (tmp_path / "ckpt" / "vocab.txt").exists()
-        assert (tmp_path / "ckpt" / "sdi.txt").exists()
-        assert (tmp_path / "ckpt" / "config.txt").exists()
+        save_checkpoint(tmp_path / "ckpt.npz", result.model)
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+        restored = load_checkpoint(tmp_path / "ckpt.npz")
+        assert restored.sdi == result.model.sdi is not None
+        assert restored.vocab.id_to_token == result.model.vocab.id_to_token
+        assert restored.config == result.model.config
+
+    def test_interrupted_save_keeps_the_previous_checkpoint_and_leaves_no_temp(self, tmp_path):
+        corpus = tiny_corpus(8, seed=21)
+        first = train(dataclasses.replace(TINY, max_epochs=1), corpus, dev_samples=corpus)
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(path, first.model)
+        previous = path.read_bytes()
+
+        class FailsToConvert:
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("simulated failure half-way through the save")
+
+        second = train(dataclasses.replace(TINY, max_epochs=1, seed=6), corpus,
+                       dev_samples=corpus)
+        state = second.model.parameters.state_dict()
+        state["classifier.b"] = FailsToConvert()  # after every other member is written
+        with pytest.raises(RuntimeError, match="half-way"):
+            save_checkpoint(path, second.model, state=state)
+        assert path.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["checkpoint.npz"]
+        restored = load_checkpoint(path)
+        for name, t in first.model.parameters.items():
+            assert restored.parameters[name].data.tobytes() == t.data.tobytes()
+
+    def test_every_flipped_byte_fails_or_loads_what_was_saved(self, tmp_path):
+        corpus = tiny_corpus(6, seed=22)
+        config = TrainConfig(d_w=4, d_h=2, gcn_layers=1, heads=2, ffn_width=4, max_epochs=1)
+        model = train(config, corpus, dev_samples=corpus).model
+        saved = tmp_path / "saved.npz"
+        save_checkpoint(saved, model)
+        raw = saved.read_bytes()
+        # every byte of the central directory and of the first member's zip and .npy
+        # headers, and every 61st byte elsewhere
+        central = int.from_bytes(raw[-6:-2], "little")  # the end record's directory offset
+        name_len, extra_len = (int.from_bytes(raw[i:i + 2], "little") for i in (26, 28))
+        with zipfile.ZipFile(saved) as archive, archive.open(archive.infolist()[0]) as member:
+            np.lib.format.read_magic(member)
+            np.lib.format.read_array_header_1_0(member)
+            first_data = 30 + name_len + extra_len + member.tell()  # where its values start
+        positions = sorted(set(range(first_data)) | set(range(central, len(raw)))
+                           | set(range(0, len(raw), 61)))
+        masks = np.random.default_rng(0).integers(1, 256, size=len(positions))
+
+        def content(m):
+            return (m.config, m.sdi, m.vocab.id_to_token,
+                    [(name, t.data.tobytes()) for name, t in m.parameters.items()])
+
+        expected = content(model)
+        path = tmp_path / "flipped.npz"
+        loaded = 0
+        for pos, mask in zip(positions, masks):
+            flipped = bytearray(raw)
+            flipped[pos] ^= int(mask)
+            path.write_bytes(bytes(flipped))
+            try:
+                restored = load_checkpoint(path)
+            except ValueError as e:
+                assert str(e).startswith(f"{path}: ") and "\n" not in str(e)
+                continue
+            loaded += 1
+            assert content(restored) == expected, pos
+        assert 0 < loaded < len(positions)
 
 
 def _config_fields():
@@ -430,12 +515,60 @@ def test_config_text_round_trips(config):
     assert parse_config_text(config_to_text(config)) == config
 
 
+# any text, lone surrogates included, and the names a line-based file would trip on
+_any_text = st.one_of(st.text(st.characters(exclude_categories=()), max_size=6),
+                      st.sampled_from(["\t", "\0", "a\nb", "\r\n", "total_edges", "\ud800"]))
+# -0.0, the smallest subnormal, both infinities and a NaN with a payload
+_SPECIAL_VALUES = np.array([-0.0, 5e-324, math.inf, -math.inf,
+                            np.frombuffer(b"\x01\0\0\0\0\0\xf8\x7f", np.float64)[0]])
+
+
+@st.composite
+def checkpoint_models(draw):
+    """A model of any small config, any vocabulary and relation statistics, and any values."""
+    heads = draw(st.integers(1, 3))
+    config = dataclasses.replace(
+        draw(train_configs()), heads=heads, d_w=math.lcm(2, heads) * draw(st.integers(1, 2)),
+        d_h=draw(st.integers(1, 3)), gcn_layers=draw(st.integers(1, 2)),
+        ffn_width=draw(st.integers(1, 4)))
+    tokens = draw(st.lists(_any_text, unique=True, max_size=12))
+    vocab = Vocab([PAD_TOKEN, UNK_TOKEN] + [t for t in tokens if t not in (PAD_TOKEN, UNK_TOKEN)])
+    sdi = None
+    if config.use_dependency and config.use_sdi_weights or draw(st.booleans()):
+        ratios = draw(st.dictionaries(_any_text, st.floats(0, 1, exclude_min=True),
+                                      min_size=1, max_size=6))
+        sdi = SdiTable(MappingProxyType(ratios), draw(st.integers(1, 2**70)))
+    model = AspectSentimentModel(config, vocab, sdi=sdi)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for i, t in enumerate(model.parameters.tensors()):  # every float64 bit pattern can occur
+        values = np.frombuffer(rng.bytes(t.data.nbytes), np.float64)
+        np.copyto(t.data, values.reshape(t.data.shape))
+        t.data.flat[0] = _SPECIAL_VALUES[i % len(_SPECIAL_VALUES)]
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=checkpoint_models())
+def test_checkpoint_round_trips_any_parameters_config_vocabulary_and_relations(
+        tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.npz"
+    save_checkpoint(path, model)
+    restored = load_checkpoint(path)
+    assert restored.config == model.config
+    assert restored.vocab.id_to_token == model.vocab.id_to_token
+    assert restored.sdi == model.sdi
+    if model.sdi is not None:
+        assert list(restored.sdi.ratios.items()) == list(model.sdi.ratios.items())
+    assert ([(name, t.data.tobytes()) for name, t in restored.parameters.items()]
+            == [(name, t.data.tobytes()) for name, t in model.parameters.items()])
+
+
 class TestConfigFile:
     def test_text_roundtrip(self, tmp_path):
         config = dataclasses.replace(TINY, learning_rate=0.0025,
                                      layer_sweep_range=(2, 5))
         path = tmp_path / "run.cfg"
-        save_config(path, config)
+        path.write_text(config_to_text(config), encoding="utf-8")
         assert load_config(path) == config
 
     def test_overrides_apply_over_base(self):
