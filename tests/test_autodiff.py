@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -8,6 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentigraph import autodiff as ad
+from sentigraph.config import TrainConfig
+from sentigraph.corpus import PAD_TOKEN, UNK_TOKEN, Vocab
+from sentigraph.model import AspectSentimentModel
+from sentigraph.training import load_checkpoint, save_checkpoint
 
 
 def rand(shape, seed=0):
@@ -402,3 +407,67 @@ class TestParameterStore:
             store.load_state_dict(state)
         for name, t in store.items():
             assert np.array_equal(t.data, before[name])
+
+
+def _small_model(heads=2, width=1, d_h=2, gcn_layers=1, ffn_width=3, vocab_size=3):
+    config = TrainConfig(d_w=math.lcm(2, heads) * width, d_h=d_h, gcn_layers=gcn_layers,
+                         heads=heads, ffn_width=ffn_width, use_sdi_weights=False)
+    vocab = Vocab([PAD_TOKEN, UNK_TOKEN] + [f"w{i}" for i in range(vocab_size)])
+    return AspectSentimentModel(config, vocab)
+
+
+def test_tensor_container_roundtrip_is_bit_exact(tmp_path):
+    # the parameter store's tensors travel to disk and back in the checkpoint
+    model = _small_model()
+    rng = np.random.default_rng(7)
+    state = {name: rng.normal(size=t.data.shape) for name, t in model.parameters.items()}
+    state["classifier.b"].flat[0] = np.pi
+    path = tmp_path / "params.npz"
+    save_checkpoint(path, model, state=state)
+    loaded = load_checkpoint(path).parameters
+    assert [name for name, _ in loaded.items()] == list(state)
+    for name, arr in state.items():
+        assert loaded[name].data.shape == arr.shape
+        assert np.array_equal(loaded[name].data, arr)
+        assert loaded[name].data.tobytes() == arr.tobytes()
+
+
+_special_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                   1.7976931348623157e308, float("inf"), float("-inf")])
+_tensor_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _special_floats)
+
+
+@st.composite
+def _models_with_state(draw):
+    """A model whose parameter names and shapes follow a drawn config, and a state for it.
+
+    Each state array takes its values from a drawn pool and is laid out in C or
+    Fortran order.
+    """
+    model = _small_model(heads=draw(st.integers(1, 3)), width=draw(st.integers(1, 2)),
+                         d_h=draw(st.integers(1, 3)), gcn_layers=draw(st.integers(1, 3)),
+                         ffn_width=draw(st.integers(1, 4)), vocab_size=draw(st.integers(0, 4)))
+    pool = np.array(draw(st.lists(_tensor_values, min_size=1, max_size=16)), dtype=np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = {}
+    for name, t in model.parameters.items():
+        values = pool[rng.integers(0, len(pool), size=t.data.size)]
+        state[name] = values.reshape(t.data.shape, order=draw(st.sampled_from("CF")))
+    return model, state
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_state=_models_with_state())
+def test_tensor_container_round_trips_any_names_shapes_and_values(tmp_path_factory,
+                                                                    model_state):
+    model, state = model_state
+    path = tmp_path_factory.mktemp("tensors") / "params.npz"
+    save_checkpoint(path, model, state=state)
+    loaded = load_checkpoint(path).parameters
+    assert [name for name, _ in loaded.items()] == list(state)
+    for name, arr in state.items():
+        data = loaded[name].data
+        assert data.dtype == np.float64 and data.shape == arr.shape
+        assert data.tobytes() == arr.tobytes()  # bit-exact: -0.0, NaN, subnormals
+        assert data.flags.writeable
+    assert os.listdir(path.parent) == ["params.npz"]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentigraph import corpus
+from sentigraph.config import TrainConfig
 from sentigraph.corpus import (
     PAD_ID,
     UNK_ID,
@@ -22,6 +23,8 @@ from sentigraph.corpus import (
     random_embeddings,
     save_dataset,
 )
+from sentigraph.model import AspectSentimentModel
+from sentigraph.training import load_checkpoint, save_checkpoint
 
 from conftest import random_tree_sample
 
@@ -175,6 +178,30 @@ _token_text = st.text(st.characters(blacklist_categories=("Cs",),
                                     blacklist_characters="\n\r"), min_size=1, max_size=12)
 
 
+def vocab_round_trip(path, vocab: Vocab) -> Vocab:
+    """``vocab`` as a checkpoint stores and restores it, with a small model around it."""
+    config = TrainConfig(d_w=2, d_h=1, gcn_layers=1, heads=1, ffn_width=1,
+                         use_sdi_weights=False)
+    save_checkpoint(path, AspectSentimentModel(config, vocab))
+    return load_checkpoint(path).vocab
+
+
+# any text, line breaks, NUL and lone surrogates included
+_any_token = st.text(st.characters(exclude_categories=()), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tokens=st.lists(_any_token, unique=True, max_size=20))
+def test_vocab_save_load_round_trips(tmp_path_factory, tokens):
+    tokens = [t for t in tokens if t not in (corpus.PAD_TOKEN, corpus.UNK_TOKEN)]
+    vocab = Vocab([corpus.PAD_TOKEN, corpus.UNK_TOKEN] + tokens)
+    path = tmp_path_factory.mktemp("vocab") / "checkpoint.npz"
+    loaded = vocab_round_trip(path, vocab)
+    assert loaded.id_to_token == vocab.id_to_token
+    assert all(loaded.id(t) == i for i, t in enumerate(vocab.id_to_token))
+    assert os.listdir(path.parent) == ["checkpoint.npz"]
+
+
 _relation_text = st.text(st.characters(blacklist_categories=("Cs",),
                                        blacklist_characters="\t\n\r"), max_size=8)
 
@@ -233,6 +260,11 @@ class TestBuildVocab:
         vocab = build_vocab(self.samples_for([["a", "b"]]))
         ids = vocab.encode(["a", "mystery", "b"])
         assert ids.tolist() == [vocab.id("a"), UNK_ID, vocab.id("b")]
+
+    def test_save_load_roundtrip(self, tmp_path):
+        vocab = build_vocab(self.samples_for([["a", "b", "c"]]))
+        loaded = vocab_round_trip(tmp_path / "checkpoint.npz", vocab)
+        assert loaded.id_to_token == vocab.id_to_token
 
 
 class TestEmbeddings:
