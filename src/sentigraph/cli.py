@@ -7,16 +7,18 @@ Subcommands::
     train      train a model, keeping the best-dev checkpoint
     eval       score a checkpoint on a dataset
     predict    write per-sample prediction records
-    ablate     train and score the four structural variants
-    sweep      train once per graph-layer count and emit a score series
+    ablate     train and score the four structural variants (ablation.tsv)
+    sweep      train once per graph-layer count and score each (sweep.tsv)
     gradcheck  run the finite-difference suite over ops and the composed model
 
 ``train`` writes ``<out-dir>/checkpoint.npz``, the one file ``eval`` and
-``predict`` take as ``--checkpoint``. Every file-producing run writes a
-manifest first (marked incomplete) and completes it on success, so
-interrupted runs are recognizable; a failure, a diverging run included,
-prints one ``error:`` line and exits 1. Config files use flat
-``key = value`` lines; command-line flags override file values.
+``predict`` take as ``--checkpoint``. ``ablate`` and ``sweep`` share one
+handler: each trains its configs on one split and writes one
+``key<TAB>acc<TAB>macro_f1`` line per config. Every file-producing run
+writes a manifest first (marked incomplete) and completes it on success, so
+interrupted runs are recognizable; a failure, a diverging run or a failed
+write to stdout included, prints one ``error:`` line and exits 1. Config
+files use flat ``key = value`` lines; command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .training import (
     save_checkpoint,
     train,
     write_epoch_log,
-    write_sweep_series,
+    write_scores,
 )
 from .util import atomic_write, file_sha256
 
@@ -249,40 +251,28 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+# subcommand -> (runner, key column, table file, manifest artifact name)
+_STUDIES = {
+    "ablate": (run_ablation, "variant", "ablation.tsv", "table"),
+    "sweep": (layer_sweep, "gcn_layers", "sweep.tsv", "series"),
+}
+
+
+def cmd_study(args) -> int:
+    runner, key_column, file_name, artifact = _STUDIES[args.command]
     config = _resolve_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    manifest = Manifest(os.path.join(args.out_dir, "manifest.json"), "ablate",
+    manifest = Manifest(os.path.join(args.out_dir, "manifest.json"), args.command,
                         config, {"train": args.train, "eval": args.eval})
     train_samples, dev_samples = _load_split(args, config)
     eval_samples = load_dataset(args.eval)
-    results = run_ablation(config, train_samples, eval_samples, dev_samples=dev_samples)
-    table_path = os.path.join(args.out_dir, "ablation.tsv")
-    with atomic_write(table_path) as f:
-        f.write("variant\tacc\tmacro_f1\n")
-        for variant, report in results.items():
-            f.write(f"{variant}\t{report.acc!r}\t{report.macro_f1!r}\n")
-    manifest.add_artifact("table", table_path)
+    scores = runner(config, train_samples, eval_samples, dev_samples)
+    path = os.path.join(args.out_dir, file_name)
+    write_scores(path, key_column, scores)
+    manifest.add_artifact(artifact, path)
     manifest.complete()
-    for variant, report in results.items():
-        print(f"{variant:18s} acc={report.acc:.4f} macro_f1={report.macro_f1:.4f}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    config = _resolve_config(args)
-    os.makedirs(args.out_dir, exist_ok=True)
-    manifest = Manifest(os.path.join(args.out_dir, "manifest.json"), "sweep",
-                        config, {"train": args.train, "eval": args.eval})
-    train_samples, dev_samples = _load_split(args, config)
-    eval_samples = load_dataset(args.eval)
-    points = layer_sweep(config, train_samples, eval_samples, dev_samples=dev_samples)
-    series_path = os.path.join(args.out_dir, "sweep.tsv")
-    write_sweep_series(series_path, points)
-    manifest.add_artifact("series", series_path)
-    manifest.complete()
-    for p in points:
-        print(f"layers={p.gcn_layers} acc={p.acc:.4f} macro_f1={p.macro_f1:.4f}")
+    for key, report in scores.items():
+        print(f"{key_column}={key} acc={report.acc:.4f} macro_f1={report.macro_f1:.4f}")
     return 0
 
 
@@ -340,21 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("ablate", help="train and score the structural variants")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev")
-    p.add_argument("--eval", required=True)
-    p.add_argument("--out-dir", required=True)
-    _add_config_flags(p)
-    p.set_defaults(handler=cmd_ablate)
-
-    p = sub.add_parser("sweep", help="score one model per graph-layer count")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev")
-    p.add_argument("--eval", required=True)
-    p.add_argument("--out-dir", required=True)
-    _add_config_flags(p)
-    p.set_defaults(handler=cmd_sweep)
+    for name, help_text in (("ablate", "train and score the structural variants"),
+                            ("sweep", "score one model per graph-layer count")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--train", required=True)
+        p.add_argument("--dev")
+        p.add_argument("--eval", required=True)
+        p.add_argument("--out-dir", required=True)
+        _add_config_flags(p)
+        p.set_defaults(handler=cmd_study)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of ops and model")
     p.add_argument("--seed", type=int, default=7)
@@ -375,9 +359,15 @@ def main(argv=None) -> int:
         # every op checks its result and raises NonFiniteError, reported below as one
         # line; numpy's overflow and invalid-value warnings would only print before it
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.handler(args)
-    except FileNotFoundError as e:
-        print(f"error: file not found: {e.filename or e}", file=sys.stderr)
+            status = args.handler(args)
+        sys.stdout.flush()  # a failed write to stdout surfaces here, not at interpreter exit
+        return status
+    except OSError as e:  # a missing input file, a directory in the way, a closed pipe
+        print(f"error: {e}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout failed (a closed pipe, a full disk): the exit flush would too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (DatasetError, ValueError, NonFiniteError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -43,13 +43,7 @@ from .corpus import (
     random_embeddings,
 )
 from .head import Prediction
-from .syntax import (
-    SdiTable,
-    build_binary_adjacency,
-    build_sdi_adjacency,
-    collect_sdi_stats,
-    out_degrees,
-)
+from .syntax import SdiTable, build_adjacency, collect_sdi_stats
 from .synthetic import random_tree_sample
 from .util import make_rng
 
@@ -114,14 +108,10 @@ class AspectSentimentModel:
 
     def adjacency(self, sample: AspectSample) -> tuple[np.ndarray, np.ndarray]:
         """The adjacency/degree pair this configuration consumes for a sample."""
-        n = sample.n
         if not self.config.use_dependency:
-            return np.eye(n), np.zeros(n)
-        binary = build_binary_adjacency(sample)
-        degrees = out_degrees(binary)
-        if self.config.use_sdi_weights:
-            return build_sdi_adjacency(sample, self.sdi, self.unseen_relations), degrees
-        return binary, degrees
+            return np.eye(sample.n), np.zeros(sample.n)
+        sdi = self.sdi if self.config.use_sdi_weights else None
+        return build_adjacency(sample, sdi, self.unseen_relations)
 
     def forward(self, samples: list[AspectSample]) -> ForwardPass:
         """One packed forward pass over a non-empty batch of samples."""

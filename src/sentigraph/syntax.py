@@ -1,10 +1,10 @@
 """Corpus-level dependency-relation statistics and per-sentence adjacency.
 
-Each sentence yields two directed n x n matrices with ones on the diagonal:
-a binary matrix with 1 at (head, dependent) for every dependency edge, and
-a weighted variant whose off-diagonal entries carry the training-corpus
-frequency ratio of the edge's relation label. The weighted matrix keeps the
-binary matrix's zero pattern exactly.
+Each sentence yields one directed n x n matrix with ones on the diagonal and,
+at (head, dependent) for every dependency edge, either 1 (the binary graph)
+or the training-corpus frequency ratio of the edge's relation label (the
+weighted graph), together with each token's out-degree. Both forms of a
+sentence share one zero pattern and one degree vector.
 """
 
 from __future__ import annotations
@@ -62,39 +62,24 @@ def collect_sdi_stats(training_samples, count_root: bool = False,
     return SdiTable(ratios=MappingProxyType(ratios), total_edges=total)
 
 
-def build_binary_adjacency(sample: AspectSample) -> np.ndarray:
-    """Directed 0/1 adjacency: diagonal ones plus (head, dependent) edges."""
-    n = sample.n
-    adj = np.eye(n, dtype=np.float64)
-    for head, dep, _relation in sample.deps:
-        if head == -1:
-            continue
-        adj[head, dep] = 1.0
-    return adj
+def build_adjacency(sample: AspectSample, sdi: SdiTable | None,
+                    unseen: Counter) -> tuple[np.ndarray, np.ndarray]:
+    """The sentence's adjacency and per-token out-degree (self-loop excluded).
 
-
-def build_sdi_adjacency(sample: AspectSample, sdi: SdiTable,
-                        unseen: Counter | None = None) -> np.ndarray:
-    """Weighted adjacency: diagonal ones, relation ratios at (head, dependent).
-
-    Relations unseen at training time fall back to the smallest training
-    ratio (keeping the edge alive); each such edge adds one to its relation
-    in ``unseen`` when a counter is given.
+    With ``sdi`` None every edge weighs 1; otherwise it weighs its relation's
+    ratio, and a relation unseen at training time falls back to the smallest
+    ratio (keeping the edge alive) and adds one to its count in ``unseen``.
     """
     n = sample.n
     adj = np.eye(n, dtype=np.float64)
+    degrees = np.zeros(n)
     for head, dep, relation in sample.deps:
         if head == -1:
             continue
-        ratio = sdi.ratios.get(relation)
-        if ratio is None:
-            ratio = sdi.min_ratio
-            if unseen is not None:
-                unseen[relation] += 1
-        adj[head, dep] = ratio
-    return adj
-
-
-def out_degrees(binary: np.ndarray) -> np.ndarray:
-    """Per-token out-degree excluding the self-loop."""
-    return binary.sum(axis=1) - 1.0
+        weight = 1.0 if sdi is None else sdi.ratios.get(relation)
+        if weight is None:
+            weight = sdi.min_ratio
+            unseen[relation] += 1
+        adj[head, dep] = weight
+        degrees[head] += 1.0  # AspectSample checks the edges form a tree: none repeats
+    return adj, degrees

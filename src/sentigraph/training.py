@@ -16,6 +16,7 @@ relation statistics and config, CRC-checked on load; only
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import zipfile
@@ -37,9 +38,9 @@ from .util import atomic_write, make_rng
 __all__ = [
     "Adam", "MetricsReport", "EpochStats", "TrainResult",
     "train", "evaluate", "metrics_from_confusion", "confusion_matrix",
-    "run_ablation", "layer_sweep", "ABLATION_VARIANTS", "apply_variant",
+    "train_and_score", "run_ablation", "layer_sweep", "ABLATION_VARIANTS", "apply_variant",
     "split_dev", "save_checkpoint", "load_checkpoint",
-    "write_epoch_log", "write_sweep_series",
+    "write_epoch_log", "write_scores",
 ]
 
 
@@ -289,44 +290,38 @@ def apply_variant(config: TrainConfig, variant: str) -> TrainConfig:
     return dataclasses.replace(config, **ABLATION_VARIANTS[variant])
 
 
+def train_and_score(configs: dict, train_samples, eval_samples,
+                    dev_samples) -> dict[object, MetricsReport]:
+    """Train each named config on one split, restore its best epoch, score it on the eval split."""
+    return {key: evaluate(train(config, list(train_samples), dev_samples).restore_best(),
+                          eval_samples)
+            for key, config in configs.items()}
+
+
 def run_ablation(config: TrainConfig, train_samples, eval_samples,
                  dev_samples=None) -> dict[str, MetricsReport]:
     """Train every variant from the same seed and score it on the eval split."""
-    results: dict[str, MetricsReport] = {}
-    for variant in ABLATION_VARIANTS:
-        variant_config = apply_variant(config, variant)
-        result = train(variant_config, list(train_samples), dev_samples)
-        results[variant] = evaluate(result.restore_best(), eval_samples)
-    return results
-
-
-@dataclass
-class SweepPoint:
-    gcn_layers: int
-    acc: float
-    macro_f1: float
+    return train_and_score({variant: apply_variant(config, variant)
+                            for variant in ABLATION_VARIANTS},
+                           train_samples, eval_samples, dev_samples)
 
 
 def layer_sweep(config: TrainConfig, train_samples, eval_samples,
-                dev_samples=None) -> list[SweepPoint]:
-    """Train one model per layer count of ``config.layer_sweep_range`` and collect the scores."""
-    points = []
-    for k in config.layer_sweep_range:
-        k_config = dataclasses.replace(config, gcn_layers=int(k))
-        result = train(k_config, list(train_samples), dev_samples)
-        metrics = evaluate(result.restore_best(), eval_samples)
-        points.append(SweepPoint(gcn_layers=int(k), acc=metrics.acc,
-                                 macro_f1=metrics.macro_f1))
-    if not points:
+                dev_samples=None) -> dict[int, MetricsReport]:
+    """Train one model per layer count of ``config.layer_sweep_range`` and score each."""
+    if not config.layer_sweep_range:
         raise ValueError("layer sweep needs a non-empty range")
-    return points
+    return train_and_score({int(k): dataclasses.replace(config, gcn_layers=int(k))
+                            for k in config.layer_sweep_range},
+                           train_samples, eval_samples, dev_samples)
 
 
-def write_sweep_series(path, points: list[SweepPoint]) -> None:
+def write_scores(path, key_column: str, scores: dict[object, MetricsReport]) -> None:
+    """A ``key_column<TAB>acc<TAB>macro_f1`` header, then one line per scored key."""
     with atomic_write(path) as f:
-        f.write("gcn_layers\tacc\tmacro_f1\n")
-        for p in points:
-            f.write(f"{p.gcn_layers}\t{p.acc!r}\t{p.macro_f1!r}\n")
+        f.write(f"{key_column}\tacc\tmacro_f1\n")
+        for key, report in scores.items():
+            f.write(f"{key}\t{report.acc!r}\t{report.macro_f1!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -359,27 +354,29 @@ def save_checkpoint(path, model: AspectSentimentModel,
 def load_checkpoint(path) -> AspectSentimentModel:
     """Rebuild the model :func:`save_checkpoint` wrote to ``path``.
 
-    Every member's CRC-32, then each ``.npy`` header's size, is checked before
-    a value is read; the parameters must match the rebuilt model's names and
-    shapes exactly. Any failure is a ValueError naming ``path``.
+    Each member's CRC-32 is checked as it is read, then its ``.npy`` header's
+    size against the bytes that follow; the parameters must match the rebuilt
+    model's names and shapes exactly. Any failure is a ValueError naming ``path``.
     """
     try:
         with zipfile.ZipFile(path) as archive:
-            damaged = archive.testzip()
-            if damaged is not None:
-                raise ValueError(f"member {damaged!r} fails its CRC-32 check")
             arrays = {}
             for info in archive.infolist():
                 with archive.open(info) as member:
-                    version = np.lib.format.read_magic(member)
-                    shape, fortran, dtype = (np.lib.format.read_array_header_1_0(member)
-                                             if version == (1, 0) else
-                                             np.lib.format.read_array_header_2_0(member))
-                    size = info.file_size - member.tell()
-                    if dtype.hasobject or math.prod(shape) * dtype.itemsize != size:
-                        raise ValueError(f"member {info.filename!r} declares shape {shape} "
-                                         f"of {dtype}, which its {size} bytes do not hold")
-                    values = np.frombuffer(member.read(), dtype)
+                    try:
+                        data = member.read()
+                    except zipfile.BadZipFile as e:  # zipfile checks the CRC-32 at a member's end
+                        raise ValueError(f"member {info.filename!r} fails its CRC-32 check") from e
+                header = io.BytesIO(data)
+                version = np.lib.format.read_magic(header)
+                shape, fortran, dtype = (np.lib.format.read_array_header_1_0(header)
+                                         if version == (1, 0) else
+                                         np.lib.format.read_array_header_2_0(header))
+                size = len(data) - header.tell()
+                if dtype.hasobject or math.prod(shape) * dtype.itemsize != size:
+                    raise ValueError(f"member {info.filename!r} declares shape {shape} "
+                                     f"of {dtype}, which its {size} bytes do not hold")
+                values = np.frombuffer(data, dtype, offset=header.tell())
                 arrays[info.filename.removesuffix(".npy")] = values.reshape(
                     shape, order="F" if fortran else "C")
         meta = json.loads(arrays.pop(_META).tobytes())

@@ -33,19 +33,18 @@ def atomic_write(path, mode: str = "w"):
 
     Readers see the previous complete file or the new complete one, never a
     torn one. If the block raises, the temporary file is removed and
-    ``path`` is untouched. There is no fsync: this guards against a crash
-    of the program, not of the machine.
+    ``path`` is untouched. An OSError about the temporary file (a missing
+    directory, a directory in the way) is raised naming ``path``. There is
+    no fsync: this guards against a crash of the program, not of the machine.
     """
     tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
     try:
-        f = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
-    except FileNotFoundError as e:  # a missing directory: name the file asked for
-        raise FileNotFoundError(e.errno, e.strerror, os.fspath(path)) from None
-    try:
-        with f:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            raise type(e)(e.errno, e.strerror, os.fspath(path)) from None
         raise

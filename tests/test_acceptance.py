@@ -9,6 +9,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,18 +22,14 @@ from sentigraph.corpus import LABELS, AspectSample, build_vocab
 from sentigraph.encoders import positional_encoding
 from sentigraph.model import AspectSentimentModel, gradient_check_suite
 from sentigraph.synthetic import CUES, make_synthetic_corpus
-from sentigraph.syntax import (
-    build_binary_adjacency,
-    build_sdi_adjacency,
-    collect_sdi_stats,
-)
+from sentigraph.syntax import build_adjacency, collect_sdi_stats
 from sentigraph.training import (
     apply_variant,
     confusion_matrix,
     layer_sweep,
     metrics_from_confusion,
     train,
-    write_sweep_series,
+    write_scores,
 )
 
 from conftest import random_tree_sample
@@ -109,8 +106,8 @@ def test_sdi_oracle():
     trees = [random_tree_sample(rng, n=int(rng.integers(2, 10))) for _ in range(1000)]
     stats = collect_sdi_stats(trees)
     for sample in trees:
-        binary = build_binary_adjacency(sample)
-        weighted = build_sdi_adjacency(sample, stats)
+        binary, _ = build_adjacency(sample, None, Counter())
+        weighted, _ = build_adjacency(sample, stats, Counter())
         assert np.array_equal(weighted != 0, binary != 0)
 
 
@@ -150,7 +147,7 @@ def test_ablation_structure(transpose_calls):
     for sample in corpus:
         adjacency, _ = ew_model.adjacency(sample)
         assert set(np.unique(adjacency)) <= {0.0, 1.0}
-        assert np.array_equal(adjacency, build_binary_adjacency(sample))
+        assert np.array_equal(adjacency, build_adjacency(sample, None, Counter())[0])
 
     d_config = apply_variant(base, "no_dependency")
     d_model = AspectSentimentModel(d_config, build_vocab(corpus))
@@ -247,9 +244,9 @@ def test_layer_sweep_harness(tmp_path):
     corpus = make_synthetic_corpus(9, seed=81)
     config = TrainConfig(d_w=8, d_h=8, gcn_layers=1, heads=2, ffn_width=16,
                          max_epochs=1, batch_size=8, seed=9, layer_sweep_range=(1, 2, 3, 4))
-    points = layer_sweep(config, corpus, corpus, dev_samples=corpus)
+    scores = layer_sweep(config, corpus, corpus, dev_samples=corpus)
     path = tmp_path / "sweep.tsv"
-    write_sweep_series(path, points)
+    write_scores(path, "gcn_layers", scores)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "gcn_layers\tacc\tmacro_f1"
     assert len(lines) == 5

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,18 @@ from sentigraph.bigcn import (
     init_gcn_stack,
 )
 from sentigraph.corpus import AspectSample
-from sentigraph.syntax import build_binary_adjacency, out_degrees
+from sentigraph.syntax import build_adjacency
 
 
 def chain_sample(n):
     deps = [(-1, 0, "root")] + [(i - 1, i, "dep") for i in range(1, n)]
     return AspectSample(tokens=tuple(f"w{i}" for i in range(n)), aspect_start=0,
                         aspect_len=1, label="neutral", deps=tuple(deps))
+
+
+def chain_graph(n):
+    """The binary adjacency and out-degrees of an n-token chain."""
+    return build_adjacency(chain_sample(n), None, Counter())
 
 
 def dense_oracle(h0, adj, deg, p):
@@ -51,23 +58,20 @@ class TestBigcnLayer:
         p, store = layer()
         for t in store.tensors():
             t.data[:] = 0.0
-        adj = build_binary_adjacency(chain_sample(3))
-        out = bigcn_layer(Tensor(rng.normal(size=(3, 4))), Tensor(adj),
-                          out_degrees(adj), p)
+        adj, deg = chain_graph(3)
+        out = bigcn_layer(Tensor(rng.normal(size=(3, 4))), Tensor(adj), deg, p)
         assert np.array_equal(out.data, np.zeros((3, 4)))
 
     def test_three_node_chain_matches_dense_oracle(self, rng):
         p, _ = layer(seed=2)
-        adj = build_binary_adjacency(chain_sample(3))
-        deg = out_degrees(adj)
+        adj, deg = chain_graph(3)
         h0 = rng.normal(size=(3, 4))
         out = bigcn_layer(Tensor(h0), Tensor(adj), deg, p).data
         assert np.allclose(out, dense_oracle(h0, adj, deg, p), atol=1e-12)
 
     def test_unidirectional_variant_matches_oracle(self, rng):
         p, _ = layer(seed=3, bidirectional=False)
-        adj = build_binary_adjacency(chain_sample(4))
-        deg = out_degrees(adj)
+        adj, deg = chain_graph(4)
         h0 = rng.normal(size=(4, 4))
         out = bigcn_layer(Tensor(h0), Tensor(adj), deg, p).data
         assert np.allclose(out, dense_oracle(h0, adj, deg, p), atol=1e-12)
@@ -75,8 +79,8 @@ class TestBigcnLayer:
     def test_zero_inputs_yield_relu_bias_everywhere(self, rng):
         p, _ = layer(seed=4)
         p.b_out.data[:] = rng.normal(size=4)
-        adj = build_binary_adjacency(chain_sample(5))
-        out = bigcn_layer(Tensor(np.zeros((5, 4))), Tensor(adj), out_degrees(adj), p)
+        adj, deg = chain_graph(5)
+        out = bigcn_layer(Tensor(np.zeros((5, 4))), Tensor(adj), deg, p)
         expected_row = np.maximum(p.b_out.data, 0.0)
         assert np.array_equal(out.data, np.tile(expected_row, (5, 1)))
 
@@ -92,8 +96,7 @@ class TestBigcnLayer:
 
 class TestTransposePathCounter:
     def test_counts_bidirectional_evaluations_only(self, rng, transpose_calls):
-        adj = build_binary_adjacency(chain_sample(3))
-        deg = out_degrees(adj)
+        adj, deg = chain_graph(3)
         h = Tensor(rng.normal(size=(3, 4)))
 
         p_uni, _ = layer(bidirectional=False)
@@ -114,8 +117,7 @@ class TestBigcnStack:
 
     def test_single_layer_stack_equals_layer(self, rng):
         layers, _ = self.stack(1)
-        adj = build_binary_adjacency(chain_sample(3))
-        deg = out_degrees(adj)
+        adj, deg = chain_graph(3)
         h0 = rng.normal(size=(3, 4))
         assert np.array_equal(
             bigcn_stack(Tensor(h0), Tensor(adj), deg, layers).data,
@@ -123,18 +125,16 @@ class TestBigcnStack:
 
     def test_three_layer_output_shape_and_finiteness(self, rng):
         layers, _ = self.stack(3)
-        adj = build_binary_adjacency(chain_sample(5))
-        out = bigcn_stack(Tensor(rng.normal(size=(5, 4))), Tensor(adj),
-                          out_degrees(adj), layers)
+        adj, deg = chain_graph(5)
+        out = bigcn_stack(Tensor(rng.normal(size=(5, 4))), Tensor(adj), deg, layers)
         assert out.shape == (5, 4)
         assert np.all(np.isfinite(out.data))
 
     def test_packed_blocks_match_each_sentence(self, rng):
         layers, store = self.stack(2, seed=10)
         samples = [chain_sample(n) for n in (3, 1, 5)]
-        adjs = [build_binary_adjacency(s) for s in samples]
+        adjs, degrees = map(list, zip(*(build_adjacency(s, None, Counter()) for s in samples)))
         adjs[2][4, 0] = 0.5  # not symmetric, so the transposed path differs
-        degrees = [out_degrees(a) for a in adjs]
         h0 = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
         weight = Tensor(rng.normal(size=(9, 4)))
 
@@ -162,8 +162,7 @@ class TestBigcnStack:
 
     def test_gradient_check_through_two_layers(self):
         layers, store = self.stack(2, d=3, seed=6)
-        adj = build_binary_adjacency(chain_sample(4))
-        deg = out_degrees(adj)
+        adj, deg = chain_graph(4)
         h0 = Tensor(np.random.default_rng(9).normal(size=(4, 3)), requires_grad=True)
 
         def loss(*_inputs):
@@ -175,8 +174,7 @@ class TestBigcnStack:
     def test_locality_radius_bounded_by_depth(self, rng):
         # on a path graph, nodes farther than the layer count stay bitwise unchanged
         n = 6
-        adj = build_binary_adjacency(chain_sample(n))
-        deg = out_degrees(adj)
+        adj, deg = chain_graph(n)
         for n_layers in (1, 2):
             layers, _ = self.stack(n_layers, seed=7)
             h0 = rng.normal(size=(n, 4))

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -22,6 +23,8 @@ CONLLU = """\
 3\twas\t_\t_\t_\t_\t4\tcop\t_\t_
 4\tlimited\t_\t_\t_\t_\t0\troot\t_\t_
 """
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))  # for subprocesses
 
 TINY_FLAGS = ["--d-w", "8", "--d-h", "8", "--gcn-layers", "1", "--heads", "2",
               "--ffn-width", "16", "--max-epochs", "2", "--batch-size", "8"]
@@ -137,10 +140,9 @@ class TestDispatch:
 
 
 def test_runtime_imports_load_no_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = ("import sys, sentigraph.cli, sentigraph.training; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
@@ -354,6 +356,38 @@ class TestEvalPredict:
         assert err.startswith(f"error: {path}: not a loadable checkpoint: ")
         assert phrase in err and err.count("\n") == 1
 
+    def test_output_onto_a_directory_names_it(self, data_dir, checkpoint, capsys):
+        out = data_dir / "outdir"
+        out.mkdir()
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(checkpoint),
+                         "--data", str(data_dir / "test.jsonl"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out}'\n"
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("stdout", ["full_device", "closed_pipe"])
+    def test_failed_write_to_stdout_fails_in_one_line(self, data_dir, checkpoint,
+                                                       stdout, buffered):
+        if stdout == "full_device" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="" if buffered else "1")
+        command = [sys.executable, "-m", "sentigraph", "eval", "--checkpoint", str(checkpoint),
+                   "--data", str(data_dir / "test.jsonl")]
+        if stdout == "full_device":
+            with open("/dev/full", "w") as full:
+                done = subprocess.run(command, env=env, stdout=full, stderr=subprocess.PIPE,
+                                      text=True, timeout=120)
+            status, err = done.returncode, done.stderr
+        else:
+            process = subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                                       stderr=subprocess.PIPE, text=True)
+            process.stdout.close()  # before the command can write anything
+            err = process.communicate(timeout=120)[1]
+            status = process.returncode
+        assert status == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_unseen_relations_are_counted_in_one_line(self, data_dir, checkpoint, command,
                                                       capsys):
@@ -425,6 +459,9 @@ class TestAblateSweep:
         assert lines[0] == "variant\tacc\tmacro_f1"
         variants = {line.split("\t")[0] for line in lines[1:]}
         assert variants == {"full", "no_dependency", "no_edge_weights", "no_bidirectional"}
+        manifest = read_manifest(out_dir / "manifest.json")
+        assert (manifest["command"], manifest["status"]) == ("ablate", "complete")
+        assert manifest["artifacts"] == {"table": str(out_dir / "ablation.tsv")}
 
     def test_sweep_emits_series(self, data_dir):
         out_dir = data_dir / "sweep"
@@ -436,6 +473,9 @@ class TestAblateSweep:
         lines = (out_dir / "sweep.tsv").read_text().strip().splitlines()
         assert lines[0] == "gcn_layers\tacc\tmacro_f1"
         assert [line.split("\t")[0] for line in lines[1:]] == ["1", "2"]
+        manifest = read_manifest(out_dir / "manifest.json")
+        assert (manifest["command"], manifest["status"]) == ("sweep", "complete")
+        assert manifest["artifacts"] == {"series": str(out_dir / "sweep.tsv")}
 
 
 class TestGradcheck:

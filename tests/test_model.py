@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from sentigraph.config import TrainConfig
 from sentigraph.corpus import EmbeddingTable, build_vocab
 from sentigraph.model import AspectSentimentModel, gradient_check_suite
 from sentigraph.synthetic import make_synthetic_corpus, random_tree_sample
-from sentigraph.syntax import build_sdi_adjacency, collect_sdi_stats
+from sentigraph.syntax import build_adjacency, collect_sdi_stats
 from sentigraph.training import ABLATION_VARIANTS, apply_variant
 
 from per_sample_reference import reference_loss, reference_probabilities
@@ -56,7 +57,7 @@ class TestForwardPass:
     def test_weighted_adjacency_matches_builder(self, fitted, corpus):
         sample = corpus[1]
         adjacency, _ = fitted.adjacency(sample)
-        assert np.array_equal(adjacency, build_sdi_adjacency(sample, fitted.sdi))
+        assert np.array_equal(adjacency, build_adjacency(sample, fitted.sdi, Counter())[0])
 
     def test_prediction_probabilities_normalized(self, fitted, corpus):
         for sample in corpus:

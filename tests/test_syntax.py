@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -7,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentigraph.corpus import AspectSample, load_dataset, save_dataset
-from sentigraph.syntax import (
-    build_binary_adjacency,
-    build_sdi_adjacency,
-    collect_sdi_stats,
-    out_degrees,
-)
+from sentigraph.syntax import build_adjacency, collect_sdi_stats
 
 from conftest import random_tree_sample
 
@@ -105,39 +101,51 @@ class TestCollectSdiStats:
         assert read_sdi_file(tmp_path / "sdi.txt") == (table.total_edges, dict(table.ratios))
 
 
+def binary(sample):
+    return build_adjacency(sample, None, Counter())
+
+
 class TestBinaryAdjacency:
     def test_single_token(self):
-        assert build_binary_adjacency(sample_with([(-1, 0, "root")], n=1)).tolist() == [[1.0]]
+        adj, degrees = binary(sample_with([(-1, 0, "root")], n=1))
+        assert adj.tolist() == [[1.0]]
+        assert degrees.tolist() == [0.0]
 
     def test_three_token_chain(self):
         # edges 0->1 and 1->2: ones at the diagonal plus (0,1) and (1,2)
         chain = sample_with([(-1, 0, "root"), (0, 1, "nsubj"), (1, 2, "dobj")])
         expected = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=float)
-        assert np.array_equal(build_binary_adjacency(chain), expected)
+        assert np.array_equal(binary(chain)[0], expected)
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_entries_are_binary(self, seed):
         sample = random_tree_sample(np.random.default_rng(seed))
-        adj = build_binary_adjacency(sample)
+        adj, _ = binary(sample)
         assert set(np.unique(adj)) <= {0.0, 1.0}
         assert np.all(np.diag(adj) == 1.0)
 
     def test_out_degrees_exclude_self_loop(self):
         chain = sample_with([(-1, 0, "root"), (0, 1, "nsubj"), (1, 2, "dobj")])
-        assert out_degrees(build_binary_adjacency(chain)).tolist() == [1.0, 1.0, 0.0]
+        assert binary(chain)[1].tolist() == [1.0, 1.0, 0.0]
+
+    def test_binary_graph_counts_no_relation(self):
+        unseen = Counter()
+        build_adjacency(sample_with([(-1, 0, "root"), (0, 1, "xcomp")]), None, unseen)
+        assert unseen == Counter()
 
 
 class TestSdiAdjacency:
     def test_single_token(self):
         table = collect_sdi_stats(TOY)
-        adj = build_sdi_adjacency(sample_with([(-1, 0, "root")], n=1), table)
+        adj, degrees = build_adjacency(sample_with([(-1, 0, "root")], n=1), table, Counter())
         assert adj.tolist() == [[1.0]]
+        assert degrees.tolist() == [0.0]
 
     def test_edge_weight_is_relation_ratio(self):
         table = collect_sdi_stats(TOY)
         sample = sample_with([(-1, 0, "root"), (0, 1, "nsubj")])
-        adj = build_sdi_adjacency(sample, table)
+        adj, _ = build_adjacency(sample, table, Counter())
         assert adj[0, 1] == 0.5
         assert adj[1, 0] == 0.0
 
@@ -145,13 +153,28 @@ class TestSdiAdjacency:
         # the fallback is counted per relation, not warned about
         table = collect_sdi_stats(TOY)
         sample = sample_with([(-1, 0, "root"), (0, 1, "xcomp"), (0, 2, "xcomp")], n=3)
-        unseen = Counter()
+        unseen, other = Counter(), Counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            adj = build_sdi_adjacency(sample, table, unseen)
-            build_sdi_adjacency(sample, table)
+            adj, _ = build_adjacency(sample, table, unseen)
+            build_adjacency(sample, table, other)
         assert adj[0, 1] == adj[0, 2] == table.min_ratio
-        assert unseen == Counter({"xcomp": 2})
+        assert unseen == other == Counter({"xcomp": 2})
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_each_unseen_edge_is_counted_once(self, seed):
+        gen = np.random.default_rng(seed)
+        table = collect_sdi_stats(TOY)
+        sample = random_tree_sample(gen, n=int(gen.integers(1, 12)))
+        sample = dataclasses.replace(sample, deps=tuple(
+            (h, d, str(gen.choice(["nsubj", "rare_a", "rare_b"]))) for h, d, _ in sample.deps))
+        unseen = Counter()
+        adj, _ = build_adjacency(sample, table, unseen)
+        edges = [(h, d, r) for h, d, r in sample.deps if h != -1]
+        assert unseen == Counter(r for _, _, r in edges if r not in table.ratios)
+        for h, d, r in edges:
+            assert adj[h, d] == table.ratios.get(r, table.min_ratio)
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -160,8 +183,10 @@ class TestSdiAdjacency:
         samples = [random_tree_sample(gen, n=int(gen.integers(2, 9))) for _ in range(4)]
         table = collect_sdi_stats(samples)
         for sample in samples:
-            binary = build_binary_adjacency(sample)
-            weighted = build_sdi_adjacency(sample, table)
-            assert np.array_equal(weighted != 0, binary != 0)
+            binary_adj, binary_deg = binary(sample)
+            weighted, weighted_deg = build_adjacency(sample, table, Counter())
+            assert np.array_equal(weighted != 0, binary_adj != 0)
             assert np.all(weighted >= 0) and np.all(weighted <= 1)
             assert np.all(np.diag(weighted) == 1.0)
+            assert weighted_deg.tobytes() == binary_deg.tobytes()
+            assert np.array_equal(binary_deg, binary_adj.sum(axis=1) - 1.0)

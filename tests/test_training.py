@@ -3,6 +3,7 @@ import math
 import os
 import tracemalloc
 import zipfile
+from collections import Counter
 from types import MappingProxyType
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sentigraph import autodiff as ad
+from sentigraph import training
 from sentigraph.autodiff import ParameterStore
 from sentigraph.config import (
     TrainConfig,
@@ -32,7 +34,7 @@ from sentigraph.corpus import (
 )
 from sentigraph.model import AspectSentimentModel
 from sentigraph.synthetic import make_synthetic_corpus
-from sentigraph.syntax import SdiTable, build_binary_adjacency, collect_sdi_stats
+from sentigraph.syntax import SdiTable, build_adjacency, collect_sdi_stats
 from sentigraph.training import (
     Adam,
     EpochStats,
@@ -47,7 +49,7 @@ from sentigraph.training import (
     split_dev,
     train,
     write_epoch_log,
-    write_sweep_series,
+    write_scores,
 )
 
 TINY = TrainConfig(d_w=8, d_h=8, gcn_layers=1, heads=2, ffn_width=16,
@@ -327,7 +329,7 @@ class TestAblation:
         for sample in corpus:
             adjacency, _deg = model.adjacency(sample)
             assert set(np.unique(adjacency)) <= {0.0, 1.0}
-            assert np.array_equal(adjacency, build_binary_adjacency(sample))
+            assert np.array_equal(adjacency, build_adjacency(sample, None, Counter())[0])
 
     def test_no_dependency_consumes_identity(self):
         corpus = tiny_corpus(6, seed=13)
@@ -353,21 +355,29 @@ class TestLayerSweep:
     def test_single_k_gives_single_row(self):
         corpus = tiny_corpus(6, seed=15)
         config = dataclasses.replace(TINY, max_epochs=1, layer_sweep_range=(1,))
-        points = layer_sweep(config, corpus, corpus, dev_samples=corpus)
-        assert len(points) == 1
-        assert points[0].gcn_layers == 1
+        scores = layer_sweep(config, corpus, corpus, dev_samples=corpus)
+        assert list(scores) == [1]
 
     def test_three_k_values_all_finite(self, tmp_path):
         corpus = tiny_corpus(6, seed=16)
         config = dataclasses.replace(TINY, max_epochs=1, layer_sweep_range=(1, 2, 3))
-        points = layer_sweep(config, corpus, corpus, dev_samples=corpus)
-        assert [p.gcn_layers for p in points] == [1, 2, 3]
-        assert all(math.isfinite(p.acc) and math.isfinite(p.macro_f1) for p in points)
+        scores = layer_sweep(config, corpus, corpus, dev_samples=corpus)
+        assert list(scores) == [1, 2, 3]
+        assert all(math.isfinite(r.acc) and math.isfinite(r.macro_f1) for r in scores.values())
         path = tmp_path / "sweep.tsv"
-        write_sweep_series(path, points)
+        write_scores(path, "gcn_layers", scores)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "gcn_layers\tacc\tmacro_f1"
         assert len(lines) == 4
+
+    def test_empty_range_fails_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a model")
+
+        monkeypatch.setattr(training, "train", no_training)
+        config = dataclasses.replace(TINY, layer_sweep_range=())
+        with pytest.raises(ValueError, match="non-empty range"):
+            layer_sweep(config, tiny_corpus(3, seed=15), [], dev_samples=[])
 
 
 class TestCheckpoint:
