@@ -17,11 +17,13 @@ every other shape mismatch raises :class:`ShapeError` immediately.
 
 A batch of B sequences is packed: their rows stacked in one matrix, with
 ``lengths`` giving each sequence's row count (:func:`segment_layout`).
-The sequence ops (:func:`lstm`, :func:`attention`, :func:`block_matmul`,
-:func:`segment_sum`, :func:`segment_softmax`) take such a matrix and keep
-the sequences apart, each as one tape node for the whole batch; padding to
-3-d blocks happens inside them only. :func:`attention` runs every head of a
-multi-head layer in its one node.
+The sequence ops (:func:`lstm`, :func:`attention`, :func:`segment_sum`,
+:func:`segment_softmax`) take such a matrix and keep the sequences apart,
+each as one tape node for the whole batch; padding to 3-d blocks happens
+inside them only. :func:`attention` runs every head of a multi-head layer
+in its one node. :func:`sparse_matmul` applies a constant
+:class:`SparseMatrix`, such as a batch's packed graph adjacency, by its
+entries.
 
 :func:`relu` and :func:`clamp_min` record on their tape node which side of
 the kink each input element lies on, where :func:`finite_diff_check` finds
@@ -191,7 +193,14 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup with scatter-add backward; `ids` may repeat."""
+    """Row lookup with scatter-add backward; `ids` may repeat.
+
+    When ``table`` is a leaf, such as an embedding table, backward sums the
+    gradient of each looked-up row and adds it straight into the leaf's
+    accumulator, so no table-sized array is made; the result is
+    bit-identical to adding a dense scattered gradient. An intermediate
+    ``table`` receives the dense gradient.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     td = table.data
     if td.ndim != 2 or ids.ndim != 1:
@@ -201,6 +210,13 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     out = td[ids]
 
     def backward(g):
+        if table._backward_fn is None:
+            rows, inverse = np.unique(ids, return_inverse=True)
+            sums = np.zeros((rows.size, g.shape[1]))
+            np.add.at(sums, inverse, g)
+            _check_finite(sums)
+            table.grad[rows] += sums
+            return (None,)
         gt = np.zeros_like(td)
         np.add.at(gt, ids, g)
         return (gt,)
@@ -399,31 +415,55 @@ def scale_rows(a: Tensor, w: Tensor) -> Tensor:
     return _make(ad * wc, (a, w), backward, "scale_rows")
 
 
-def block_matmul(blocks: list[np.ndarray], x: Tensor, transpose: bool = False) -> Tensor:
-    """Constant square matrix j (or its transpose) applied to sequence j's rows of ``x``.
+@dataclass
+class SparseMatrix:
+    """A constant ``shape`` matrix given by its entries: ``value[e]`` at ``(row[e], col[e])``.
 
-    This is the product of the block-diagonal matrix of ``blocks`` with
-    ``x`` without building it; one block is a plain ``blocks[0] @ x``.
+    Entries may come in any order; a repeated position sums.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+    shape: tuple[int, int]
+
+
+def _sum_entries(keys: np.ndarray, others: np.ndarray, value: np.ndarray, n_out: int,
+                 x: np.ndarray) -> np.ndarray:
+    """Row k of the (n_out x d) result sums ``value[e] * x[others[e]]`` over the entries keyed k.
+
+    The entries are sorted by key, stably, and each row's terms are added in
+    entry order by one ``np.add.reduceat``; a row no entry reaches is zero.
+    """
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    terms = x[others[order]]
+    terms *= value[order, None]
+    first = np.empty(keys.size, dtype=bool)  # where each key's run of entries begins
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    if starts.size == n_out and n_out:  # every row has an entry
+        return np.add.reduceat(terms, starts, axis=0)
+    out = np.zeros((n_out, x.shape[1]))
+    if starts.size:
+        out[keys[starts]] = np.add.reduceat(terms, starts, axis=0)
+    return out
+
+
+def sparse_matmul(m: SparseMatrix, x: Tensor, transpose: bool = False) -> Tensor:
+    """The constant sparse ``m`` (or its transpose) times the matrix ``x``, as one node.
+
+    Work and memory scale with the number of entries, not with ``m.shape``.
+    Backward applies the other orientation to the incoming gradient.
     """
     xd = x.data
-    sizes = [blk.shape[0] for blk in blocks]
-    if (xd.ndim != 2 or not blocks or sum(sizes) != xd.shape[0]
-            or any(blk.shape != (s, s) for blk, s in zip(blocks, sizes))):
-        _shape_fail("block_matmul", xd.shape, *[blk.shape for blk in blocks])
-    mats = [blk.T for blk in blocks] if transpose else blocks
-    bounds = np.cumsum([0] + sizes).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-
-    def apply(ms, rows):
-        if len(ms) == 1:
-            return ms[0] @ rows
-        out = np.empty_like(rows)
-        for m, (lo, hi) in zip(ms, spans):
-            out[lo:hi] = m @ rows[lo:hi]
-        return out
-
-    return _make(apply(mats, xd), (x,), lambda g: (apply([m.T for m in mats], g),),
-                 "block_matmul")
+    n_out, n_in = m.shape[::-1] if transpose else m.shape
+    if xd.ndim != 2 or xd.shape[0] != n_in:
+        _shape_fail("sparse_matmul", m.shape, xd.shape)
+    keys, others = (m.col, m.row) if transpose else (m.row, m.col)
+    return _make(_sum_entries(keys, others, m.value, n_out, xd), (x,),
+                 lambda g: (_sum_entries(others, keys, m.value, n_in, g),), "sparse_matmul")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tensor:

@@ -7,12 +7,19 @@ combine weight, bias, and ReLU.
 
 The states are a packed batch: the token rows of B sentences stacked in
 one N_total x d matrix. The adjacency is the list of the sentences' dense
-n_j x n_j matrices, in the same order, and each direction applies the whole
-list in one :func:`autodiff.block_matmul` node, the reverse one with each
-matrix transposed; no cross-sentence matrix is ever built. A single
-sentence may pass its adjacency as one Tensor, and is then exactly a
-dense ``adj @ h`` product. ``degrees`` is the packed (N_total,)
-vector of out-degrees.
+n_j x n_j matrices, in the same order; a single sentence may pass its
+adjacency as one Tensor. ``degrees`` is the packed (N_total,) vector of
+out-degrees. The stack reads the adjacency's nonzero entries once, as one
+packed entry list for the whole batch, and each direction of a layer is
+one :func:`autodiff.sparse_matmul` node over it, the reverse one
+transposed; no dense or cross-sentence matrix is multiplied.
+
+A caller that reads only some output rows passes them as ``rows``.
+:func:`receptive_field` then walks the graph backward from them: a layer's
+input rows are its output rows plus their neighbours along the directions
+it aggregates. Each layer computes only its own rows, as
+``(A[out, in] h) W``, and the stack's result holds zeros in every row
+outside ``rows``. ``rows=None`` is the same walk over every row.
 """
 
 from __future__ import annotations
@@ -75,32 +82,113 @@ def init_gcn_stack(store: ParameterStore, prefix: str, d_in: int, d_out: int,
 Adjacency = Tensor | list[np.ndarray]
 
 
-def bigcn_layer(h_prev: Tensor, adjacency: Adjacency, degrees: np.ndarray,
-                params: GcnLayerParams) -> Tensor:
-    """One message-passing step: aggregate, concatenate, degree-normalize, combine."""
-    n, d_in = h_prev.shape
+@dataclass
+class Hop:
+    """The rows one layer computes and the adjacency entries it reads.
+
+    ``out`` holds the packed indices of the layer's output rows, ascending.
+    Its input rows are the previous hop's ``out``, or every row for the
+    first layer, numbered in the same order. ``forward`` is A[out, in], and
+    ``reverse`` is A[in, out], applied transposed, or None when the layer
+    has no reverse direction.
+    """
+
+    out: np.ndarray
+    forward: ad.SparseMatrix
+    reverse: ad.SparseMatrix | None
+
+
+def receptive_field(adjacency: Adjacency, n: int, rows: np.ndarray | None,
+                    layers: list[GcnLayerParams]) -> list[Hop]:
+    """One :class:`Hop` per layer, so that the last computes exactly ``rows`` (None: every row)."""
     blocks = [adjacency.data] if isinstance(adjacency, Tensor) else adjacency
-    if sum(blk.shape[0] for blk in blocks) != n:
+    sizes = [blk.shape[0] for blk in blocks]
+    if sum(sizes) != n or any(blk.shape != (size, size) for blk, size in zip(blocks, sizes)):
         raise ad.ShapeError(f"bigcn_layer: adjacency {[blk.shape for blk in blocks]} "
                             f"for {n} tokens")
+    keep = np.ones(n, dtype=bool) if rows is None else np.asarray(rows)
+    if keep.shape != (n,) or keep.dtype != bool:
+        raise ad.ShapeError(f"bigcn_stack: rows must be a boolean mask of {n} rows")
+    # the nonzero entries of the block-diagonal adjacency, in packed indices
+    parts, offset = [], 0
+    for blk in blocks:
+        r, c = blk.nonzero()
+        parts.append((r + offset, c + offset, blk[r, c]))
+        offset += blk.shape[0]
+    row, col, value = (np.concatenate(part) for part in zip(*parts))
+
+    # each layer's output rows, found backward from the last layer's
+    out_rows = [keep]
+    for params in layers[:0:-1]:
+        reached = out_rows[-1]
+        wider = reached.copy()
+        wider[col[reached[row]]] = True
+        if params.bidirectional:
+            wider[row[reached[col]]] = True
+        out_rows.append(wider)
+    out_rows.reverse()
+
+    hops = []
+    in_pos, n_in = np.arange(n), n  # the first layer reads every row
+    for params, mask in zip(layers, out_rows):
+        out = mask.nonzero()[0]
+        out_pos = mask.cumsum() - 1
+        fwd = mask[row]
+        forward = ad.SparseMatrix(out_pos[row[fwd]], in_pos[col[fwd]], value[fwd],
+                                  (out.size, n_in))
+        reverse = None
+        if params.bidirectional:
+            rev = mask[col]
+            reverse = ad.SparseMatrix(in_pos[row[rev]], out_pos[col[rev]], value[rev],
+                                      (n_in, out.size))
+        hops.append(Hop(out, forward, reverse))
+        in_pos, n_in = out_pos, out.size
+    return hops
+
+
+def bigcn_layer(h_prev: Tensor, adjacency: Adjacency | Hop, degrees: np.ndarray,
+                params: GcnLayerParams) -> Tensor:
+    """One message-passing step: aggregate, concatenate, degree-normalize, combine.
+
+    Given a :class:`Hop`, only its output rows are computed, one per row of
+    the result; given an adjacency, the layer is a one-layer stack.
+    """
+    if not isinstance(adjacency, Hop):
+        return bigcn_stack(h_prev, adjacency, degrees, [params])
+    hop = adjacency
+    d_in = h_prev.shape[1]
     if d_in != params.d_in:
         raise ad.ShapeError(f"bigcn_layer: input width {d_in} != weight width {params.d_in}")
-    forward = ad.block_matmul(blocks, ad.matmul(h_prev, params.w_fwd))
+    combined = ad.matmul(ad.sparse_matmul(hop.forward, h_prev), params.w_fwd)
     if params.bidirectional:
-        backward = ad.block_matmul(blocks, ad.matmul(h_prev, params.w_bwd), transpose=True)
-        combined = ad.concat([forward, backward], axis=1)
-    else:
-        combined = forward
-    inv = 1.0 / (np.asarray(degrees, dtype=np.float64) + 1.0)
+        backward = ad.matmul(ad.sparse_matmul(hop.reverse, h_prev, transpose=True),
+                             params.w_bwd)
+        combined = ad.concat([combined, backward], axis=1)
+    inv = 1.0 / (np.asarray(degrees, dtype=np.float64)[hop.out] + 1.0)
     normed = ad.scale_rows(combined, Tensor(inv))
     return ad.relu(ad.add(ad.matmul(normed, params.w_out), params.b_out))
 
 
 def bigcn_stack(h0: Tensor, adjacency: Adjacency, degrees: np.ndarray,
-                layers: list[GcnLayerParams]) -> Tensor:
+                layers: list[GcnLayerParams], rows: np.ndarray | None = None) -> Tensor:
+    """The stacked layers' N x d output; ``rows``, a boolean (N,) mask, limits it to the rows read.
+
+    Each layer computes only the rows within reach of ``rows``, and every
+    row outside ``rows`` of the result is zero. ``rows=None`` computes
+    every row.
+    """
     if not layers:
         raise ValueError("need at least one graph convolution layer")
+    n = h0.shape[0]
+    hops = receptive_field(adjacency, n, rows, layers)
+    if np.shape(degrees) != (n,):
+        raise ad.ShapeError(f"bigcn_stack: degrees of shape {np.shape(degrees)} for {n} tokens")
     h = h0
-    for params in layers:
-        h = bigcn_layer(h, adjacency, degrees, params)
-    return h
+    for params, hop in zip(layers, hops):
+        h = bigcn_layer(h, hop, degrees, params)
+    out = hops[-1].out
+    if out.size == n:
+        return h
+    # the computed rows back in their packed places, zeros elsewhere
+    return ad.sparse_matmul(ad.SparseMatrix(out, np.arange(out.size), np.ones(out.size),
+                                            (n, out.size)), h)

@@ -30,22 +30,27 @@ from .corpus import LABELS
 PROB_FLOOR = 1e-12
 
 
-def aspect_mask(h_gcn: Tensor, spans, lengths=None) -> Tensor:
-    """Keep each sentence's rows inside its span; zero the rest.
+def aspect_rows(spans, lengths, n: int) -> np.ndarray:
+    """Boolean (n,) mask of the rows inside each sentence's aspect span.
 
     ``spans`` holds one ``(aspect_start, aspect_len)`` pair per sentence,
     with the start counted from the sentence's first row.
     """
-    n = h_gcn.shape[0]
     lengths, offsets = ad.segment_layout(lengths, n, "aspect_mask")
     if len(spans) != lengths.size:
         raise ValueError(f"{len(spans)} aspect spans for {lengths.size} sentences")
-    keep = np.zeros(n)
+    keep = np.zeros(n, dtype=bool)
     for (start, span), first, length in zip(spans, offsets.tolist(), lengths.tolist()):
         if not (0 <= start and span >= 1 and start + span <= length):
             raise ValueError(f"aspect span [{start}, {start + span}) "
                              f"outside sentence of length {length}")
-        keep[first + start:first + start + span] = 1.0
+        keep[first + start:first + start + span] = True
+    return keep
+
+
+def aspect_mask(h_gcn: Tensor, spans, lengths=None) -> Tensor:
+    """Keep each sentence's rows inside its span (see :func:`aspect_rows`); zero the rest."""
+    keep = aspect_rows(spans, lengths, h_gcn.shape[0])
     return ad.scale_rows(h_gcn, Tensor(keep))
 
 

@@ -13,9 +13,16 @@ N_total rows; sentence j owns rows ``offsets[j]:offsets[j + 1]``, where
     -> fused with each sentence's projected transformer mean
     -> 3-way softmax, one row per sample (B x 3)
 
+When the attention scores and pools the Bi-LSTM states (the default
+``attention_states="lstm"``), the Bi-GCN output reaches the loss only
+through the aspect masks. The stack then computes, at each layer, only
+the rows the aspect rows depend on, and ``h_gcn`` reads 0 outside the
+aspect rows. With ``attention_states="gcn"`` it computes every row.
+
 Nothing mixes sentences: a sample's probabilities are the same alone and
 at any position in any batch, up to rounding. ``predict(sample)`` is a
-batch of one; ``predict_all`` runs ``config.batch_size`` chunks.
+batch of one; ``predict_all`` runs ``config.batch_size`` chunks of
+samples sorted by length.
 
 Ablation switches replace the adjacency with the binary or identity matrix
 and can drop the reversed message-passing direction. Edges whose relation
@@ -58,7 +65,7 @@ class ForwardPass:
     z_out: Tensor                # N_total x d_w
     adjacency: list[np.ndarray]  # one n_j x n_j matrix per sample
     degrees: np.ndarray          # (N_total,)
-    h_gcn: Tensor                # N_total x 2*d_h
+    h_gcn: Tensor                # N_total x 2*d_h; 0 outside the aspect rows (lstm states)
     h_mask: Tensor               # N_total x 2*d_h
     alpha: Tensor                # (N_total,), sums to 1 within each sample
     pooled: Tensor               # B x 2*d_h
@@ -123,10 +130,13 @@ class AspectSentimentModel:
         z_out = encoders.transformer_encode(embedded, self.transformer, lengths)
         adjacency, degrees = zip(*(self.adjacency(s) for s in samples))
         adjacency, degrees = list(adjacency), np.concatenate(degrees)
-        h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers)
-        h_mask = head.aspect_mask(h_gcn, [(s.aspect_start, s.aspect_len) for s in samples],
-                                  lengths)
-        states = h_lstm if self.config.attention_states == "lstm" else h_gcn
+        spans = [(s.aspect_start, s.aspect_len) for s in samples]
+        lstm_states = self.config.attention_states == "lstm"
+        # with the LSTM states attended, only the aspect rows of h_gcn are read
+        rows = head.aspect_rows(spans, lengths, h_lstm.shape[0]) if lstm_states else None
+        h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers, rows)
+        h_mask = head.aspect_mask(h_gcn, spans, lengths)
+        states = h_lstm if lstm_states else h_gcn
         alpha, pooled = head.aspect_attention(states, h_mask, lengths)
         res_out = head.fuse(pooled, z_out, self.fusion, lengths)
         prob = head.classify(res_out, self.classifier)
@@ -140,11 +150,21 @@ class AspectSentimentModel:
         return self.forward([sample]).predictions[0]
 
     def predict_all(self, samples) -> list[Prediction]:
-        """Predictions for every sample, computed in chunks of ``config.batch_size``."""
+        """Predictions for every sample, in input order.
+
+        The samples run in chunks of ``config.batch_size`` after a stable
+        sort by length, so a chunk's sentences pad the LSTM and attention
+        blocks little.
+        """
         samples = list(samples)
+        order = sorted(range(len(samples)), key=lambda i: samples[i].n)
+        predictions = [None] * len(samples)
         size = self.config.batch_size
-        return [p for start in range(0, len(samples), size)
-                for p in self.forward(samples[start:start + size]).predictions]
+        for start in range(0, len(order), size):
+            chunk = order[start:start + size]
+            for i, p in zip(chunk, self.forward([samples[i] for i in chunk]).predictions):
+                predictions[i] = p
+        return predictions
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +178,11 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.nd
     # three packed sequences, given unsorted so the LSTM reorders them
     lengths = (2, 3, 1)
     w6 = arr(6, 3)
-    blocks = [arr(n, n) for n in lengths]
+    # 14 values, drawn as three blocks to leave the later entries' draws unchanged,
+    # as the entries of a 6 x 6 matrix: unsorted, one position repeated, row and
+    # column 5 empty
+    values = np.concatenate([arr(n, n).ravel() for n in lengths])
+    sparse = ad.SparseMatrix(np.arange(14) % 5, 2 * np.arange(14) % 5, values, (6, 6))
     return [
         ("matmul", lambda a, b: ad.reduce_sum(ad.mul(ad.matmul(a, b), w)),
          [arr(3, 4), arr(4, 2)]),
@@ -195,8 +219,9 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.nd
         ("attention", lambda q, k, v: ad.reduce_sum(ad.mul(ad.attention(q, k, v, 2, lengths),
                                                            ad.Tensor(w6[:, :2]))),
          [arr(6, 2), arr(6, 2), arr(6, 3)[:, :2]]),
-        ("block_matmul", lambda a: ad.reduce_sum(ad.tanh(ad.concat(
-            [ad.block_matmul(blocks, a), ad.block_matmul(blocks, a, transpose=True)], axis=1))),
+        ("sparse_matmul", lambda a: ad.reduce_sum(ad.tanh(ad.concat(
+            [ad.sparse_matmul(sparse, a), ad.sparse_matmul(sparse, a, transpose=True)],
+            axis=1))),
          [arr(6, 3)]),
         ("segment_sum", lambda a: ad.reduce_sum(ad.tanh(ad.segment_sum(a, lengths))),
          [arr(6, 3)]),

@@ -180,6 +180,14 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """A training run's model, its best epoch's parameters and its epoch log.
+
+    When the last epoch is the best, or there is no dev split,
+    ``best_state`` holds the model's own parameter arrays rather than a
+    copy: restoring it changes nothing, and further updates to the model
+    change it too.
+    """
+
     model: AspectSentimentModel          # holds the final-epoch parameters
     best_state: dict[str, np.ndarray]    # parameters at the best dev accuracy
     best_epoch: int
@@ -230,7 +238,10 @@ def train(config: TrainConfig, train_samples, dev_samples=None,
     shuffle_rng = make_rng(config.seed, "shuffle")
 
     log: list[EpochStats] = []
-    best_state = None  # the first dev epoch always improves on best_acc
+    # while the live parameters are the best epoch's, best_state is copied only
+    # before a step would overwrite them; the first dev epoch always improves on best_acc
+    best_state = None
+    best_is_live = False
     best_epoch = 0
     best_acc = -1.0
     n = len(train_samples)
@@ -239,6 +250,9 @@ def train(config: TrainConfig, train_samples, dev_samples=None,
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = [train_samples[i] for i in order[start:start + config.batch_size]]
+            if best_is_live:
+                best_state = model.parameters.state_dict()
+                best_is_live = False
             model.parameters.zero_grads()
             loss = head.compute_loss(model.forward(batch).prob, [s.label for s in batch],
                                      model.parameters, config.lambda_l2)
@@ -256,11 +270,13 @@ def train(config: TrainConfig, train_samples, dev_samples=None,
         if dev_metrics and dev_metrics.acc > best_acc:
             best_acc = dev_metrics.acc
             best_epoch = epoch
-            best_state = model.parameters.state_dict()
+            best_is_live = True
     if not dev_samples:
-        best_state = model.parameters.state_dict()
         best_epoch = len(log)
         best_acc = float("nan")
+        best_is_live = True
+    if best_is_live:
+        best_state = {name: t.data for name, t in model.parameters.items()}
     return TrainResult(model=model, best_state=best_state, best_epoch=best_epoch,
                        best_dev_acc=best_acc, log=log)
 

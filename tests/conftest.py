@@ -14,20 +14,21 @@ def rng():
 
 @pytest.fixture
 def transpose_calls(monkeypatch):
-    """The blocks of every ``ad.block_matmul(..., transpose=True)`` call, in order.
+    """The matrix of every ``ad.sparse_matmul(..., transpose=True)`` call, in order.
 
-    The reverse Bi-GCN direction is the only caller of the transposed form,
-    so its length counts evaluations of the reverse message-passing path.
+    The reverse Bi-GCN aggregation is the only caller of the transposed
+    form, so its length counts evaluations of the reverse message-passing
+    path.
     """
     calls = []
-    block_matmul = ad.block_matmul
+    sparse_matmul = ad.sparse_matmul
 
-    def counting(blocks, x, transpose=False):
+    def counting(m, x, transpose=False):
         if transpose:
-            calls.append(blocks)
-        return block_matmul(blocks, x, transpose=transpose)
+            calls.append(m)
+        return sparse_matmul(m, x, transpose=transpose)
 
-    monkeypatch.setattr(ad, "block_matmul", counting)
+    monkeypatch.setattr(ad, "sparse_matmul", counting)
     return calls
 
 

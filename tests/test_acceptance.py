@@ -38,7 +38,7 @@ PRIMITIVE_OPS = {
     "matmul", "add", "mul", "concat", "slice", "transpose", "tanh", "sigmoid",
     "relu", "exp", "log", "scale", "clamp_min", "softmax", "reduce_sum",
     "reduce_mean", "sum_squares", "layer_norm", "gather_rows", "lstm",
-    "lstm_lengths", "attention", "block_matmul", "segment_sum", "segment_softmax",
+    "lstm_lengths", "attention", "sparse_matmul", "segment_sum", "segment_softmax",
     "scale_rows",
 }
 

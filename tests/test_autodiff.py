@@ -165,6 +165,44 @@ def test_gather_rows_scatter_add_backward():
     assert np.array_equal(table.grad, expected)
 
 
+def test_gather_rows_into_a_leaf_adds_the_dense_scatter_bit_for_bit():
+    rng = np.random.default_rng(43)
+    ids = rng.integers(0, 6, 40)  # repeated ids, whose sum rounds differently by association
+    g = rng.normal(size=(40, 3))
+    dense = np.zeros((6, 3))
+    np.add.at(dense, ids, g)
+
+    table = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    table.grad[:] = rng.normal(size=(6, 3)) * 100  # an earlier contribution, such as the L2 term
+    expected = table.grad + dense
+    ad.backward(ad.reduce_sum(ad.mul(ad.gather_rows(table, ids), ad.Tensor(g))))
+    assert np.array_equal(table.grad, expected)
+
+    # an intermediate table takes the dense gradient through its own op
+    leaf = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    ad.backward(ad.reduce_sum(ad.mul(ad.gather_rows(ad.scale(leaf, 2.0), ids), ad.Tensor(g))))
+    assert np.array_equal(leaf.grad, dense * 2.0)
+
+
+def test_sparse_matmul_is_the_dense_product_in_both_orientations():
+    rng = np.random.default_rng(44)
+    # (2, 1) appears twice; row 1 and column 3 hold no entry
+    m = ad.SparseMatrix(np.array([2, 0, 2, 2]), np.array([1, 2, 1, 0]), rng.normal(size=4),
+                        (3, 4))
+    dense = np.zeros((3, 4))
+    np.add.at(dense, (m.row, m.col), m.value)
+    x, y = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+
+    out = ad.sparse_matmul(m, ad.Tensor(x)).data
+    assert np.max(np.abs(out - dense @ x)) < 1e-15
+    assert np.array_equal(out[1], np.zeros(2))
+    out_t = ad.sparse_matmul(m, ad.Tensor(y), transpose=True).data
+    assert np.max(np.abs(out_t - dense.T @ y)) < 1e-15
+    assert np.array_equal(out_t[3], np.zeros(2))
+    with pytest.raises(ad.ShapeError, match="sparse_matmul"):
+        ad.sparse_matmul(m, ad.Tensor(y))
+
+
 def test_clamp_min_blocks_gradient_below_floor():
     t = ad.Tensor(np.array([1e-20, 0.5]), requires_grad=True)
     out = ad.reduce_sum(ad.log(ad.clamp_min(t, 1e-12)))

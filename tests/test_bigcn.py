@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentigraph import autodiff as ad
 from sentigraph.autodiff import ParameterStore, Tensor
@@ -10,8 +12,10 @@ from sentigraph.bigcn import (
     bigcn_stack,
     init_gcn_layer,
     init_gcn_stack,
+    receptive_field,
 )
 from sentigraph.corpus import AspectSample
+from sentigraph.synthetic import random_tree_sample
 from sentigraph.syntax import build_adjacency
 
 
@@ -92,6 +96,9 @@ class TestBigcnLayer:
         with pytest.raises(ad.ShapeError, match="width"):
             bigcn_layer(Tensor(rng.normal(size=(2, 5))), Tensor(np.eye(2)),
                         np.zeros(2), p)
+        with pytest.raises(ad.ShapeError, match="degrees"):
+            bigcn_layer(Tensor(rng.normal(size=(2, 4))), Tensor(np.eye(2)),
+                        np.zeros(3), p)
 
 
 class TestTransposePathCounter:
@@ -155,6 +162,14 @@ class TestBigcnStack:
         for got, want in zip([packed.data] + packed_grads, [np.concatenate(parts)] + grads(loss)):
             assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_rows_must_be_a_boolean_mask_of_every_row(self, rng):
+        layers, _ = self.stack(2)
+        adj, deg = chain_graph(3)
+        h0 = Tensor(rng.normal(size=(3, 4)))
+        for rows in (np.ones(4, dtype=bool), np.array([0, 2]), np.ones(3)):
+            with pytest.raises(ad.ShapeError, match="rows"):
+                bigcn_stack(h0, Tensor(adj), deg, layers, rows)
+
     def test_empty_stack_rejected(self, rng):
         with pytest.raises(ValueError, match="at least one"):
             bigcn_stack(Tensor(rng.normal(size=(2, 4))), Tensor(np.eye(2)),
@@ -199,3 +214,43 @@ class TestBigcnStack:
             if i != 1:
                 assert np.array_equal(base[i], after[i])
         assert not np.array_equal(base[1], after[1])
+
+
+def dense_of(m):
+    """The dense matrix of an ``ad.SparseMatrix``."""
+    out = np.zeros(m.shape)
+    np.add.at(out, (m.row, m.col), m.value)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 3),
+       n_layers=st.integers(1, 3), bidirectional=st.booleans(), share=st.floats(0.0, 1.0))
+def test_receptive_field_matches_dense_bfs(seed, n_samples, n_layers, bidirectional, share):
+    rng = np.random.default_rng(seed)
+    adjs = [build_adjacency(random_tree_sample(rng, n=int(n)), None, Counter())[0]
+            for n in rng.integers(1, 41, n_samples)]
+    n = sum(adj.shape[0] for adj in adjs)
+    dense = np.zeros((n, n))
+    lo = 0
+    for adj in adjs:
+        dense[lo:lo + adj.shape[0], lo:lo + adj.shape[0]] = adj
+        lo += adj.shape[0]
+    linked = (dense + dense.T) > 0 if bidirectional else dense > 0
+    rows = rng.random(n) < share
+    layers = init_gcn_stack(ParameterStore(), "gcn", 2, 2, n_layers, rng,
+                            bidirectional=bidirectional)
+
+    hops = receptive_field(adjs, n, rows, layers)
+    reached = rows
+    for l in range(n_layers - 1, -1, -1):
+        # a layer computes what the next one reads: its rows plus their neighbours
+        out = np.flatnonzero(reached)
+        assert np.array_equal(hops[l].out, out)
+        inputs = hops[l - 1].out if l else np.arange(n)
+        assert np.array_equal(dense_of(hops[l].forward), dense[np.ix_(out, inputs)])
+        if bidirectional:
+            assert np.array_equal(dense_of(hops[l].reverse), dense[np.ix_(inputs, out)])
+        else:
+            assert hops[l].reverse is None
+        reached = reached | linked[reached].any(axis=0)

@@ -3,9 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentigraph import autodiff as ad
-from sentigraph import head
+from sentigraph import bigcn, head
 from sentigraph.config import TrainConfig
 from sentigraph.corpus import EmbeddingTable, build_vocab
 from sentigraph.model import AspectSentimentModel, gradient_check_suite
@@ -124,12 +126,54 @@ class TestPackedBatch:
     def test_predict_all_chunks_by_batch_size(self, monkeypatch):
         model, batch = mixed_batch_model("full", "lstm")
         model.config = dataclasses.replace(model.config, batch_size=3)
-        sizes = []
+        chunks = []
         forward = model.forward
-        monkeypatch.setattr(model, "forward", lambda b: sizes.append(len(b)) or forward(b))
-        labels = [p.predicted_label for p in model.predict_all(batch)]
-        assert sizes == [3, 1]
-        assert labels == [model.predict(s).predicted_label for s in batch]
+        monkeypatch.setattr(model, "forward",
+                            lambda b: chunks.append([s.n for s in b]) or forward(b))
+        predictions = model.predict_all(batch)
+        assert chunks == [[1, 2, 9], [40]]  # sorted by length, then chunked
+        for sample, prediction in zip(batch, predictions):  # back in input order
+            assert np.max(np.abs(prediction.prob - model.predict(sample).prob)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 3),
+           variant=st.sampled_from(sorted(ABLATION_VARIANTS)),
+           attention_states=st.sampled_from(["lstm", "gcn"]), n_layers=st.integers(1, 3))
+    def test_pruned_graph_rows_match_the_all_rows_path(self, seed, n_samples, variant,
+                                                       attention_states, n_layers):
+        rng = np.random.default_rng(seed)
+        # uniform lengths: drawn by hypothesis they would cluster at the small end
+        batch = [random_tree_sample(rng, n=int(n)) for n in rng.integers(1, 41, n_samples)]
+        config = dataclasses.replace(apply_variant(CONFIG, variant), gcn_layers=n_layers,
+                                     attention_states=attention_states, lambda_l2=1e-3)
+        # statistics from a wider corpus, so that length-1 batches have some
+        sdi = collect_sdi_stats(batch + [random_tree_sample(rng, n=8)])
+        model = AspectSentimentModel(config, build_vocab(batch), sdi=sdi)
+        for t in model.parameters.tensors():
+            t.data = t.data + rng.normal(scale=0.2, size=t.shape)
+
+        def run():
+            model.parameters.zero_grads()
+            fp = model.forward(batch)
+            ad.backward(head.compute_loss(fp.prob, [s.label for s in batch], model.parameters,
+                                          config.lambda_l2))
+            return fp, {name: t.grad.copy() for name, t in model.parameters.items()}
+
+        pruned, pruned_grads = run()
+        stack = bigcn.bigcn_stack
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bigcn, "bigcn_stack",
+                          lambda h0, adjacency, degrees, layers, rows=None:
+                          stack(h0, adjacency, degrees, layers))
+            full, full_grads = run()
+
+        if attention_states == "lstm":  # only the aspect rows are computed
+            rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in batch],
+                                    pruned.lengths, pruned.h_gcn.shape[0])
+            assert not pruned.h_gcn.data[~rows].any()
+        assert np.max(np.abs(pruned.prob.data - full.prob.data)) <= 1e-12
+        for name, want in full_grads.items():
+            assert np.max(np.abs(pruned_grads[name] - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     def test_empty_batch_rejected(self, fitted):
         with pytest.raises(ValueError, match="at least one"):

@@ -4,7 +4,7 @@ import os
 import tracemalloc
 import zipfile
 from collections import Counter
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -283,15 +283,35 @@ class TestTrain:
         train(config, tiny_corpus(7), dev_samples=tiny_corpus(4, seed=1))
         assert sizes == [3, 3, 1, 3, 1]  # three training batches, then two dev chunks
 
-    def test_parameters_copied_once_per_improving_epoch(self, monkeypatch):
+    def test_best_state_copied_only_before_a_step_overwrites_it(self, monkeypatch):
         copies = []
         state_dict = ParameterStore.state_dict
         monkeypatch.setattr(ParameterStore, "state_dict",
                             lambda self: copies.append(1) or state_dict(self))
-        result = train(dataclasses.replace(TINY, max_epochs=1), tiny_corpus(6),
-                       dev_samples=tiny_corpus(3, seed=1))
-        assert result.best_epoch == 1
-        assert len(copies) == 1
+
+        def run(dev_accs):
+            accs = iter(dev_accs)
+            monkeypatch.setattr(training, "evaluate",
+                                lambda model, samples: SimpleNamespace(acc=next(accs),
+                                                                       macro_f1=0.0))
+            copies.clear()
+            return train(dataclasses.replace(TINY, max_epochs=len(dev_accs)), tiny_corpus(6),
+                         dev_samples=tiny_corpus(3, seed=1))
+
+        # the last epoch is the best: no copy, the model's own arrays
+        for accs, n_copies in (([0.5], 0), ([0.5, 0.7], 1)):
+            result = run(accs)
+            assert (result.best_epoch, len(copies)) == (len(accs), n_copies)
+            assert all(result.best_state[name] is t.data
+                       for name, t in result.model.parameters.items())
+        last_best = {name: a.copy() for name, a in result.best_state.items()}
+
+        # epochs 1 and 2 improve, each before another step: two copies, epoch 2's values
+        result = run([0.5, 0.7, 0.6])
+        assert (result.best_epoch, len(copies)) == (2, 2)
+        for name, t in result.model.parameters.items():
+            assert np.array_equal(result.best_state[name], last_best[name])
+            assert not np.array_equal(t.data, last_best[name])
 
     def test_holdout_split_is_seeded_and_disjoint(self):
         corpus = tiny_corpus(20, seed=10)
