@@ -427,6 +427,12 @@ class SparseMatrix:
     value: np.ndarray
     shape: tuple[int, int]
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense matrix, so that ``np.asarray(m)`` reads it."""
+        out = np.zeros(self.shape, dtype=dtype)
+        np.add.at(out, (self.row, self.col), self.value)
+        return out
+
 
 def _sum_entries(keys: np.ndarray, others: np.ndarray, value: np.ndarray, n_out: int,
                  x: np.ndarray) -> np.ndarray:
@@ -746,12 +752,16 @@ class ParameterStore:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._tensors.items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Copy ``state`` into the parameter arrays; on any mismatch nothing is copied."""
-        missing = set(self._tensors) - set(state)
-        extra = set(state) - set(self._tensors)
+    def check_names(self, names) -> None:
+        """Raise a ValueError unless ``names`` are exactly the parameter names."""
+        missing = set(self._tensors) - set(names)
+        extra = set(names) - set(self._tensors)
         if missing or extra:
             raise ValueError(f"state mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the parameter arrays; on any mismatch nothing is copied."""
+        self.check_names(state)
         arrays = {name: np.asarray(state[name], dtype=np.float64) for name in self._tensors}
         for name, t in self._tensors.items():
             if arrays[name].shape != t.data.shape:

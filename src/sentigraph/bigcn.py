@@ -1,4 +1,4 @@
-"""Stacked bidirectional graph convolution over a weighted dependency adjacency.
+"""Stacked bidirectional graph convolution over a weighted dependency graph.
 
 Each layer aggregates messages along edges (head -> dependent) and, when
 bidirectional, along the transposed direction as well. The two aggregates
@@ -6,18 +6,17 @@ are concatenated, divided per token by out-degree + 1, and mapped through a
 combine weight, bias, and ReLU.
 
 The states are a packed batch: the token rows of B sentences stacked in
-one N_total x d matrix. The adjacency is the list of the sentences' dense
-n_j x n_j matrices, in the same order; a single sentence may pass its
-adjacency as one Tensor. ``degrees`` is the packed (N_total,) vector of
-out-degrees. The stack reads the adjacency's nonzero entries once, as one
-packed entry list for the whole batch, and each direction of a layer is
-one :func:`autodiff.sparse_matmul` node over it, the reverse one
-transposed; no dense or cross-sentence matrix is multiplied.
+one N_total x d matrix. The graph is one N_total x N_total
+:class:`autodiff.SparseMatrix` holding the sentences' graphs on its
+diagonal, in packed indices, so no entry joins two sentences. ``degrees``
+is the packed (N_total,) vector of out-degrees. Each direction of a layer
+is one :func:`autodiff.sparse_matmul` node over the entries, the reverse
+one transposed; no dense matrix is built or multiplied.
 
 A caller that reads only some output rows passes them as ``rows``.
-:func:`receptive_field` then walks the graph backward from them: a layer's
-input rows are its output rows plus their neighbours along the directions
-it aggregates. Each layer computes only its own rows, as
+:func:`receptive_field` then walks the entries backward from them: a
+layer's input rows are its output rows plus their neighbours along the
+directions it aggregates. Each layer computes only its own rows, as
 ``(A[out, in] h) W``, and the stack's result holds zeros in every row
 outside ``rows``. ``rows=None`` is the same walk over every row.
 """
@@ -79,12 +78,9 @@ def init_gcn_stack(store: ParameterStore, prefix: str, d_in: int, d_out: int,
     return layers
 
 
-Adjacency = Tensor | list[np.ndarray]
-
-
 @dataclass
 class Hop:
-    """The rows one layer computes and the adjacency entries it reads.
+    """The rows one layer computes and the graph entries it reads.
 
     ``out`` holds the packed indices of the layer's output rows, ascending.
     Its input rows are the previous hop's ``out``, or every row for the
@@ -98,24 +94,14 @@ class Hop:
     reverse: ad.SparseMatrix | None
 
 
-def receptive_field(adjacency: Adjacency, n: int, rows: np.ndarray | None,
+def receptive_field(adjacency: ad.SparseMatrix, rows: np.ndarray | None,
                     layers: list[GcnLayerParams]) -> list[Hop]:
     """One :class:`Hop` per layer, so that the last computes exactly ``rows`` (None: every row)."""
-    blocks = [adjacency.data] if isinstance(adjacency, Tensor) else adjacency
-    sizes = [blk.shape[0] for blk in blocks]
-    if sum(sizes) != n or any(blk.shape != (size, size) for blk, size in zip(blocks, sizes)):
-        raise ad.ShapeError(f"bigcn_layer: adjacency {[blk.shape for blk in blocks]} "
-                            f"for {n} tokens")
+    n = adjacency.shape[0]
     keep = np.ones(n, dtype=bool) if rows is None else np.asarray(rows)
     if keep.shape != (n,) or keep.dtype != bool:
         raise ad.ShapeError(f"bigcn_stack: rows must be a boolean mask of {n} rows")
-    # the nonzero entries of the block-diagonal adjacency, in packed indices
-    parts, offset = [], 0
-    for blk in blocks:
-        r, c = blk.nonzero()
-        parts.append((r + offset, c + offset, blk[r, c]))
-        offset += blk.shape[0]
-    row, col, value = (np.concatenate(part) for part in zip(*parts))
+    row, col, value = adjacency.row, adjacency.col, adjacency.value
 
     # each layer's output rows, found backward from the last layer's
     out_rows = [keep]
@@ -146,16 +132,9 @@ def receptive_field(adjacency: Adjacency, n: int, rows: np.ndarray | None,
     return hops
 
 
-def bigcn_layer(h_prev: Tensor, adjacency: Adjacency | Hop, degrees: np.ndarray,
+def bigcn_layer(h_prev: Tensor, hop: Hop, degrees: np.ndarray,
                 params: GcnLayerParams) -> Tensor:
-    """One message-passing step: aggregate, concatenate, degree-normalize, combine.
-
-    Given a :class:`Hop`, only its output rows are computed, one per row of
-    the result; given an adjacency, the layer is a one-layer stack.
-    """
-    if not isinstance(adjacency, Hop):
-        return bigcn_stack(h_prev, adjacency, degrees, [params])
-    hop = adjacency
+    """One message-passing step on the rows ``hop.out``: aggregate, concat, normalize, combine."""
     d_in = h_prev.shape[1]
     if d_in != params.d_in:
         raise ad.ShapeError(f"bigcn_layer: input width {d_in} != weight width {params.d_in}")
@@ -169,20 +148,24 @@ def bigcn_layer(h_prev: Tensor, adjacency: Adjacency | Hop, degrees: np.ndarray,
     return ad.relu(ad.add(ad.matmul(normed, params.w_out), params.b_out))
 
 
-def bigcn_stack(h0: Tensor, adjacency: Adjacency, degrees: np.ndarray,
+def bigcn_stack(h0: Tensor, adjacency: ad.SparseMatrix | Tensor, degrees: np.ndarray,
                 layers: list[GcnLayerParams], rows: np.ndarray | None = None) -> Tensor:
     """The stacked layers' N x d output; ``rows``, a boolean (N,) mask, limits it to the rows read.
 
-    Each layer computes only the rows within reach of ``rows``, and every
-    row outside ``rows`` of the result is zero. ``rows=None`` computes
-    every row.
+    ``adjacency`` is the N x N graph's entries, or one sentence's dense matrix as a Tensor.
+    Each layer computes only the rows within reach of ``rows``, and every row outside
+    ``rows`` of the result is zero. ``rows=None`` computes every row.
     """
     if not layers:
         raise ValueError("need at least one graph convolution layer")
+    if isinstance(adjacency, Tensor):  # the form perfbench/probes.py passes
+        row, col = adjacency.data.nonzero()
+        adjacency = ad.SparseMatrix(row, col, adjacency.data[row, col], adjacency.shape)
     n = h0.shape[0]
-    hops = receptive_field(adjacency, n, rows, layers)
-    if np.shape(degrees) != (n,):
-        raise ad.ShapeError(f"bigcn_stack: degrees of shape {np.shape(degrees)} for {n} tokens")
+    if adjacency.shape != (n, n) or np.shape(degrees) != (n,):
+        raise ad.ShapeError(f"bigcn_stack: adjacency {adjacency.shape} and degrees of shape "
+                            f"{np.shape(degrees)} for {n} tokens")
+    hops = receptive_field(adjacency, rows, layers)
     h = h0
     for params, hop in zip(layers, hops):
         h = bigcn_layer(h, hop, degrees, params)

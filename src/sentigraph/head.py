@@ -8,13 +8,13 @@ sentence). Per-sentence reductions are :func:`autodiff.segment_sum` and
 :func:`autodiff.scale_rows`. Each function is one set of tape nodes for the
 whole batch.
 
-Graph-convolution outputs are zeroed outside each aspect span, so attention
-keys carry aspect-focused features only. Each context state is scored by
-its dot products against its sentence's masked rows, the softmax of those
-scores within the sentence pools its context states into one vector, and
-the pooled vector is fused with a projected mean of the sentence's
-transformer rows before the 3-way softmax classifier: one row of the
-B x 3 probability matrix per sentence.
+Graph-convolution outputs are zeroed outside the aspect spans' rows
+(:func:`aspect_rows`), so attention keys carry aspect-focused features only.
+Each context state is scored by its dot products against its sentence's
+masked rows, the softmax of those scores within the sentence pools its
+context states into one vector, and the pooled vector is fused with a
+projected mean of the sentence's transformer rows before the 3-way softmax
+classifier: one row of the B x 3 probability matrix per sentence.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def aspect_rows(spans, lengths, n: int) -> np.ndarray:
     ``spans`` holds one ``(aspect_start, aspect_len)`` pair per sentence,
     with the start counted from the sentence's first row.
     """
-    lengths, offsets = ad.segment_layout(lengths, n, "aspect_mask")
+    lengths, offsets = ad.segment_layout(lengths, n, "aspect_rows")
     if len(spans) != lengths.size:
         raise ValueError(f"{len(spans)} aspect spans for {lengths.size} sentences")
     keep = np.zeros(n, dtype=bool)
@@ -46,12 +46,6 @@ def aspect_rows(spans, lengths, n: int) -> np.ndarray:
                              f"outside sentence of length {length}")
         keep[first + start:first + start + span] = True
     return keep
-
-
-def aspect_mask(h_gcn: Tensor, spans, lengths=None) -> Tensor:
-    """Keep each sentence's rows inside its span (see :func:`aspect_rows`); zero the rest."""
-    keep = aspect_rows(spans, lengths, h_gcn.shape[0])
-    return ad.scale_rows(h_gcn, Tensor(keep))
 
 
 def aspect_attention(h_context: Tensor, h_mask: Tensor,

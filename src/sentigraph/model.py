@@ -7,7 +7,7 @@ N_total rows; sentence j owns rows ``offsets[j]:offsets[j + 1]``, where
 
     embeddings -> Bi-LSTM context states      (N_total x 2*d_h)
                -> transformer global features (N_total x d_w, every head in one node)
-    context states + each sentence's weighted dependency adjacency
+    context states + the batch's weighted dependency graph (N_total x N_total entries)
     -> stacked Bi-GCN -> aspect masks
     -> retrieval attention within each sentence -> pooled rows (B x 2*d_h)
     -> fused with each sentence's projected transformer mean
@@ -16,18 +16,18 @@ N_total rows; sentence j owns rows ``offsets[j]:offsets[j + 1]``, where
 When the attention scores and pools the Bi-LSTM states (the default
 ``attention_states="lstm"``), the Bi-GCN output reaches the loss only
 through the aspect masks. The stack then computes, at each layer, only
-the rows the aspect rows depend on, and ``h_gcn`` reads 0 outside the
-aspect rows. With ``attention_states="gcn"`` it computes every row.
+the rows the aspect rows depend on, and its output, zero outside them, is
+the mask. With ``attention_states="gcn"`` it computes every row and is masked.
 
 Nothing mixes sentences: a sample's probabilities are the same alone and
 at any position in any batch, up to rounding. ``predict(sample)`` is a
 batch of one; ``predict_all`` runs ``config.batch_size`` chunks of
 samples sorted by length.
 
-Ablation switches replace the adjacency with the binary or identity matrix
-and can drop the reversed message-passing direction. Edges whose relation
-the training statistics lack are weighted at the smallest ratio and counted
-per relation in ``unseen_relations``.
+Ablation switches replace each graph with its binary form or with the
+self-loops alone and can drop the reversed message-passing direction.
+Edges whose relation the training statistics lack are weighted at the
+smallest ratio and counted per relation in ``unseen_relations``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class ForwardPass:
     embedded: Tensor             # N_total x d_w
     h_lstm: Tensor               # N_total x 2*d_h
     z_out: Tensor                # N_total x d_w
-    adjacency: list[np.ndarray]  # one n_j x n_j matrix per sample
+    adjacency: ad.SparseMatrix   # N_total x N_total, every sample's graph entries
     degrees: np.ndarray          # (N_total,)
     h_gcn: Tensor                # N_total x 2*d_h; 0 outside the aspect rows (lstm states)
     h_mask: Tensor               # N_total x 2*d_h
@@ -71,7 +71,6 @@ class ForwardPass:
     pooled: Tensor               # B x 2*d_h
     res_out: Tensor              # B x 2*d_h
     prob: Tensor                 # B x 3
-    predictions: list[Prediction]
 
 
 class AspectSentimentModel:
@@ -113,10 +112,11 @@ class AspectSentimentModel:
             store, "classifier", config.d_context, len(LABELS), rng)
         self.parameters = store
 
-    def adjacency(self, sample: AspectSample) -> tuple[np.ndarray, np.ndarray]:
-        """The adjacency/degree pair this configuration consumes for a sample."""
-        if not self.config.use_dependency:
-            return np.eye(sample.n), np.zeros(sample.n)
+    def adjacency(self, sample: AspectSample) -> tuple[ad.SparseMatrix, np.ndarray]:
+        """The graph entries and out-degrees this configuration consumes for a sample."""
+        n = sample.n
+        if not self.config.use_dependency:  # the self-loops alone
+            return ad.SparseMatrix(np.arange(n), np.arange(n), np.ones(n), (n, n)), np.zeros(n)
         sdi = self.sdi if self.config.use_sdi_weights else None
         return build_adjacency(sample, sdi, self.unseen_relations)
 
@@ -128,26 +128,28 @@ class AspectSentimentModel:
         embedded = encoders.embed_sequence(samples, self.vocab, self.embedding)
         h_lstm = encoders.bilstm_encode(embedded, self.lstm, lengths)
         z_out = encoders.transformer_encode(embedded, self.transformer, lengths)
-        adjacency, degrees = zip(*(self.adjacency(s) for s in samples))
-        adjacency, degrees = list(adjacency), np.concatenate(degrees)
-        spans = [(s.aspect_start, s.aspect_len) for s in samples]
-        lstm_states = self.config.attention_states == "lstm"
-        # with the LSTM states attended, only the aspect rows of h_gcn are read
-        rows = head.aspect_rows(spans, lengths, h_lstm.shape[0]) if lstm_states else None
-        h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers, rows)
-        h_mask = head.aspect_mask(h_gcn, spans, lengths)
-        states = h_lstm if lstm_states else h_gcn
+        graphs, degrees = zip(*(self.adjacency(s) for s in samples))
+        entries = [(g.row + lo, g.col + lo, g.value)  # each graph, offset to its packed rows
+                   for g, lo in zip(graphs, np.cumsum(lengths) - lengths)]
+        n, degrees = h_lstm.shape[0], np.concatenate(degrees)
+        adjacency = ad.SparseMatrix(*(np.concatenate(e) for e in zip(*entries)), (n, n))
+        rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in samples], lengths, n)
+        if self.config.attention_states == "lstm":  # only h_gcn's aspect rows are read
+            h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers, rows)
+            states, h_mask = h_lstm, h_gcn  # zero outside the aspect rows: the mask itself
+        else:
+            h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers)
+            states, h_mask = h_gcn, ad.scale_rows(h_gcn, Tensor(rows))
         alpha, pooled = head.aspect_attention(states, h_mask, lengths)
         res_out = head.fuse(pooled, z_out, self.fusion, lengths)
         prob = head.classify(res_out, self.classifier)
         return ForwardPass(lengths=lengths, embedded=embedded,
                            h_lstm=h_lstm, z_out=z_out, adjacency=adjacency,
                            degrees=degrees, h_gcn=h_gcn, h_mask=h_mask, alpha=alpha,
-                           pooled=pooled, res_out=res_out, prob=prob,
-                           predictions=head.predictions(prob.data))
+                           pooled=pooled, res_out=res_out, prob=prob)
 
     def predict(self, sample: AspectSample) -> Prediction:
-        return self.forward([sample]).predictions[0]
+        return head.predictions(self.forward([sample]).prob.data)[0]
 
     def predict_all(self, samples) -> list[Prediction]:
         """Predictions for every sample, in input order.
@@ -162,7 +164,8 @@ class AspectSentimentModel:
         size = self.config.batch_size
         for start in range(0, len(order), size):
             chunk = order[start:start + size]
-            for i, p in zip(chunk, self.forward([samples[i] for i in chunk]).predictions):
+            prob = self.forward([samples[i] for i in chunk]).prob.data
+            for i, p in zip(chunk, head.predictions(prob)):
                 predictions[i] = p
         return predictions
 

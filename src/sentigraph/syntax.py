@@ -1,10 +1,11 @@
-"""Corpus-level dependency-relation statistics and per-sentence adjacency.
+"""Corpus-level dependency-relation statistics and per-sentence graphs.
 
-Each sentence yields one directed n x n matrix with ones on the diagonal and,
-at (head, dependent) for every dependency edge, either 1 (the binary graph)
-or the training-corpus frequency ratio of the edge's relation label (the
-weighted graph), together with each token's out-degree. Both forms of a
-sentence share one zero pattern and one degree vector.
+Each sentence yields the entries, in row-major order, of one directed n x n
+matrix: a self-loop of weight 1 at every token and, at (head, dependent) for
+every dependency edge, either 1 (the binary graph) or the training-corpus
+frequency ratio of the edge's relation label (the weighted graph), together
+with each token's out-degree. Both forms of a sentence share their entries'
+positions and their degree vector.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import autodiff as ad
 from .corpus import AspectSample
 from .util import atomic_write
 
@@ -63,16 +65,15 @@ def collect_sdi_stats(training_samples, count_root: bool = False,
 
 
 def build_adjacency(sample: AspectSample, sdi: SdiTable | None,
-                    unseen: Counter) -> tuple[np.ndarray, np.ndarray]:
-    """The sentence's adjacency and per-token out-degree (self-loop excluded).
+                    unseen: Counter) -> tuple[ad.SparseMatrix, np.ndarray]:
+    """The sentence's graph entries, row-major, and per-token out-degree (self-loop excluded).
 
     With ``sdi`` None every edge weighs 1; otherwise it weighs its relation's
     ratio, and a relation unseen at training time falls back to the smallest
     ratio (keeping the edge alive) and adds one to its count in ``unseen``.
     """
     n = sample.n
-    adj = np.eye(n, dtype=np.float64)
-    degrees = np.zeros(n)
+    entries = [(i, i, 1.0) for i in range(n)]  # the self-loops
     for head, dep, relation in sample.deps:
         if head == -1:
             continue
@@ -80,6 +81,7 @@ def build_adjacency(sample: AspectSample, sdi: SdiTable | None,
         if weight is None:
             weight = sdi.min_ratio
             unseen[relation] += 1
-        adj[head, dep] = weight
-        degrees[head] += 1.0  # AspectSample checks the edges form a tree: none repeats
-    return adj, degrees
+        entries.append((head, dep, weight))
+    entries.sort()  # row-major; AspectSample checks the edges form a tree: no position repeats
+    row, col, value = (np.array(part) for part in zip(*entries))
+    return ad.SparseMatrix(row, col, value, (n, n)), np.bincount(row, minlength=n) - 1.0

@@ -259,6 +259,7 @@ def train(config: TrainConfig, train_samples, dev_samples=None,
             ad.backward(loss)
             optimizer.step()
             total_loss += loss.item() * len(batch)
+        del loss  # the last tape, before dev evaluation (freed per step, its pages fault in again)
         dev_metrics = evaluate(model, dev_samples) if dev_samples else None
         stats = EpochStats(
             epoch=epoch,
@@ -367,41 +368,47 @@ def save_checkpoint(path, model: AspectSentimentModel,
         np.savez(f, **state, **{_META: meta_bytes})
 
 
-def load_checkpoint(path) -> AspectSentimentModel:
-    """Rebuild the model :func:`save_checkpoint` wrote to ``path``.
+def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:
+    with archive.open(info) as member:
+        try:
+            data = member.read()
+        except zipfile.BadZipFile as e:  # zipfile checks the CRC-32 at a member's end
+            raise ValueError(f"member {info.filename!r} fails its CRC-32 check") from e
+    header = io.BytesIO(data)
+    version = np.lib.format.read_magic(header)
+    shape, fortran, dtype = (np.lib.format.read_array_header_1_0(header)
+                             if version == (1, 0) else
+                             np.lib.format.read_array_header_2_0(header))
+    size = len(data) - header.tell()
+    if dtype.hasobject or math.prod(shape) * dtype.itemsize != size:
+        raise ValueError(f"member {info.filename!r} declares shape {shape} "
+                         f"of {dtype}, which its {size} bytes do not hold")
+    values = np.frombuffer(data, dtype, offset=header.tell())
+    return values.reshape(shape, order="F" if fortran else "C")
 
-    Each member's CRC-32 is checked as it is read, then its ``.npy`` header's
-    size against the bytes that follow; the parameters must match the rebuilt
-    model's names and shapes exactly. Any failure is a ValueError naming ``path``.
+
+def load_checkpoint(path) -> AspectSentimentModel:
+    """Rebuild the model :func:`save_checkpoint` wrote to ``path``, holding one member at a time.
+
+    ``__meta__`` is read first and the model built from it; the parameter names must then
+    match the file's exactly. Each member's CRC-32 is checked as it is read, then its ``.npy``
+    header's size against its bytes, then its shape. Any failure is a ValueError naming ``path``.
     """
     try:
         with zipfile.ZipFile(path) as archive:
-            arrays = {}
-            for info in archive.infolist():
-                with archive.open(info) as member:
-                    try:
-                        data = member.read()
-                    except zipfile.BadZipFile as e:  # zipfile checks the CRC-32 at a member's end
-                        raise ValueError(f"member {info.filename!r} fails its CRC-32 check") from e
-                header = io.BytesIO(data)
-                version = np.lib.format.read_magic(header)
-                shape, fortran, dtype = (np.lib.format.read_array_header_1_0(header)
-                                         if version == (1, 0) else
-                                         np.lib.format.read_array_header_2_0(header))
-                size = len(data) - header.tell()
-                if dtype.hasobject or math.prod(shape) * dtype.itemsize != size:
-                    raise ValueError(f"member {info.filename!r} declares shape {shape} "
-                                     f"of {dtype}, which its {size} bytes do not hold")
-                values = np.frombuffer(data, dtype, offset=header.tell())
-                arrays[info.filename.removesuffix(".npy")] = values.reshape(
-                    shape, order="F" if fortran else "C")
-        meta = json.loads(arrays.pop(_META).tobytes())
-        relations = meta["relations"]
-        sdi = None if relations is None else SdiTable(
-            MappingProxyType(relations["ratios"]), relations["total_edges"])
-        model = AspectSentimentModel(parse_config_text(meta["config"]), Vocab(meta["vocab"]),
-                                     sdi=sdi)
-        model.parameters.load_state_dict(arrays)
+            members = {info.filename.removesuffix(".npy"): info for info in archive.infolist()}
+            meta = json.loads(_read_member(archive, members.pop(_META)).tobytes())
+            relations = meta["relations"]
+            sdi = None if relations is None else SdiTable(
+                MappingProxyType(relations["ratios"]), relations["total_edges"])
+            model = AspectSentimentModel(parse_config_text(meta["config"]),
+                                         Vocab(meta["vocab"]), sdi=sdi)
+            model.parameters.check_names(members)
+            for name, info in members.items():
+                values, target = _read_member(archive, info), model.parameters[name].data
+                if values.shape != target.shape:
+                    raise ValueError(f"parameter {name!r}: shape {values.shape} != {target.shape}")
+                np.copyto(target, values)
     except Exception as e:  # outside input: zipfile and numpy raise many kinds of error
         raise ValueError(f"{path}: not a loadable checkpoint: {e}") from e
     return model

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from sentigraph import autodiff as ad
+from sentigraph import head
 from sentigraph.synthetic import random_tree_sample
 
-__all__ = ["random_tree_sample"]
+__all__ = ["aspect_mask", "random_tree_sample"]
+
+
+def aspect_mask(h_gcn, spans, lengths=None):
+    """``h_gcn`` zeroed outside each sentence's aspect span, as the model masks it."""
+    return ad.scale_rows(h_gcn, ad.Tensor(head.aspect_rows(spans, lengths, h_gcn.shape[0])))
 
 
 @pytest.fixture

@@ -2,10 +2,11 @@
 
 This is the per-sample forward pass the packed batch path replaced, kept
 as the oracle for it: no packing, no lengths, no fused attention, graph or
-segment ops, a Bi-LSTM built step by step from per-token slices, and an
-L2 term built per decayed parameter instead of :func:`autodiff.sum_squares`.
-Tests compare the packed model against it on probabilities and on the
-gradient of the training loss.
+segment ops, a Bi-LSTM built step by step from per-token slices, a dense
+graph matrix, and an L2 term built per decayed parameter instead of
+:func:`autodiff.sum_squares`. Tests compare the packed model against it on
+probabilities and on the gradient of the training loss, and the graph
+builder's entries against :func:`reference_adjacency`.
 """
 
 import numpy as np
@@ -73,6 +74,23 @@ def reference_transformer_encode(embedded, params):
     return ad.layer_norm(ad.add(normed, ff), params.ln2_gain, params.ln2_bias)
 
 
+def reference_adjacency(sample, sdi, unseen):
+    """The dense n x n graph matrix and out-degrees that ``build_adjacency`` gives entries of."""
+    n = sample.n
+    adj = np.eye(n, dtype=np.float64)
+    degrees = np.zeros(n)
+    for head_, dep, relation in sample.deps:
+        if head_ == -1:
+            continue
+        weight = 1.0 if sdi is None else sdi.ratios.get(relation)
+        if weight is None:
+            weight = sdi.min_ratio
+            unseen[relation] += 1
+        adj[head_, dep] = weight
+        degrees[head_] += 1.0
+    return adj, degrees
+
+
 def reference_gcn_layer(h_prev, adj, degrees, p):
     adj = Tensor(adj)
     combined = ad.matmul(adj, ad.matmul(h_prev, p.w_fwd))
@@ -90,6 +108,7 @@ def reference_probabilities(model, sample):
     h_lstm = reference_bilstm_encode(embedded, model.lstm)
     z_out = reference_transformer_encode(embedded, model.transformer)
     adjacency, degrees = model.adjacency(sample)
+    adjacency = np.asarray(adjacency)
     h_gcn = h_lstm
     for layer in model.gcn_layers:
         h_gcn = reference_gcn_layer(h_gcn, adjacency, degrees, layer)

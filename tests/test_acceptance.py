@@ -32,7 +32,7 @@ from sentigraph.training import (
     write_scores,
 )
 
-from conftest import random_tree_sample
+from conftest import aspect_mask, random_tree_sample
 
 PRIMITIVE_OPS = {
     "matmul", "add", "mul", "concat", "slice", "transpose", "tanh", "sigmoid",
@@ -106,8 +106,8 @@ def test_sdi_oracle():
     trees = [random_tree_sample(rng, n=int(rng.integers(2, 10))) for _ in range(1000)]
     stats = collect_sdi_stats(trees)
     for sample in trees:
-        binary, _ = build_adjacency(sample, None, Counter())
-        weighted, _ = build_adjacency(sample, stats, Counter())
+        binary = np.asarray(build_adjacency(sample, None, Counter())[0])
+        weighted = np.asarray(build_adjacency(sample, stats, Counter())[0])
         assert np.array_equal(weighted != 0, binary != 0)
 
 
@@ -145,14 +145,14 @@ def test_ablation_structure(transpose_calls):
     ew_config = apply_variant(base, "no_edge_weights")
     ew_model = AspectSentimentModel(ew_config, build_vocab(corpus))
     for sample in corpus:
-        adjacency, _ = ew_model.adjacency(sample)
+        adjacency = np.asarray(ew_model.adjacency(sample)[0])
         assert set(np.unique(adjacency)) <= {0.0, 1.0}
-        assert np.array_equal(adjacency, build_adjacency(sample, None, Counter())[0])
+        assert np.array_equal(adjacency, np.asarray(build_adjacency(sample, None, Counter())[0]))
 
     d_config = apply_variant(base, "no_dependency")
     d_model = AspectSentimentModel(d_config, build_vocab(corpus))
     for sample in corpus:
-        adjacency, _ = d_model.adjacency(sample)
+        adjacency = np.asarray(d_model.adjacency(sample)[0])
         assert np.array_equal(adjacency, np.eye(sample.n))
 
     # the reversed message-passing path is counted: a full training step
@@ -197,14 +197,14 @@ def test_masking():
         span = [(sample.aspect_start, sample.aspect_len)]
 
         def mask_path_loss(h_gcn_values):
-            masked = head.aspect_mask(Tensor(h_gcn_values), span)
+            masked = aspect_mask(Tensor(h_gcn_values), span)
             _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked)
             res = head.fuse(pooled, Tensor(z_out), model.fusion)
             return head.nll(head.classify(res, model.classifier), [sample.label])
 
         # analytic gradient at masked coordinates is exactly zero
         probe = Tensor(fp.h_gcn.data.copy(), requires_grad=True)
-        masked = head.aspect_mask(probe, span)
+        masked = aspect_mask(probe, span)
         _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked)
         res = head.fuse(pooled, Tensor(z_out), model.fusion)
         ad.backward(head.nll(head.classify(res, model.classifier), [sample.label]))

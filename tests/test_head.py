@@ -10,7 +10,6 @@ from sentigraph import head
 from sentigraph.autodiff import ParameterStore, Tensor
 from sentigraph.head import (
     aspect_attention,
-    aspect_mask,
     classify,
     compute_loss,
     fuse,
@@ -19,6 +18,8 @@ from sentigraph.head import (
     nll,
     predictions,
 )
+
+from conftest import aspect_mask
 
 
 def classify_one(x, params):

@@ -45,7 +45,7 @@ class TestForwardPass:
         assert fp.pooled.shape == (1, 16)
         assert fp.res_out.shape == (1, 16)
         assert fp.prob.shape == (1, 3)
-        assert fp.predictions[0].prob.shape == (3,)
+        assert head.predictions(fp.prob.data)[0].prob.shape == (3,)
         for t in (fp.h_lstm, fp.z_out, fp.h_gcn, fp.res_out):
             assert np.all(np.isfinite(t.data))
 
@@ -59,7 +59,8 @@ class TestForwardPass:
     def test_weighted_adjacency_matches_builder(self, fitted, corpus):
         sample = corpus[1]
         adjacency, _ = fitted.adjacency(sample)
-        assert np.array_equal(adjacency, build_adjacency(sample, fitted.sdi, Counter())[0])
+        assert np.array_equal(np.asarray(adjacency),
+                              np.asarray(build_adjacency(sample, fitted.sdi, Counter())[0]))
 
     def test_prediction_probabilities_normalized(self, fitted, corpus):
         for sample in corpus:
@@ -118,7 +119,7 @@ class TestPackedBatch:
             order = [(i + shift) % len(batch) for i in range(len(batch))]
             fp = model.forward([batch[i] for i in order])
             for row, i in enumerate(order):
-                assert np.max(np.abs(fp.predictions[row].prob - alone[i])) < 1e-12
+                assert np.max(np.abs(fp.prob.data[row] - alone[i])) < 1e-12
         # a repeated sample also gets its own row
         fp = model.forward([batch[1], batch[1], batch[3]])
         assert np.max(np.abs(fp.prob.data[:2] - alone[1])) < 1e-12
@@ -161,10 +162,14 @@ class TestPackedBatch:
 
         pruned, pruned_grads = run()
         stack = bigcn.bigcn_stack
+
+        def all_rows(h0, adjacency, degrees, layers, rows=None):
+            # every row computed, then the rows outside ``rows`` zeroed by a mask node
+            out = stack(h0, adjacency, degrees, layers)
+            return out if rows is None else ad.scale_rows(out, ad.Tensor(rows))
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bigcn, "bigcn_stack",
-                          lambda h0, adjacency, degrees, layers, rows=None:
-                          stack(h0, adjacency, degrees, layers))
+            patch.setattr(bigcn, "bigcn_stack", all_rows)
             full, full_grads = run()
 
         if attention_states == "lstm":  # only the aspect rows are computed

@@ -11,6 +11,7 @@ from sentigraph.corpus import AspectSample, load_dataset, save_dataset
 from sentigraph.syntax import build_adjacency, collect_sdi_stats
 
 from conftest import random_tree_sample
+from per_sample_reference import reference_adjacency
 
 
 def sample_with(deps, n=None):
@@ -102,7 +103,9 @@ class TestCollectSdiStats:
 
 
 def binary(sample):
-    return build_adjacency(sample, None, Counter())
+    """The binary graph as a dense matrix, and the out-degrees."""
+    adj, degrees = build_adjacency(sample, None, Counter())
+    return np.asarray(adj), degrees
 
 
 class TestBinaryAdjacency:
@@ -139,13 +142,13 @@ class TestSdiAdjacency:
     def test_single_token(self):
         table = collect_sdi_stats(TOY)
         adj, degrees = build_adjacency(sample_with([(-1, 0, "root")], n=1), table, Counter())
-        assert adj.tolist() == [[1.0]]
+        assert np.asarray(adj).tolist() == [[1.0]]
         assert degrees.tolist() == [0.0]
 
     def test_edge_weight_is_relation_ratio(self):
         table = collect_sdi_stats(TOY)
         sample = sample_with([(-1, 0, "root"), (0, 1, "nsubj")])
-        adj, _ = build_adjacency(sample, table, Counter())
+        adj = np.asarray(build_adjacency(sample, table, Counter())[0])
         assert adj[0, 1] == 0.5
         assert adj[1, 0] == 0.0
 
@@ -156,7 +159,7 @@ class TestSdiAdjacency:
         unseen, other = Counter(), Counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            adj, _ = build_adjacency(sample, table, unseen)
+            adj = np.asarray(build_adjacency(sample, table, unseen)[0])
             build_adjacency(sample, table, other)
         assert adj[0, 1] == adj[0, 2] == table.min_ratio
         assert unseen == other == Counter({"xcomp": 2})
@@ -170,7 +173,7 @@ class TestSdiAdjacency:
         sample = dataclasses.replace(sample, deps=tuple(
             (h, d, str(gen.choice(["nsubj", "rare_a", "rare_b"]))) for h, d, _ in sample.deps))
         unseen = Counter()
-        adj, _ = build_adjacency(sample, table, unseen)
+        adj = np.asarray(build_adjacency(sample, table, unseen)[0])
         edges = [(h, d, r) for h, d, r in sample.deps if h != -1]
         assert unseen == Counter(r for _, _, r in edges if r not in table.ratios)
         for h, d, r in edges:
@@ -185,8 +188,31 @@ class TestSdiAdjacency:
         for sample in samples:
             binary_adj, binary_deg = binary(sample)
             weighted, weighted_deg = build_adjacency(sample, table, Counter())
+            weighted = np.asarray(weighted)
             assert np.array_equal(weighted != 0, binary_adj != 0)
             assert np.all(weighted >= 0) and np.all(weighted <= 1)
             assert np.all(np.diag(weighted) == 1.0)
             assert weighted_deg.tobytes() == binary_deg.tobytes()
             assert np.array_equal(binary_deg, binary_adj.sum(axis=1) - 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans(), unseen_share=st.floats(0.0, 1.0))
+def test_entries_equal_the_dense_oracles_nonzeros(seed, weighted, unseen_share):
+    # entries, weights, degrees and unseen counts, byte for byte, in row-major order
+    gen = np.random.default_rng(seed)
+    sample = random_tree_sample(gen, n=int(gen.integers(1, 60)))
+    table = collect_sdi_stats([sample, *TOY]) if weighted else None
+    # a share of the edges carries relations the statistics lack
+    sample = dataclasses.replace(sample, deps=tuple(
+        (h, d, f"rare_{gen.integers(3)}" if gen.random() < unseen_share else r)
+        for h, d, r in sample.deps))
+    unseen, want_unseen = Counter(), Counter()
+    got, degrees = build_adjacency(sample, table, unseen)
+    dense, want_degrees = reference_adjacency(sample, table, want_unseen)
+    row, col = dense.nonzero()
+    assert got.shape == dense.shape
+    assert got.row.tobytes() == row.tobytes() and got.col.tobytes() == col.tobytes()
+    assert got.value.tobytes() == dense[row, col].tobytes()
+    assert degrees.tobytes() == want_degrees.tobytes()
+    assert unseen == want_unseen
