@@ -32,6 +32,7 @@ it: the module keeps no state.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,8 +246,8 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     ad = a.data
-    # subgradient at 0 is 0
-    mask = (ad > 0).astype(np.float64)
+    # subgradient at 0 is 0; only a recorded node needs the mask
+    mask = (ad > 0).astype(np.float64) if a.requires_grad else None
     return _make(np.maximum(ad, 0.0), (a,), lambda g: (g * mask,), "relu", kink=mask)
 
 
@@ -270,7 +271,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(a, floor) elementwise; gradient is zero where the floor is active."""
     ad = a.data
-    mask = (ad > floor).astype(np.float64)
+    mask = (ad > floor).astype(np.float64) if a.requires_grad else None
     return _make(np.maximum(ad, floor), (a,), lambda g: (g * mask,), "clamp_min", kink=mask)
 
 
@@ -748,6 +749,22 @@ class ParameterStore:
     def zero_grads(self) -> None:
         for t in self._tensors.values():
             t.zero_grad()
+
+    @contextmanager
+    def frozen(self):
+        """A scope in which no parameter requires grad, so operations record no tape.
+
+        Each parameter's previous ``requires_grad`` comes back on exit, also
+        when the scope raises; ``.grad`` accumulators are left untouched.
+        """
+        previous = [(t, t.requires_grad) for t in self._tensors.values()]
+        for t, _ in previous:
+            t.requires_grad = False
+        try:
+            yield
+        finally:
+            for t, flag in previous:
+                t.requires_grad = flag
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._tensors.items()}

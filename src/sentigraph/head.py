@@ -130,9 +130,10 @@ def classify(res_out: Tensor, params: ClassifierParams) -> Tensor:
 
 def predictions(prob: np.ndarray) -> list[Prediction]:
     """One Prediction per row of a B x 3 probability matrix."""
+    prob = np.array(prob)  # one copy, whose rows the predictions hold
     # np.argmax resolves ties toward the first index
-    return [Prediction(prob=row.copy(), predicted_label=LABELS[int(np.argmax(row))])
-            for row in prob]
+    return [Prediction(prob=row, predicted_label=LABELS[k])
+            for row, k in zip(prob, prob.argmax(axis=1).tolist())]
 
 
 def nll(prob: Tensor, labels) -> Tensor:

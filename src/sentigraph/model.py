@@ -1,6 +1,8 @@
 """Full classifier assembly: encoders -> graph convolution -> masked attention -> softmax.
 
-The forward pass takes a batch of B samples and records one tape for it.
+The forward pass takes a batch of B samples. A training forward records
+one tape for it; ``predict`` and ``predict_all`` run theirs with the
+parameters frozen (``ParameterStore.frozen``), so they record none.
 The token rows of all B sentences are stacked into one packed matrix of
 N_total rows; sentence j owns rows ``offsets[j]:offsets[j + 1]``, where
 ``offsets`` is the running sum of ``lengths`` (the sentence lengths):
@@ -24,7 +26,8 @@ at any position in any batch, up to rounding. ``predict(sample)`` is a
 batch of one; ``predict_all`` runs ``config.batch_size`` chunks of
 samples sorted by length.
 
-Ablation switches replace each graph with its binary form or with the
+``adjacency`` builds the batch's graph, every sentence's at once, in one
+pass. Ablation switches replace each graph with its binary form or with the
 self-loops alone and can drop the reversed message-passing direction.
 Edges whose relation the training statistics lack are weighted at the
 smallest ratio and counted per relation in ``unseen_relations``.
@@ -112,13 +115,17 @@ class AspectSentimentModel:
             store, "classifier", config.d_context, len(LABELS), rng)
         self.parameters = store
 
-    def adjacency(self, sample: AspectSample) -> tuple[ad.SparseMatrix, np.ndarray]:
-        """The graph entries and out-degrees this configuration consumes for a sample."""
-        n = sample.n
+    def adjacency(self, samples: AspectSample | list[AspectSample]
+                  ) -> tuple[ad.SparseMatrix, np.ndarray]:
+        """The packed graph entries and out-degrees this configuration consumes for a batch.
+
+        ``samples`` is one sample or a list, as for ``syntax.build_adjacency``.
+        """
         if not self.config.use_dependency:  # the self-loops alone
+            n = samples.n if isinstance(samples, AspectSample) else sum(s.n for s in samples)
             return ad.SparseMatrix(np.arange(n), np.arange(n), np.ones(n), (n, n)), np.zeros(n)
         sdi = self.sdi if self.config.use_sdi_weights else None
-        return build_adjacency(sample, sdi, self.unseen_relations)
+        return build_adjacency(samples, sdi, self.unseen_relations)
 
     def forward(self, samples: list[AspectSample]) -> ForwardPass:
         """One packed forward pass over a non-empty batch of samples."""
@@ -128,12 +135,9 @@ class AspectSentimentModel:
         embedded = encoders.embed_sequence(samples, self.vocab, self.embedding)
         h_lstm = encoders.bilstm_encode(embedded, self.lstm, lengths)
         z_out = encoders.transformer_encode(embedded, self.transformer, lengths)
-        graphs, degrees = zip(*(self.adjacency(s) for s in samples))
-        entries = [(g.row + lo, g.col + lo, g.value)  # each graph, offset to its packed rows
-                   for g, lo in zip(graphs, np.cumsum(lengths) - lengths)]
-        n, degrees = h_lstm.shape[0], np.concatenate(degrees)
-        adjacency = ad.SparseMatrix(*(np.concatenate(e) for e in zip(*entries)), (n, n))
-        rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in samples], lengths, n)
+        adjacency, degrees = self.adjacency(samples)
+        rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in samples], lengths,
+                                h_lstm.shape[0])
         if self.config.attention_states == "lstm":  # only h_gcn's aspect rows are read
             h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers, rows)
             states, h_mask = h_lstm, h_gcn  # zero outside the aspect rows: the mask itself
@@ -149,10 +153,11 @@ class AspectSentimentModel:
                            pooled=pooled, res_out=res_out, prob=prob)
 
     def predict(self, sample: AspectSample) -> Prediction:
-        return head.predictions(self.forward([sample]).prob.data)[0]
+        """The sample's prediction: ``predict_all`` of a batch of one, which records no tape."""
+        return self.predict_all([sample])[0]
 
     def predict_all(self, samples) -> list[Prediction]:
-        """Predictions for every sample, in input order.
+        """Predictions for every sample, in input order, from forwards that record no tape.
 
         The samples run in chunks of ``config.batch_size`` after a stable
         sort by length, so a chunk's sentences pad the LSTM and attention
@@ -162,11 +167,12 @@ class AspectSentimentModel:
         order = sorted(range(len(samples)), key=lambda i: samples[i].n)
         predictions = [None] * len(samples)
         size = self.config.batch_size
-        for start in range(0, len(order), size):
-            chunk = order[start:start + size]
-            prob = self.forward([samples[i] for i in chunk]).prob.data
-            for i, p in zip(chunk, head.predictions(prob)):
-                predictions[i] = p
+        with self.parameters.frozen():
+            for start in range(0, len(order), size):
+                chunk = order[start:start + size]
+                prob = self.forward([samples[i] for i in chunk]).prob.data
+                for i, p in zip(chunk, head.predictions(prob)):
+                    predictions[i] = p
         return predictions
 
 

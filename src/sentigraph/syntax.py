@@ -1,11 +1,13 @@
-"""Corpus-level dependency-relation statistics and per-sentence graphs.
+"""Corpus-level dependency-relation statistics and the graphs of a batch.
 
-Each sentence yields the entries, in row-major order, of one directed n x n
-matrix: a self-loop of weight 1 at every token and, at (head, dependent) for
-every dependency edge, either 1 (the binary graph) or the training-corpus
-frequency ratio of the edge's relation label (the weighted graph), together
-with each token's out-degree. Both forms of a sentence share their entries'
-positions and their degree vector.
+Each sentence's graph is one directed n x n matrix: a self-loop of weight 1
+at every token and, at (head, dependent) for every dependency edge, either
+1 (the binary graph) or the training-corpus frequency ratio of the edge's
+relation label (the weighted graph), together with each token's
+out-degree. Both forms of a sentence share their entries' positions and
+their degree vector. A batch of sentences yields, in one pass, the entries
+in row-major order of the block-diagonal matrix of their graphs, indexed by
+the packed rows that stack the sentences' tokens.
 """
 
 from __future__ import annotations
@@ -64,24 +66,39 @@ def collect_sdi_stats(training_samples, count_root: bool = False,
     return SdiTable(ratios=MappingProxyType(ratios), total_edges=total)
 
 
-def build_adjacency(sample: AspectSample, sdi: SdiTable | None,
+def build_adjacency(samples: AspectSample | list[AspectSample], sdi: SdiTable | None,
                     unseen: Counter) -> tuple[ad.SparseMatrix, np.ndarray]:
-    """The sentence's graph entries, row-major, and per-token out-degree (self-loop excluded).
+    """The graph entries, row-major, and per-token out-degree (self-loop excluded) of a batch.
 
+    ``samples`` is one sample or a list; the list's graphs sit on the
+    diagonal of one N x N matrix, each offset to its sentence's packed rows.
     With ``sdi`` None every edge weighs 1; otherwise it weighs its relation's
     ratio, and a relation unseen at training time falls back to the smallest
     ratio (keeping the edge alive) and adds one to its count in ``unseen``.
     """
-    n = sample.n
-    entries = [(i, i, 1.0) for i in range(n)]  # the self-loops
-    for head, dep, relation in sample.deps:
-        if head == -1:
-            continue
-        weight = 1.0 if sdi is None else sdi.ratios.get(relation)
-        if weight is None:
-            weight = sdi.min_ratio
-            unseen[relation] += 1
-        entries.append((head, dep, weight))
-    entries.sort()  # row-major; AspectSample checks the edges form a tree: no position repeats
-    row, col, value = (np.array(part) for part in zip(*entries))
-    return ad.SparseMatrix(row, col, value, (n, n)), np.bincount(row, minlength=n) - 1.0
+    if isinstance(samples, AspectSample):
+        samples = [samples]
+    heads, deps, weights = [], [], []
+    n = 0
+    for sample in samples:
+        for head, dep, relation in sample.deps:
+            if head == -1:
+                continue
+            weight = 1.0 if sdi is None else sdi.ratios.get(relation)
+            if weight is None:
+                weight = sdi.min_ratio
+                unseen[relation] += 1
+            heads.append(head + n)
+            deps.append(dep + n)
+            weights.append(weight)
+        n += sample.n
+    loops = np.arange(n)  # the self-loops
+    row = np.concatenate([loops, np.array(heads, dtype=np.int64)])
+    col = np.concatenate([loops, np.array(deps, dtype=np.int64)])
+    value = np.concatenate([np.ones(n), weights])
+    # row-major, which is also the per-sentence graphs' orders concatenated;
+    # AspectSample checks the edges form a tree: no position repeats
+    order = np.lexsort((col, row))
+    row = row[order]
+    return (ad.SparseMatrix(row, col[order], value[order], (n, n)),
+            np.bincount(row, minlength=n) - 1.0)

@@ -416,6 +416,21 @@ class TestParameterStore:
         assert w.grad.sum() == 0.0
         assert [n for n, _ in store.decayed_items()] == ["w"]
 
+    def test_frozen_records_no_tape_and_restores_each_flag(self):
+        store = ad.ParameterStore()
+        w = store.add("w", np.ones((2, 2)))
+        fixed = store.add("fixed", np.ones(2))
+        fixed.requires_grad = False
+        grads = (w.grad, fixed.grad)
+        with pytest.raises(ad.NonFiniteError):
+            with store.frozen():
+                assert not w.requires_grad
+                out = ad.relu(ad.matmul(w, fixed))
+                assert not out.requires_grad and out._parents == () and out._kink is None
+                ad.scale(out, np.inf)
+        assert w.requires_grad and not fixed.requires_grad
+        assert w.grad is grads[0] and fixed.grad is grads[1]
+
     def test_state_roundtrip(self):
         store = ad.ParameterStore()
         store.add("w", rand((3, 2)))

@@ -221,3 +221,43 @@ def test_gradient_suite_smoke():
                    if name in ("matmul", "softmax"))
     for report in results.values():
         assert report.max_rel_error < 1e-6
+
+
+class TestTapeFreeInference:
+    def test_predictions_record_no_tape_and_match_the_training_forward(self, monkeypatch):
+        model, batch = mixed_batch_model("full", "lstm")
+        model.config = dataclasses.replace(model.config, batch_size=len(batch))
+        grads = {name: t.grad for name, t in model.parameters.items()}
+        by_length = sorted(batch, key=lambda s: s.n)
+        want_all = model.forward(by_length).prob.data
+        want_one = [model.forward([s]).prob.data[0] for s in batch]
+        probs, forward = [], model.forward  # every prob the inference forwards return
+
+        def recording(b):
+            fp = forward(b)
+            probs.append(fp.prob)
+            return fp
+
+        monkeypatch.setattr(model, "forward", recording)
+        predictions = model.predict_all(batch)
+        singles = [model.predict(s) for s in batch]
+
+        assert len(probs) == 1 + len(batch)
+        for prob in probs:
+            assert prob._parents == () and not prob.requires_grad
+        for prediction, sample in zip(predictions, batch):
+            assert prediction.prob.tobytes() == want_all[by_length.index(sample)].tobytes()
+        for prediction, want in zip(singles, want_one):
+            assert prediction.prob.tobytes() == want.tobytes()
+        for name, t in model.parameters.items():
+            assert t.requires_grad and t.grad is grads[name], name
+
+    @pytest.mark.parametrize("entry", ["predict", "predict_all"])
+    def test_parameters_restored_after_a_forward_raises(self, entry):
+        model, batch = mixed_batch_model("full", "lstm")
+        grads = {name: t.grad for name, t in model.parameters.items()}
+        model.parameters["classifier.w"].data[0, 0] = np.nan
+        with pytest.raises(ad.NonFiniteError):
+            getattr(model, entry)(batch[0] if entry == "predict" else batch)
+        for name, t in model.parameters.items():
+            assert t.requires_grad and t.grad is grads[name], name

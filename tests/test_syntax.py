@@ -216,3 +216,28 @@ def test_entries_equal_the_dense_oracles_nonzeros(seed, weighted, unseen_share):
     assert got.value.tobytes() == dense[row, col].tobytes()
     assert degrees.tobytes() == want_degrees.tobytes()
     assert unseen == want_unseen
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 8), weighted=st.booleans(),
+       unseen_share=st.floats(0.0, 1.0))
+def test_batch_entries_equal_the_per_sample_builds_offset(seed, n_samples, weighted,
+                                                          unseen_share):
+    gen = np.random.default_rng(seed)
+    batch = [random_tree_sample(gen, n=int(gen.integers(1, 12))) for _ in range(n_samples)]
+    table = collect_sdi_stats([*batch, *TOY]) if weighted else None
+    batch = [dataclasses.replace(sample, deps=tuple(
+        (h, d, f"rare_{gen.integers(3)}" if gen.random() < unseen_share else r)
+        for h, d, r in sample.deps)) for sample in batch]
+    unseen, want_unseen = Counter(), Counter()
+    got, degrees = build_adjacency(batch, table, unseen)
+    graphs, want_degrees = zip(*(build_adjacency(s, table, want_unseen) for s in batch))
+    offsets = np.cumsum([0] + [s.n for s in batch])[:-1]
+    n = sum(s.n for s in batch)
+    assert got.shape == (n, n)
+    for part in ("row", "col"):
+        want = np.concatenate([getattr(g, part) + lo for g, lo in zip(graphs, offsets)])
+        assert getattr(got, part).tobytes() == want.tobytes()
+    assert got.value.tobytes() == np.concatenate([g.value for g in graphs]).tobytes()
+    assert degrees.tobytes() == np.concatenate(want_degrees).tobytes()
+    assert list(unseen.items()) == list(want_unseen.items())  # the same counts, in order

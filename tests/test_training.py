@@ -360,6 +360,14 @@ class TestAblation:
             adjacency, deg = model.adjacency(sample)
             assert np.array_equal(np.asarray(adjacency), np.eye(sample.n))
             assert np.array_equal(deg, np.zeros(sample.n))
+        # a batch: the packed self-loops, row-major
+        adjacency, deg = model.adjacency(corpus)
+        n = sum(s.n for s in corpus)
+        assert adjacency.shape == (n, n)
+        for entries in (adjacency.row, adjacency.col):
+            assert np.array_equal(entries, np.arange(n))
+        assert np.array_equal(adjacency.value, np.ones(n))
+        assert np.array_equal(deg, np.zeros(n))
 
     def test_all_variants_produce_reports(self):
         corpus = tiny_corpus(9, seed=14)
