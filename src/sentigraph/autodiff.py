@@ -73,12 +73,14 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        """Clear the accumulator in place; reallocate it only if ``data`` changed shape."""
-        if not self.requires_grad:
-            self.grad = None
-        elif self.grad is not None and self.grad.shape == self.data.shape:
+        """Clear the accumulator in place, whatever ``requires_grad`` reads now.
+
+        It is reallocated only if ``data`` changed shape; a tensor that neither
+        requires grad nor holds an accumulator gets none.
+        """
+        if self.grad is not None and self.grad.shape == self.data.shape:
             self.grad.fill(0.0)
-        else:
+        elif self.requires_grad or self.grad is not None:
             self.grad = np.zeros(self.data.shape)
 
     def __repr__(self) -> str:
@@ -331,7 +333,10 @@ def sum_squares(tensors: list[Tensor]) -> Tensor:
     return _make(out, tuple(tensors), backward, "sum_squares")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+LAYER_NORM_EPS = 1e-12
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of a matrix to zero mean / unit variance, then scale and shift."""
     xd, gd, bd = x.data, gain.data, bias.data
     if xd.ndim != 2 or gd.shape != (xd.shape[1],) or bd.shape != (xd.shape[1],):
@@ -339,7 +344,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     mu = xd.mean(axis=1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gd + bd
 
@@ -694,9 +699,7 @@ def backward(loss: Tensor) -> None:
     # stale values from a previous pass can never leak into this one.
     pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
     for node in _toposort(loss):
-        g = pending.pop(id(node), None)
-        if g is None:
-            continue
+        g = pending.pop(id(node))
         _check_finite(g)
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if not parent.requires_grad or pg is None:
@@ -732,9 +735,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
 
     def items(self):
         return self._tensors.items()

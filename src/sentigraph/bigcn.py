@@ -64,18 +64,15 @@ def init_gcn_layer(store: ParameterStore, prefix: str, d_in: int, d_out: int,
     )
 
 
-def init_gcn_stack(store: ParameterStore, prefix: str, d_in: int, d_out: int,
+def init_gcn_stack(store: ParameterStore, prefix: str, width: int,
                    n_layers: int, rng: np.random.Generator,
                    bidirectional: bool = True) -> list[GcnLayerParams]:
+    """``n_layers`` layers that each map ``width`` columns to ``width``."""
     if n_layers < 1:
         raise ValueError("need at least one graph convolution layer")
-    layers = []
-    width = d_in
-    for l in range(n_layers):
-        layers.append(init_gcn_layer(store, f"{prefix}.layer{l}", width, d_out, rng,
-                                     bidirectional=bidirectional))
-        width = d_out
-    return layers
+    return [init_gcn_layer(store, f"{prefix}.layer{l}", width, width, rng,
+                           bidirectional=bidirectional)
+            for l in range(n_layers)]
 
 
 @dataclass

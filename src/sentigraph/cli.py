@@ -177,13 +177,10 @@ def cmd_train(args) -> int:
 
     train_samples, dev_samples = _load_split(args, config)
     vocab = build_vocab(train_samples, min_freq=config.min_freq)
-    embeddings = None
+    pretrained = None
     if args.embeddings:
-        from .util import make_rng
-        embeddings = load_pretrained_embeddings(args.embeddings, vocab, config.d_w,
-                                                make_rng(config.seed, "oov"))
-    result = train(config, train_samples, dev_samples, embeddings=embeddings,
-                   vocab=vocab)
+        pretrained = load_pretrained_embeddings(args.embeddings, vocab, config.d_w)
+    result = train(config, train_samples, dev_samples, pretrained=pretrained, vocab=vocab)
 
     log_path = os.path.join(args.out_dir, "epochs.tsv")
     write_epoch_log(log_path, result.log)

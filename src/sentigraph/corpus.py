@@ -9,7 +9,9 @@ Dataset wire format is one JSON record per line::
 ``deps`` holds one ``[head_index, dependent_index, relation]`` triple per
 token (head ``-1`` marks the root). A sentence with several aspects appears
 as one record per aspect. Word vectors load from the usual text format of
-one token followed by its decimals per line.
+one token followed by its decimals per line; the loader returns only the
+vectors of vocabulary tokens, and the model builds the whole table from
+them (``model.AspectSentimentModel``).
 """
 
 from __future__ import annotations
@@ -228,38 +230,18 @@ def build_vocab(samples, min_freq: int = 1) -> Vocab:
     return Vocab([PAD_TOKEN, UNK_TOKEN] + kept)
 
 
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Dense word vectors, one row per vocabulary id."""
+def load_pretrained_embeddings(path, vocab: Vocab, d_w: int) -> dict[int, np.ndarray]:
+    """The file's vectors of vocabulary tokens, keyed by vocabulary id.
 
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        if self.vectors.ndim != 2:
-            raise DatasetError("embedding table must be a 2-d matrix")
-        if not np.all(np.isfinite(self.vectors)):
-            raise DatasetError("embedding table contains non-finite values")
-
-
-def random_embeddings(vocab: Vocab, d_w: int, rng: np.random.Generator) -> EmbeddingTable:
-    """Uniform [-0.25, 0.25] rows for every token; padding row stays zero."""
-    vectors = rng.uniform(-0.25, 0.25, size=(len(vocab), d_w))
-    vectors[PAD_ID] = 0.0
-    return EmbeddingTable(vectors=vectors)
-
-
-def load_pretrained_embeddings(path, vocab: Vocab, d_w: int,
-                               rng: np.random.Generator) -> EmbeddingTable:
-    """Copy in-file vectors verbatim; out-of-file tokens get seeded uniform rows.
-
-    Lines split on whitespace, so trailing spaces and tabs are harmless. A
-    first line of exactly two integers is a word2vec-style header (vector
-    count and width) and is skipped; its width must be ``d_w``. Every other
-    line must carry exactly ``d_w`` values, whether or not its token is in
-    the vocabulary, and the values of vocabulary tokens must be finite
-    numbers. Failures raise DatasetError naming ``path:line``.
+    A token listed twice keeps its last vector. Lines split on whitespace,
+    so trailing spaces and tabs are harmless. A first line of exactly two
+    integers is a word2vec-style header (vector count and width) and is
+    skipped; its width must be ``d_w``. Every other line must carry exactly
+    ``d_w`` values, whether or not its token is in the vocabulary, and the
+    values of vocabulary tokens must be finite numbers. Failures raise
+    DatasetError naming ``path:line``.
     """
-    table = random_embeddings(vocab, d_w, rng).vectors
+    vectors = {}
     for line_no, line in _numbered_lines(path):
         parts = line.split()
         if len(parts) < 2:
@@ -282,9 +264,8 @@ def load_pretrained_embeddings(path, vocab: Vocab, d_w: int,
                 raise DatasetError(
                     f"{path}:{line_no}: the vector of {token!r} holds a value "
                     f"that is not a finite number")
-            table[vocab.id(token)] = row
-    table[PAD_ID] = 0.0
-    return EmbeddingTable(vectors=table)
+            vectors[vocab.id(token)] = row
+    return vectors
 
 
 # ---------------------------------------------------------------------------

@@ -113,14 +113,12 @@ class Prediction:
     prob: np.ndarray
     predicted_label: str
 
-    def as_record(self, gold_label: str | None = None) -> dict:
-        record = {
+    def as_record(self, gold_label: str) -> dict:
+        return {
             "prob": [float(p) for p in self.prob],
             "predicted_label": self.predicted_label,
+            "gold_label": gold_label,
         }
-        if gold_label is not None:
-            record["gold_label"] = gold_label
-        return record
 
 
 def classify(res_out: Tensor, params: ClassifierParams) -> Tensor:

@@ -26,6 +26,14 @@ at any position in any batch, up to rounding. ``predict(sample)`` is a
 batch of one; ``predict_all`` runs ``config.batch_size`` chunks of
 samples sorted by length.
 
+The model owns its embedding table, one row per vocabulary id. Every row
+is drawn uniform in [-0.25, 0.25] from the seed's ``"oov"`` stream; the
+``pretrained`` vectors (vocabulary id -> row, as
+``corpus.load_pretrained_embeddings`` returns them) are then copied over
+their rows, and the padding row is set to zero, whatever a vectors file
+gives it. The model holds copies, so training never writes to the
+caller's arrays.
+
 ``adjacency`` builds the batch's graph, every sentence's at once, in one
 pass. Ablation switches replace each graph with its binary form or with the
 self-loops alone and can drop the reversed message-passing direction.
@@ -44,14 +52,7 @@ from . import autodiff as ad
 from . import bigcn, encoders, head
 from .autodiff import FiniteDiffReport, ParameterStore, Tensor
 from .config import TrainConfig
-from .corpus import (
-    LABELS,
-    AspectSample,
-    EmbeddingTable,
-    Vocab,
-    build_vocab,
-    random_embeddings,
-)
+from .corpus import LABELS, PAD_ID, AspectSample, Vocab, build_vocab
 from .head import Prediction
 from .syntax import SdiTable, build_adjacency, collect_sdi_stats
 from .synthetic import random_tree_sample
@@ -81,7 +82,7 @@ class AspectSentimentModel:
 
     def __init__(self, config: TrainConfig, vocab: Vocab,
                  sdi: SdiTable | None = None,
-                 embeddings: EmbeddingTable | None = None):
+                 pretrained: dict[int, np.ndarray] | None = None):
         config.validate()
         if config.use_dependency and config.use_sdi_weights and sdi is None:
             raise ValueError("edge-weighted adjacency requires relation statistics")
@@ -91,14 +92,11 @@ class AspectSentimentModel:
         # edges whose relation the statistics lack, per relation, over every forward
         self.unseen_relations: Counter[str] = Counter()
 
-        if embeddings is None:
-            vectors = random_embeddings(vocab, config.d_w, make_rng(config.seed, "oov")).vectors
-        else:  # the caller's table: the parameter store owns its arrays and updates them in place
-            vectors = embeddings.vectors.copy()
-        if vectors.shape != (len(vocab), config.d_w):
-            raise ValueError(
-                f"embedding table {vectors.shape} does not match "
-                f"vocab size {len(vocab)} and width {config.d_w}")
+        vectors = make_rng(config.seed, "oov").uniform(-0.25, 0.25,
+                                                       size=(len(vocab), config.d_w))
+        for token_id, row in (pretrained or {}).items():
+            vectors[token_id] = row
+        vectors[PAD_ID] = 0.0
 
         rng = make_rng(config.seed, "init")
         store = ParameterStore()
@@ -107,7 +105,7 @@ class AspectSentimentModel:
         self.transformer = encoders.init_transformer_params(
             store, "transformer", config.d_model, config.heads, config.ffn_width, rng)
         self.gcn_layers = bigcn.init_gcn_stack(
-            store, "gcn", config.d_context, config.d_context, config.gcn_layers, rng,
+            store, "gcn", config.d_context, config.gcn_layers, rng,
             bidirectional=config.use_bidirectional_gcn)
         self.fusion = head.init_fusion_params(
             store, "fusion", config.d_model, config.d_context, rng)
@@ -244,13 +242,13 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.nd
 
 
 def gradient_check_suite(seed: int = 7, eps: float = 1e-5,
-                         d: int = 8, n_tokens: int = 5,
-                         heads: int = 2) -> list[tuple[str, FiniteDiffReport]]:
+                         d: int = 8, n_tokens: int = 5) -> list[tuple[str, FiniteDiffReport]]:
     """Finite-difference validation of every primitive and the composed model.
 
     The composed check runs the full forward-to-loss pass on a packed batch
     of two random samples of different lengths at reduced width (one graph
-    layer) and differentiates with respect to every trainable parameter.
+    layer, two attention heads) and differentiates with respect to every
+    trainable parameter.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -262,7 +260,7 @@ def gradient_check_suite(seed: int = 7, eps: float = 1e-5,
     batch = samples[:2]
     vocab = build_vocab(samples)
     sdi = collect_sdi_stats(samples)
-    config = TrainConfig(d_w=d, d_h=d, gcn_layers=1, heads=heads, ffn_width=2 * d,
+    config = TrainConfig(d_w=d, d_h=d, gcn_layers=1, heads=2, ffn_width=2 * d,
                          seed=seed, lambda_l2=1e-4)
     model = AspectSentimentModel(config, vocab, sdi=sdi)
 

@@ -39,14 +39,16 @@ def make_synthetic_sample(rng: np.random.Generator, label: str,
                         label=label, deps=tuple(deps))
 
 
-def make_synthetic_corpus(n_samples: int, seed: int,
-                          decoy_fraction: float = 0.5) -> list[AspectSample]:
-    """Balanced corpus of ``n_samples`` reviews, deterministic for a given seed."""
+def make_synthetic_corpus(n_samples: int, seed: int) -> list[AspectSample]:
+    """Balanced corpus of ``n_samples`` reviews, deterministic for a given seed.
+
+    Each review carries the decoy clause with probability one half.
+    """
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(n_samples):
         label = LABELS[i % len(LABELS)]
-        with_decoy = rng.random() < decoy_fraction
+        with_decoy = rng.random() < 0.5
         samples.append(make_synthetic_sample(rng, label, with_decoy=with_decoy))
     return samples
 
@@ -54,8 +56,7 @@ def make_synthetic_corpus(n_samples: int, seed: int,
 RELATIONS = ("nsubj", "dobj", "amod", "det", "advmod", "cop", "punct")
 
 
-def random_tree_sample(rng: np.random.Generator, n: int | None = None,
-                       labels=LABELS) -> AspectSample:
+def random_tree_sample(rng: np.random.Generator, n: int | None = None) -> AspectSample:
     """A valid sample over a uniformly attached random dependency tree.
 
     Tokens are synthetic placeholders; useful for structural property checks
@@ -73,6 +74,6 @@ def random_tree_sample(rng: np.random.Generator, n: int | None = None,
         tokens=tuple(f"w{i}" for i in range(n)),
         aspect_start=start,
         aspect_len=length,
-        label=str(rng.choice(labels)),
+        label=str(rng.choice(LABELS)),
         deps=tuple(deps),
     )

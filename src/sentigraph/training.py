@@ -29,7 +29,7 @@ from . import autodiff as ad
 from . import head
 from .autodiff import ParameterStore
 from .config import TrainConfig, config_to_text, parse_config_text
-from .corpus import LABELS, EmbeddingTable, Vocab, build_vocab
+from .corpus import LABELS, Vocab, build_vocab
 from .model import AspectSentimentModel
 from .syntax import SdiTable, collect_sdi_stats
 from .util import atomic_write, make_rng
@@ -131,11 +131,10 @@ class MetricsReport:
         }
 
 
-def confusion_matrix(gold: list[int], predicted: list[int],
-                     n_classes: int = len(LABELS)) -> np.ndarray:
+def confusion_matrix(gold: list[int], predicted: list[int]) -> np.ndarray:
     if len(gold) != len(predicted):
         raise ValueError("gold and predicted label lists differ in length")
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
+    matrix = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     for g, p in zip(gold, predicted):
         matrix[g, p] += 1
     return matrix
@@ -218,22 +217,26 @@ def split_dev(samples, fraction: float, seed: int):
 
 
 def train(config: TrainConfig, train_samples, dev_samples=None,
-          embeddings: EmbeddingTable | None = None,
+          pretrained: dict[int, np.ndarray] | None = None,
           vocab: Vocab | None = None) -> TrainResult:
-    """Mini-batch Adam over shuffled epochs with best-dev-accuracy selection."""
+    """Mini-batch Adam over shuffled epochs with best-dev-accuracy selection.
+
+    ``pretrained`` word vectors are keyed by the ids of ``vocab``
+    (see :class:`AspectSentimentModel`).
+    """
     config.validate()
-    if not train_samples:
-        raise ValueError("cannot train on an empty sample list")
     if dev_samples is None:
         train_samples, dev_samples = split_dev(train_samples, config.dev_fraction,
                                                config.seed)
+    if not train_samples:  # after the split, which may hold out every sample
+        raise ValueError("cannot train on an empty sample list")
     if vocab is None:
         vocab = build_vocab(train_samples, min_freq=config.min_freq)
     sdi = None
     if config.use_dependency and config.use_sdi_weights:
         sdi = collect_sdi_stats(train_samples, count_root=config.count_root_edges,
                                 count_punct=config.count_punct_edges)
-    model = AspectSentimentModel(config, vocab, sdi=sdi, embeddings=embeddings)
+    model = AspectSentimentModel(config, vocab, sdi=sdi, pretrained=pretrained)
     optimizer = Adam(model.parameters, config.learning_rate)
     shuffle_rng = make_rng(config.seed, "shuffle")
 
@@ -419,4 +422,4 @@ def predictions_to_jsonl(path, model: AspectSentimentModel, samples) -> None:
     samples = list(samples)
     with atomic_write(path) as f:
         for sample, prediction in zip(samples, model.predict_all(samples)):
-            f.write(json.dumps(prediction.as_record(gold_label=sample.label)) + "\n")
+            f.write(json.dumps(prediction.as_record(sample.label)) + "\n")

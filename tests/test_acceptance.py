@@ -47,7 +47,7 @@ def test_gradient_integrity():
     # every primitive plus the composed forward-to-loss pass on a 5-token
     # sample at d_w = d_h = 8, one graph layer, two heads; < 1e-4 at eps 1e-5
     started = time.monotonic()
-    results = gradient_check_suite(seed=7, eps=1e-5, d=8, n_tokens=5, heads=2)
+    results = gradient_check_suite(seed=7, eps=1e-5, d=8, n_tokens=5)
     elapsed = time.monotonic() - started
     names = {name for name, _ in results}
     assert PRIMITIVE_OPS <= names
@@ -266,16 +266,14 @@ def test_full_scale_reference_extended():
     # hours-scale optional check against the published reference scores
     from sentigraph.corpus import load_dataset, load_pretrained_embeddings
     from sentigraph.training import evaluate
-    from sentigraph.util import make_rng
 
     train_samples = load_dataset(os.path.join(FULL_DATA_DIR, "rest14_train.jsonl"))
     test_samples = load_dataset(os.path.join(FULL_DATA_DIR, "rest14_test.jsonl"))
     config = TrainConfig(max_epochs=30)
     vocab = build_vocab(train_samples, min_freq=config.min_freq)
-    embeddings = load_pretrained_embeddings(
-        os.path.join(FULL_DATA_DIR, "glove.300d.txt"), vocab, config.d_w,
-        make_rng(config.seed, "oov"))
-    result = train(config, train_samples, embeddings=embeddings, vocab=vocab)
+    pretrained = load_pretrained_embeddings(
+        os.path.join(FULL_DATA_DIR, "glove.300d.txt"), vocab, config.d_w)
+    result = train(config, train_samples, pretrained=pretrained, vocab=vocab)
     report = evaluate(result.restore_best(), test_samples)
     assert abs(report.acc * 100 - 81.70) <= 1.5
     assert abs(report.macro_f1 * 100 - 73.63) <= 2.0

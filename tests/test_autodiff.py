@@ -402,7 +402,7 @@ class TestParameterStore:
         store = ad.ParameterStore()
         store.add("b", np.zeros(2))
         store.add("a", np.ones(2))
-        assert store.names() == ["b", "a"]
+        assert [name for name, _ in store.items()] == ["b", "a"]
         with pytest.raises(ValueError, match="duplicate"):
             store.add("a", np.zeros(1))
 
@@ -430,6 +430,17 @@ class TestParameterStore:
                 ad.scale(out, np.inf)
         assert w.requires_grad and not fixed.requires_grad
         assert w.grad is grads[0] and fixed.grad is grads[1]
+
+    def test_zero_grads_inside_frozen_clears_the_accumulators_in_place(self):
+        store = ad.ParameterStore()
+        w = store.add("w", np.ones(3))
+        ad.backward(ad.reduce_sum(w))
+        accumulator = w.grad
+        with store.frozen():
+            store.zero_grads()
+        assert w.grad is accumulator and not accumulator.any()
+        ad.backward(ad.reduce_sum(ad.scale(w, 2.0)))
+        assert w.grad is accumulator and np.array_equal(accumulator, np.full(3, 2.0))
 
     def test_state_roundtrip(self):
         store = ad.ParameterStore()

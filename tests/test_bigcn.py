@@ -151,7 +151,7 @@ class TestTransposePathCounter:
 class TestBigcnStack:
     def stack(self, n_layers, d=4, seed=5, bidirectional=True):
         store = ParameterStore()
-        layers = init_gcn_stack(store, "gcn", d, d, n_layers,
+        layers = init_gcn_stack(store, "gcn", d, n_layers,
                                 np.random.default_rng(seed), bidirectional=bidirectional)
         return layers, store
 
@@ -252,7 +252,7 @@ def test_receptive_field_matches_dense_bfs(seed, n_samples, n_layers, bidirectio
     n, dense = adjacency.shape[0], np.asarray(adjacency)
     linked = (dense + dense.T) > 0 if bidirectional else dense > 0
     rows = rng.random(n) < share
-    layers = init_gcn_stack(ParameterStore(), "gcn", 2, 2, n_layers, rng,
+    layers = init_gcn_stack(ParameterStore(), "gcn", 2, n_layers, rng,
                             bidirectional=bidirectional)
 
     hops = receptive_field(adjacency, rows, layers)

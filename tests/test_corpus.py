@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sentigraph import corpus
 from sentigraph.config import TrainConfig
 from sentigraph.corpus import (
-    PAD_ID,
     UNK_ID,
     AspectSample,
     DatasetError,
@@ -20,7 +19,6 @@ from sentigraph.corpus import (
     conllu_to_samples,
     load_dataset,
     load_pretrained_embeddings,
-    random_embeddings,
     save_dataset,
 )
 from sentigraph.model import AspectSentimentModel
@@ -279,46 +277,31 @@ class TestEmbeddings:
         vocab = Vocab(["<pad>", "<unk>", "hello", "world"])
         values = [0.125, -2.5, 3.0, 0.0625]
         path = self.glove_file(tmp_path, [("hello", values), ("skipme", [1, 2, 3, 4])])
-        table = load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
-        assert table.vectors[vocab.id("hello")].tolist() == values
-
-    def test_oov_rows_bounded_and_reproducible(self, tmp_path):
-        vocab = Vocab(["<pad>", "<unk>", "hello", "world"])
-        path = self.glove_file(tmp_path, [("hello", [0.1, 0.2, 0.3, 0.4])])
-        first = load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(99))
-        second = load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(99))
-        oov = first.vectors[vocab.id("world")]
-        assert np.all(np.abs(oov) <= 0.25)
-        assert np.array_equal(first.vectors, second.vectors)
-
-    def test_padding_row_is_zero(self, tmp_path):
-        vocab = Vocab(["<pad>", "<unk>", "hello"])
-        path = self.glove_file(tmp_path, [("hello", [1, 1, 1, 1])])
-        table = load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
-        assert np.array_equal(table.vectors[PAD_ID], np.zeros(4))
+        table = load_pretrained_embeddings(path, vocab, 4)
+        assert table[vocab.id("hello")].tolist() == values
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         vocab = Vocab(["<pad>", "<unk>", "hello"])
         path = self.glove_file(tmp_path, [("hello", [1, 2, 3, 4]), ("bad", [1, 2])])
         with pytest.raises(DatasetError, match=re.escape(f"{path}:2: expected 4 values, found 2")):
-            load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
+            load_pretrained_embeddings(path, vocab, 4)
 
     def test_word2vec_header_line_skipped(self, tmp_path):
         vocab = Vocab(["<pad>", "<unk>", "hello"])
         path = tmp_path / "vectors.txt"
         path.write_text("3 4\nhello 1 2 3 4\nworld 5 6 7 8\nagain 0 0 0 0\n")
-        table = load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
-        assert table.vectors[vocab.id("hello")].tolist() == [1, 2, 3, 4]
+        table = load_pretrained_embeddings(path, vocab, 4)
+        assert table[vocab.id("hello")].tolist() == [1, 2, 3, 4]
         path.write_text("3 8\nhello 1 2 3 4\n")
         with pytest.raises(DatasetError, match=re.escape(f"{path}:1: header declares width 8")):
-            load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
+            load_pretrained_embeddings(path, vocab, 4)
 
     def test_trailing_whitespace_tolerated(self, tmp_path):
         vocab = Vocab(["<pad>", "<unk>", "hello"])
         path = tmp_path / "vectors.txt"
         path.write_text("hello 1 2 3 4 \nworld\t5 6 7 8\t\n")
-        table = load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
-        assert table.vectors[vocab.id("hello")].tolist() == [1, 2, 3, 4]
+        table = load_pretrained_embeddings(path, vocab, 4)
+        assert table[vocab.id("hello")].tolist() == [1, 2, 3, 4]
 
     def test_non_numeric_value_names_file_and_line(self, tmp_path):
         vocab = Vocab(["<pad>", "<unk>", "hello"])
@@ -326,14 +309,7 @@ class TestEmbeddings:
         for bad in ("x", "nan"):
             path.write_text(f"other 1 2 3 4\nhello 1 {bad} 3 4\n")
             with pytest.raises(DatasetError, match=re.escape(f"{path}:2: ") + ".*'hello'.*not a finite number"):
-                load_pretrained_embeddings(path, vocab, 4, np.random.default_rng(0))
-
-    def test_random_embeddings_zero_pad_row(self):
-        vocab = Vocab(["<pad>", "<unk>", "a"])
-        table = random_embeddings(vocab, 8, np.random.default_rng(3))
-        assert np.array_equal(table.vectors[PAD_ID], np.zeros(8))
-        assert table.vectors.shape == (3, 8)
-        assert np.all(np.abs(table.vectors) <= 0.25)
+                load_pretrained_embeddings(path, vocab, 4)
 
 
 @pytest.mark.parametrize("reader", ["dataset", "conllu", "labels", "embeddings"])
@@ -343,7 +319,7 @@ def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, reader):
         "conllu": (CONLLU.splitlines()[1], corpus.read_conllu),
         "labels": ("0 1 1 negative", corpus.read_aspect_labels),
         "embeddings": ("menu 0.1 0.2 0.3 0.4", lambda p: load_pretrained_embeddings(
-            p, Vocab(["<pad>", "<unk>", "menu"]), 4, np.random.default_rng(0))),
+            p, Vocab(["<pad>", "<unk>", "menu"]), 4)),
     }[reader]
     path = tmp_path / "input.txt"
     path.write_bytes(first_line.encode() + b"\ncaf\xff\n")

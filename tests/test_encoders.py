@@ -161,7 +161,7 @@ class TestBiLstm:
         fused, fused_grads = value_and_grads(bilstm_encode)
         reference, reference_grads = value_and_grads(reference_bilstm_encode)
         assert np.max(np.abs(fused - reference)) < 1e-10
-        names = ["x"] + store.names()
+        names = ["x"] + [name for name, _ in store.items()]
         assert names == ["x", "lstm.fwd.wx", "lstm.fwd.wh", "lstm.fwd.b",
                          "lstm.bwd.wx", "lstm.bwd.wh", "lstm.bwd.b"]
         for name, got, want in zip(names, fused_grads, reference_grads):

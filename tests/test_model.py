@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sentigraph import autodiff as ad
 from sentigraph import bigcn, head
 from sentigraph.config import TrainConfig
-from sentigraph.corpus import EmbeddingTable, build_vocab
+from sentigraph.corpus import PAD_ID, build_vocab, load_pretrained_embeddings
 from sentigraph.model import AspectSentimentModel, gradient_check_suite
 from sentigraph.synthetic import make_synthetic_corpus, random_tree_sample
 from sentigraph.syntax import build_adjacency, collect_sdi_stats
@@ -72,7 +72,7 @@ class TestForwardPass:
         sdi = collect_sdi_stats(corpus)
         a = AspectSentimentModel(CONFIG, vocab, sdi=sdi)
         b = AspectSentimentModel(CONFIG, vocab, sdi=sdi)
-        for name in a.parameters.names():
+        for name, _ in a.parameters.items():
             assert np.array_equal(a.parameters[name].data, b.parameters[name].data)
 
 
@@ -190,13 +190,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="statistics"):
             AspectSentimentModel(CONFIG, build_vocab(corpus), sdi=None)
 
-    def test_embedding_shape_mismatch_rejected(self, corpus):
-        vocab = build_vocab(corpus)
-        sdi = collect_sdi_stats(corpus)
-        bad = EmbeddingTable(vectors=np.zeros((3, 8)))
-        with pytest.raises(ValueError, match="embedding table"):
-            AspectSentimentModel(CONFIG, vocab, sdi=sdi, embeddings=bad)
-
     def test_unidirectional_config_skips_transpose_path(self, corpus, transpose_calls):
         vocab = build_vocab(corpus)
         config = dataclasses.replace(CONFIG, use_bidirectional_gcn=False)
@@ -214,10 +207,58 @@ class TestConstruction:
         assert prob.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestEmbeddingTable:
+    """Uniform rows from the "oov" stream, pretrained rows copied over them, the pad row zero."""
+
+    def table(self, corpus, tmp_path=None, lines=()):
+        vocab = build_vocab(corpus)
+        pretrained = None
+        if tmp_path is not None:
+            path = tmp_path / "vectors.txt"
+            path.write_text("".join(f"{token} {' '.join(repr(float(v)) for v in values)}\n"
+                                    for token, values in lines))
+            pretrained = load_pretrained_embeddings(path, vocab, CONFIG.d_w)
+        model = AspectSentimentModel(CONFIG, vocab, sdi=collect_sdi_stats(corpus),
+                                     pretrained=pretrained)
+        return vocab, model.embedding.data
+
+    def test_pretrained_rows_land_bit_exactly_and_every_other_row_is_the_plain_one(
+            self, corpus, tmp_path):
+        rng = np.random.default_rng(4)
+        the, was, other, again = (rng.normal(size=CONFIG.d_w) * 10.0 ** rng.integers(-300, 300)
+                                  for _ in range(4))
+        lines = [("the", the), ("notaword", other), ("was", was), ("the", again)]
+        vocab, table = self.table(corpus, tmp_path, lines)
+        _, plain = self.table(corpus)
+        assert table[vocab.id("the")].tobytes() == again.tobytes()  # the last vector wins
+        assert table[vocab.id("was")].tobytes() == was.tobytes()
+        rest = [i for i in range(len(vocab)) if i not in (vocab.id("the"), vocab.id("was"))]
+        assert table[rest].tobytes() == plain[rest].tobytes()
+
+    def test_padding_row_is_zero_even_with_a_pad_vector(self, corpus, tmp_path):
+        vocab, table = self.table(corpus, tmp_path, [("<pad>", np.ones(CONFIG.d_w)),
+                                                     ("the", np.ones(CONFIG.d_w))])
+        assert np.array_equal(table[PAD_ID], np.zeros(CONFIG.d_w))
+        assert np.array_equal(table[vocab.id("the")], np.ones(CONFIG.d_w))
+
+    def test_random_table_zero_pad_row(self, corpus):
+        vocab, table = self.table(corpus)
+        assert np.array_equal(table[PAD_ID], np.zeros(CONFIG.d_w))
+        assert table.shape == (len(vocab), CONFIG.d_w)
+        assert np.all(np.abs(table) <= 0.25)
+
+    def test_oov_rows_bounded_and_reproducible(self, corpus, tmp_path):
+        lines = [("the", np.full(CONFIG.d_w, 0.5))]
+        vocab, first = self.table(corpus, tmp_path, lines)
+        _, second = self.table(corpus, tmp_path, lines)
+        assert np.all(np.abs(np.delete(first, vocab.id("the"), axis=0)) <= 0.25)
+        assert np.array_equal(first, second)
+
+
 def test_gradient_suite_smoke():
     # two cheap entries; the full suite is an acceptance gate
     results = dict((name, report) for name, report in
-                   gradient_check_suite(seed=5, d=4, n_tokens=4, heads=2)
+                   gradient_check_suite(seed=5, d=4, n_tokens=4)
                    if name in ("matmul", "softmax"))
     for report in results.values():
         assert report.max_rel_error < 1e-6

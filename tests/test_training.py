@@ -29,7 +29,6 @@ from sentigraph.corpus import (
     Vocab,
     build_vocab,
     load_dataset,
-    random_embeddings,
     save_dataset,
 )
 from sentigraph.model import AspectSentimentModel
@@ -230,14 +229,24 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train(TINY, [])
 
+    def test_a_split_that_holds_out_every_sample_is_rejected(self):
+        # the default dev fraction holds out the one sample, with or without statistics
+        corpus = tiny_corpus(1, seed=4)
+        for config, vocab in ((dataclasses.replace(TINY, use_sdi_weights=False),
+                               build_vocab(corpus)), (TINY, None)):
+            with pytest.raises(ValueError, match="^cannot train on an empty sample list$"):
+                train(config, corpus, vocab=vocab)
+
     def test_callers_embedding_table_is_unchanged_by_training(self):
         corpus = tiny_corpus(8, seed=23)
         vocab = build_vocab(corpus)
-        table = random_embeddings(vocab, TINY.d_w, np.random.default_rng(3))
-        before = table.vectors.copy()
+        rng = np.random.default_rng(3)
+        pretrained = {i: rng.uniform(-0.25, 0.25, TINY.d_w) for i in range(len(vocab))}
+        before = np.array([pretrained[i] for i in range(len(vocab))])
         result = train(dataclasses.replace(TINY, max_epochs=1), corpus, dev_samples=corpus,
-                       embeddings=table, vocab=vocab)
-        assert np.array_equal(table.vectors, before)
+                       pretrained=pretrained, vocab=vocab)
+        assert np.array_equal([pretrained[i] for i in range(len(vocab))], before)
+        before[PAD_ID] = 0.0
         assert not np.array_equal(result.model.embedding.data, before)  # training moved its copy
 
     def test_loss_decreases_on_single_sample(self):
