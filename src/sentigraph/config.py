@@ -14,6 +14,8 @@ class TrainConfig:
     Defaults follow the full-scale setup: 300-wide embeddings and hidden
     states, 3 graph-convolution layers, Adam at 0.001, batches of 32, up to
     100 epochs. Desk-scale runs shrink the widths and layer count.
+    ``batch_size`` is the training mini-batch only; inference sizes its own
+    chunks (``model.inference_chunks``).
     """
 
     d_w: int = 300

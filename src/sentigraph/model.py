@@ -23,8 +23,9 @@ the mask. With ``attention_states="gcn"`` it computes every row and is masked.
 
 Nothing mixes sentences: a sample's probabilities are the same alone and
 at any position in any batch, up to rounding. ``predict(sample)`` is a
-batch of one; ``predict_all`` runs ``config.batch_size`` chunks of
-samples sorted by length.
+batch of one; ``predict_all`` sorts the samples by length and runs them in
+chunks of at most ``INFERENCE_CHUNK_ROWS`` padded rows (``inference_chunks``).
+``config.batch_size`` sizes training batches only.
 
 The model owns its embedding table, one row per vocabulary id. Every row
 is drawn uniform in [-0.25, 0.25] from the seed's ``"oov"`` stream; the
@@ -57,6 +58,13 @@ from .head import Prediction
 from .syntax import SdiTable, build_adjacency, collect_sdi_stats
 from .synthetic import random_tree_sample
 from .util import make_rng
+
+# An inference chunk's padded size (sample count x longest sentence) stays
+# within this cap. Each forward pays a fixed cost per op, which favours few
+# large chunks; the Bi-LSTM's time-major blocks and the attention's score
+# stacks grow with count x longest. Of the caps 512-2048 and one chunk, 1024
+# evaluated both benchmark test files fastest.
+INFERENCE_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -157,21 +165,34 @@ class AspectSentimentModel:
     def predict_all(self, samples) -> list[Prediction]:
         """Predictions for every sample, in input order, from forwards that record no tape.
 
-        The samples run in chunks of ``config.batch_size`` after a stable
-        sort by length, so a chunk's sentences pad the LSTM and attention
-        blocks little.
+        The samples run in the chunks of ``inference_chunks``: sorted by
+        length, so a chunk's sentences pad the LSTM and attention blocks
+        little, and cut at ``INFERENCE_CHUNK_ROWS`` padded rows.
         """
         samples = list(samples)
-        order = sorted(range(len(samples)), key=lambda i: samples[i].n)
         predictions = [None] * len(samples)
-        size = self.config.batch_size
         with self.parameters.frozen():
-            for start in range(0, len(order), size):
-                chunk = order[start:start + size]
+            for chunk in inference_chunks([s.n for s in samples]):
                 prob = self.forward([samples[i] for i in chunk]).prob.data
                 for i, p in zip(chunk, head.predictions(prob)):
                     predictions[i] = p
         return predictions
+
+
+def inference_chunks(lengths: list[int]) -> list[list[int]]:
+    """Index chunks for inference over sentences of these lengths.
+
+    A stable sort by length, cut greedily: a chunk takes the next sentence
+    while its count times its longest stays within ``INFERENCE_CHUNK_ROWS``.
+    A sentence longer than the cap runs alone. No lengths give no chunks.
+    """
+    chunks: list[list[int]] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunks and (len(chunks[-1]) + 1) * lengths[i] <= INFERENCE_CHUNK_ROWS:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
 
 
 # ---------------------------------------------------------------------------

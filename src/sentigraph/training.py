@@ -3,7 +3,8 @@
 Each batch is one packed forward pass and one loss graph (mean
 cross-entropy over the batch plus the L2 penalty counted once, from
 :func:`head.compute_loss`), backpropagated once before a single Adam step.
-Evaluation and prediction files run packed chunks of ``config.batch_size``.
+Evaluation and prediction files run through ``model.predict_all``, in
+length-sorted chunks of at most ``model.INFERENCE_CHUNK_ROWS`` padded rows.
 Model selection keeps the parameters with the best dev accuracy, earliest
 epoch winning ties. Relation statistics always come from the training split
 only.

@@ -319,6 +319,18 @@ class TestEvalPredict:
             assert len(record["prob"]) == 3
             assert abs(sum(record["prob"]) - 1.0) < 1e-9
 
+    def test_an_empty_data_file_evaluates_and_predicts_nothing(self, data_dir, checkpoint,
+                                                               capsys):
+        empty = data_dir / "empty.jsonl"
+        empty.write_text("")
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(empty)]) == 0
+        assert json.loads(capsys.readouterr().out)["confusion"] == [[0, 0, 0]] * 3
+        out = data_dir / "preds.jsonl"
+        assert cli.main(["predict", "--checkpoint", str(checkpoint), "--data", str(empty),
+                         "--out", str(out)]) == 0
+        assert out.read_text() == ""
+        assert capsys.readouterr().out == f"wrote 0 prediction records to {out}\n"
+
     def test_checkpoint_with_per_head_names_fails_in_one_line(self, data_dir, checkpoint,
                                                               capsys):
         # the layout with one projection tensor per head and kind; it is not converted

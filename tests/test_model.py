@@ -3,14 +3,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentigraph import autodiff as ad
 from sentigraph import bigcn, head
 from sentigraph.config import TrainConfig
 from sentigraph.corpus import PAD_ID, build_vocab, load_pretrained_embeddings
-from sentigraph.model import AspectSentimentModel, gradient_check_suite
+from sentigraph.model import (INFERENCE_CHUNK_ROWS, AspectSentimentModel,
+                              gradient_check_suite, inference_chunks)
 from sentigraph.synthetic import make_synthetic_corpus, random_tree_sample
 from sentigraph.syntax import build_adjacency, collect_sdi_stats
 from sentigraph.training import ABLATION_VARIANTS, apply_variant
@@ -79,10 +80,10 @@ class TestForwardPass:
 MIXED_LENGTHS = (9, 1, 40, 2)
 
 
-def mixed_batch_model(variant, attention_states):
+def mixed_batch_model(variant, attention_states, lengths=MIXED_LENGTHS):
     """A model with perturbed parameters and a batch of very different sentence lengths."""
     rng = np.random.default_rng(31)
-    batch = [random_tree_sample(rng, n=n) for n in MIXED_LENGTHS]
+    batch = [random_tree_sample(rng, n=n) for n in lengths]
     config = dataclasses.replace(apply_variant(CONFIG, variant),
                                  attention_states=attention_states, lambda_l2=1e-3)
     model = AspectSentimentModel(config, build_vocab(batch), sdi=collect_sdi_stats(batch))
@@ -124,17 +125,37 @@ class TestPackedBatch:
         fp = model.forward([batch[1], batch[1], batch[3]])
         assert np.max(np.abs(fp.prob.data[:2] - alone[1])) < 1e-12
 
-    def test_predict_all_chunks_by_batch_size(self, monkeypatch):
-        model, batch = mixed_batch_model("full", "lstm")
-        model.config = dataclasses.replace(model.config, batch_size=3)
+    def test_predict_all_cuts_chunks_at_the_row_cap(self, monkeypatch):
+        # sorted: 1 2 9 256 | 256 256 256 | 300 | 1100; 4 x 256 rows fit the cap, 5 do not
+        model, batch = mixed_batch_model("full", "lstm",
+                                         lengths=(256, 9, 1100, 256, 1, 300, 256, 2, 256))
         chunks = []
         forward = model.forward
         monkeypatch.setattr(model, "forward",
                             lambda b: chunks.append([s.n for s in b]) or forward(b))
         predictions = model.predict_all(batch)
-        assert chunks == [[1, 2, 9], [40]]  # sorted by length, then chunked
+        assert chunks == [[1, 2, 9, 256], [256, 256, 256], [300], [1100]]
+        assert INFERENCE_CHUNK_ROWS < 1100  # the longest sentence runs alone
         for sample, prediction in zip(batch, predictions):  # back in input order
             assert np.max(np.abs(prediction.prob - model.predict(sample).prob)) < 1e-12
+
+    def test_predict_all_of_no_samples_runs_no_forward(self, fitted, monkeypatch):
+        monkeypatch.setattr(fitted, "forward", lambda b: pytest.fail("forward called"))
+        assert fitted.predict_all([]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 2000), max_size=300))
+    @example(lengths=[256] * 5)  # four fill the cap exactly
+    def test_inference_chunks_are_sorted_greedy_and_within_the_cap(self, lengths):
+        chunks = inference_chunks(lengths)
+        flat = [i for chunk in chunks for i in chunk]
+        # every sample once, in the stable sort by length
+        assert flat == sorted(range(len(lengths)), key=lengths.__getitem__)
+        for chunk, following in zip(chunks, chunks[1:] + [None]):
+            longest = lengths[chunk[-1]]
+            assert len(chunk) == 1 or len(chunk) * longest <= INFERENCE_CHUNK_ROWS
+            if following is not None:  # greedy: the next sample would break the cap
+                assert (len(chunk) + 1) * lengths[following[0]] > INFERENCE_CHUNK_ROWS
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 3),
@@ -267,7 +288,6 @@ def test_gradient_suite_smoke():
 class TestTapeFreeInference:
     def test_predictions_record_no_tape_and_match_the_training_forward(self, monkeypatch):
         model, batch = mixed_batch_model("full", "lstm")
-        model.config = dataclasses.replace(model.config, batch_size=len(batch))
         grads = {name: t.grad for name, t in model.parameters.items()}
         by_length = sorted(batch, key=lambda s: s.n)
         want_all = model.forward(by_length).prob.data

@@ -290,7 +290,7 @@ class TestTrain:
                             lambda self, batch: sizes.append(len(batch)) or forward(self, batch))
         config = dataclasses.replace(TINY, max_epochs=1, batch_size=3)
         train(config, tiny_corpus(7), dev_samples=tiny_corpus(4, seed=1))
-        assert sizes == [3, 3, 1, 3, 1]  # three training batches, then two dev chunks
+        assert sizes == [3, 3, 1, 4]  # three training batches, then one dev chunk
 
     def test_best_state_copied_only_before_a_step_overwrites_it(self, monkeypatch):
         copies = []
