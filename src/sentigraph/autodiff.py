@@ -485,15 +485,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tens
     columns ``h*d_v:(h+1)*d_v`` of ``v`` and of the result, the heads' outputs
     side by side. Query i attends only to the keys of its own sequence, so no
     N x N score matrix exists: the scores are a (B x heads x n_max x n_max)
-    stack padded per sequence, with the padded keys at -inf. One sequence is
-    read through views, without padding; with ``lengths=None`` ``q`` and
-    ``k`` are one sequence each and may differ in length.
+    stack padded per sequence, with the padded keys at -inf. One sequence
+    (``lengths=None`` or a single length) is read through views, without
+    padding. ``q``, ``k`` and ``v`` always have the same rows.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or qd.shape[1] != kd.shape[1]
-            or kd.shape[0] != vd.shape[0] or heads < 1
-            or qd.shape[1] % heads or vd.shape[1] % heads
-            or (lengths is not None and qd.shape[0] != kd.shape[0])):
+            or not qd.shape[0] == kd.shape[0] == vd.shape[0] or heads < 1
+            or qd.shape[1] % heads or vd.shape[1] % heads):
         _shape_fail("attention", qd.shape, kd.shape, vd.shape, f"{heads} heads")
     c = 1.0 / np.sqrt(qd.shape[1] // heads)
     rows = None

@@ -76,14 +76,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
-    config = TrainConfig()
-    if getattr(args, "config", None):
-        config = load_config(args.config, base=config)
-    overrides = {}
-    for name in _CONFIG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    config = load_config(args.config) if args.config else TrainConfig()
+    overrides = {name: getattr(args, name) for name in _CONFIG_FIELDS
+                 if getattr(args, name) is not None}
     config = dataclasses.replace(config, **overrides)
     config.validate()
     return config
@@ -149,13 +144,22 @@ def cmd_sdi(args) -> int:
     return 0
 
 
+def _input_files(args, *names: str) -> dict[str, str]:
+    """The manifest inputs: each named path argument that was given."""
+    return {name: getattr(args, name) for name in names if getattr(args, name)}
+
+
 def _load_split(args, config):
+    """The training and dev samples: ``--dev`` if given, else a seeded holdout of ``--train``."""
     train_samples = load_dataset(args.train)
     if args.dev:
         dev_samples = load_dataset(args.dev)
     else:
         train_samples, dev_samples = training.split_dev(
             train_samples, config.dev_fraction, config.seed)
+    if not train_samples:
+        held_out = "" if args.dev else f" after holding out dev fraction {config.dev_fraction}"
+        raise ValueError(f"{args.train}: no samples left to train on{held_out}")
     return train_samples, dev_samples
 
 
@@ -167,13 +171,8 @@ def _dev_score(value: float) -> float | None:
 def cmd_train(args) -> int:
     config = _resolve_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    inputs = {"train": args.train}
-    if args.dev:
-        inputs["dev"] = args.dev
-    if args.embeddings:
-        inputs["embeddings"] = args.embeddings
-    manifest = Manifest(os.path.join(args.out_dir, "manifest.json"), "train",
-                        config, inputs)
+    manifest = Manifest(os.path.join(args.out_dir, "manifest.json"), "train", config,
+                        _input_files(args, "train", "dev", "embeddings"))
 
     train_samples, dev_samples = _load_split(args, config)
     vocab = build_vocab(train_samples, min_freq=config.min_freq)
@@ -190,13 +189,13 @@ def cmd_train(args) -> int:
     save_checkpoint(checkpoint_path, result.model, state=result.best_state)
     manifest.add_artifact("checkpoint", checkpoint_path)
 
-    final = result.log[-1] if result.log else None
+    final = result.log[-1]  # validate() makes max_epochs >= 1
     summary = {
         "best_epoch": result.best_epoch,
         "best_dev_acc": _dev_score(result.best_dev_acc),
-        "final_epoch": final.epoch if final else 0,
-        "final_dev_acc": _dev_score(final.dev_acc) if final else None,
-        "final_dev_f1": _dev_score(final.dev_f1) if final else None,
+        "final_epoch": final.epoch,
+        "final_dev_acc": _dev_score(final.dev_acc),
+        "final_dev_f1": _dev_score(final.dev_f1),
     }
     summary_path = os.path.join(args.out_dir, "summary.json")
     with atomic_write(summary_path) as f:
@@ -226,7 +225,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(report.as_dict(), indent=2)
     if args.out:
         manifest = Manifest(str(args.out) + ".manifest.json", "eval", model.config,
-                            {"data": args.data})
+                            _input_files(args, "checkpoint", "data"))
         with atomic_write(args.out) as f:
             f.write(text + "\n")
         manifest.add_artifact("metrics", args.out)
@@ -239,7 +238,7 @@ def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.data)
     manifest = Manifest(str(args.out) + ".manifest.json", "predict", model.config,
-                        {"data": args.data})
+                        _input_files(args, "checkpoint", "data"))
     predictions_to_jsonl(args.out, model, samples)
     _report_unseen_relations(model)
     manifest.add_artifact("predictions", args.out)
@@ -260,7 +259,7 @@ def cmd_study(args) -> int:
     config = _resolve_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = Manifest(os.path.join(args.out_dir, "manifest.json"), args.command,
-                        config, {"train": args.train, "eval": args.eval})
+                        config, _input_files(args, "train", "dev", "eval"))
     train_samples, dev_samples = _load_split(args, config)
     eval_samples = load_dataset(args.eval)
     scores = runner(config, train_samples, eval_samples, dev_samples)
@@ -274,7 +273,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradient_check_suite(seed=args.seed, eps=args.eps)
+    results = gradient_check_suite(args.seed, args.eps)
     worst = 0.0
     for name, report in results:
         skipped = f" skipped={len(report.skipped)}" if report.skipped else ""

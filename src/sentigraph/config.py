@@ -64,8 +64,10 @@ class TrainConfig:
             raise ValueError(f"d_w={self.d_w} must be divisible by heads={self.heads}")
         if self.attention_states not in ("lstm", "gcn"):
             raise ValueError("attention_states must be 'lstm' or 'gcn'")
-        if not self.layer_sweep_range:
-            raise ValueError("layer_sweep_range must be non-empty")
+        sweep = self.layer_sweep_range
+        if not sweep or min(sweep) < 1 or len(set(sweep)) != len(sweep):
+            raise ValueError("config field layer_sweep_range must be a non-empty range "
+                             "of distinct layer counts >= 1")
 
 
 def _parse_value(field: dataclasses.Field, raw: str):
@@ -105,7 +107,7 @@ def config_to_text(config: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
+def parse_config_text(text: str) -> TrainConfig:
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     overrides = {}
     for line_no, line in enumerate(text.splitlines(), 1):
@@ -122,9 +124,9 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
             overrides[key] = _parse_value(fields[key], raw)
         except ValueError as e:
             raise ValueError(f"config line {line_no}: {e}") from None
-    return dataclasses.replace(base or TrainConfig(), **overrides)
+    return TrainConfig(**overrides)
 
 
-def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
+def load_config(path) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read(), base=base)
+        return parse_config_text(f.read())

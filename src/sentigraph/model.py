@@ -262,14 +262,13 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.nd
     ]
 
 
-def gradient_check_suite(seed: int = 7, eps: float = 1e-5,
-                         d: int = 8, n_tokens: int = 5) -> list[tuple[str, FiniteDiffReport]]:
+def gradient_check_suite(seed: int, eps: float) -> list[tuple[str, FiniteDiffReport]]:
     """Finite-difference validation of every primitive and the composed model.
 
     The composed check runs the full forward-to-loss pass on a packed batch
-    of two random samples of different lengths at reduced width (one graph
-    layer, two attention heads) and differentiates with respect to every
-    trainable parameter.
+    of two random samples of 5 and 3 tokens at width 8 (d_w = d_h = 8, one
+    graph layer, two attention heads) and differentiates with respect to
+    every trainable parameter.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -277,11 +276,11 @@ def gradient_check_suite(seed: int = 7, eps: float = 1e-5,
         inputs = [ad.Tensor(a, requires_grad=True) for a in arrays]
         results.append((name, ad.finite_diff_check(fn, inputs, eps=eps)))
 
-    samples = [random_tree_sample(rng, n=max(1, n_tokens - 2 * (i % 2))) for i in range(4)]
+    samples = [random_tree_sample(rng, n=5 - 2 * (i % 2)) for i in range(4)]
     batch = samples[:2]
     vocab = build_vocab(samples)
     sdi = collect_sdi_stats(samples)
-    config = TrainConfig(d_w=d, d_h=d, gcn_layers=1, heads=2, ffn_width=2 * d,
+    config = TrainConfig(d_w=8, d_h=8, gcn_layers=1, heads=2, ffn_width=16,
                          seed=seed, lambda_l2=1e-4)
     model = AspectSentimentModel(config, vocab, sdi=sdi)
 

@@ -56,14 +56,12 @@ def make_synthetic_corpus(n_samples: int, seed: int) -> list[AspectSample]:
 RELATIONS = ("nsubj", "dobj", "amod", "det", "advmod", "cop", "punct")
 
 
-def random_tree_sample(rng: np.random.Generator, n: int | None = None) -> AspectSample:
-    """A valid sample over a uniformly attached random dependency tree.
+def random_tree_sample(rng: np.random.Generator, n: int) -> AspectSample:
+    """A valid ``n``-token sample over a uniformly attached random dependency tree.
 
     Tokens are synthetic placeholders; useful for structural property checks
     and gradient probes rather than for learning.
     """
-    if n is None:
-        n = int(rng.integers(1, 9))
     deps = [(-1, 0, "root")]
     for i in range(1, n):
         head = int(rng.integers(0, i))

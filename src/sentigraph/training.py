@@ -5,9 +5,11 @@ cross-entropy over the batch plus the L2 penalty counted once, from
 :func:`head.compute_loss`), backpropagated once before a single Adam step.
 Evaluation and prediction files run through ``model.predict_all``, in
 length-sorted chunks of at most ``model.INFERENCE_CHUNK_ROWS`` padded rows.
+The caller supplies the dev split: ``split_dev`` holds one out of a
+training file, and the CLI alone calls it, before it builds a vocabulary.
 Model selection keeps the parameters with the best dev accuracy, earliest
-epoch winning ties. Relation statistics always come from the training split
-only.
+epoch winning ties; an empty dev split keeps the last epoch. Relation
+statistics always come from the training split only.
 
 A checkpoint is one uncompressed ``.npz`` file of parameters, vocabulary,
 relation statistics and config, CRC-checked on load; only
@@ -34,16 +36,6 @@ from .corpus import LABELS, Vocab, build_vocab
 from .model import AspectSentimentModel
 from .syntax import SdiTable, collect_sdi_stats
 from .util import atomic_write, make_rng
-
-# re-exported contract surface for consumers of this module
-__all__ = [
-    "Adam", "MetricsReport", "EpochStats", "TrainResult",
-    "train", "evaluate", "metrics_from_confusion", "confusion_matrix",
-    "train_and_score", "run_ablation", "layer_sweep", "ABLATION_VARIANTS", "apply_variant",
-    "split_dev", "save_checkpoint", "load_checkpoint",
-    "write_epoch_log", "write_scores",
-]
-
 
 class Adam:
     """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
@@ -217,19 +209,18 @@ def split_dev(samples, fraction: float, seed: int):
     return train, dev
 
 
-def train(config: TrainConfig, train_samples, dev_samples=None,
+def train(config: TrainConfig, train_samples, dev_samples,
           pretrained: dict[int, np.ndarray] | None = None,
           vocab: Vocab | None = None) -> TrainResult:
     """Mini-batch Adam over shuffled epochs with best-dev-accuracy selection.
 
-    ``pretrained`` word vectors are keyed by the ids of ``vocab``
-    (see :class:`AspectSentimentModel`).
+    The caller supplies the dev split (see :func:`split_dev`); with no dev
+    samples the last epoch is kept. ``vocab`` defaults to the training
+    samples' vocabulary, and ``pretrained`` word vectors are keyed by its
+    ids (see :class:`AspectSentimentModel`).
     """
     config.validate()
-    if dev_samples is None:
-        train_samples, dev_samples = split_dev(train_samples, config.dev_fraction,
-                                               config.seed)
-    if not train_samples:  # after the split, which may hold out every sample
+    if not train_samples:
         raise ValueError("cannot train on an empty sample list")
     if vocab is None:
         vocab = build_vocab(train_samples, min_freq=config.min_freq)
@@ -320,7 +311,7 @@ def train_and_score(configs: dict, train_samples, eval_samples,
 
 
 def run_ablation(config: TrainConfig, train_samples, eval_samples,
-                 dev_samples=None) -> dict[str, MetricsReport]:
+                 dev_samples) -> dict[str, MetricsReport]:
     """Train every variant from the same seed and score it on the eval split."""
     return train_and_score({variant: apply_variant(config, variant)
                             for variant in ABLATION_VARIANTS},
@@ -328,10 +319,9 @@ def run_ablation(config: TrainConfig, train_samples, eval_samples,
 
 
 def layer_sweep(config: TrainConfig, train_samples, eval_samples,
-                dev_samples=None) -> dict[int, MetricsReport]:
+                dev_samples) -> dict[int, MetricsReport]:
     """Train one model per layer count of ``config.layer_sweep_range`` and score each."""
-    if not config.layer_sweep_range:
-        raise ValueError("layer sweep needs a non-empty range")
+    config.validate()  # a bad range fails before the first model trains
     return train_and_score({int(k): dataclasses.replace(config, gcn_layers=int(k))
                             for k in config.layer_sweep_range},
                            train_samples, eval_samples, dev_samples)

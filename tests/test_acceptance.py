@@ -47,7 +47,7 @@ def test_gradient_integrity():
     # every primitive plus the composed forward-to-loss pass on a 5-token
     # sample at d_w = d_h = 8, one graph layer, two heads; < 1e-4 at eps 1e-5
     started = time.monotonic()
-    results = gradient_check_suite(seed=7, eps=1e-5, d=8, n_tokens=5)
+    results = gradient_check_suite(seed=7, eps=1e-5)
     elapsed = time.monotonic() - started
     names = {name for name, _ in results}
     assert PRIMITIVE_OPS <= names
@@ -265,7 +265,7 @@ FULL_DATA_DIR = os.environ.get("SENTIGRAPH_FULL_DATA_DIR")
 def test_full_scale_reference_extended():
     # hours-scale optional check against the published reference scores
     from sentigraph.corpus import load_dataset, load_pretrained_embeddings
-    from sentigraph.training import evaluate
+    from sentigraph.training import evaluate, split_dev
 
     train_samples = load_dataset(os.path.join(FULL_DATA_DIR, "rest14_train.jsonl"))
     test_samples = load_dataset(os.path.join(FULL_DATA_DIR, "rest14_test.jsonl"))
@@ -273,7 +273,8 @@ def test_full_scale_reference_extended():
     vocab = build_vocab(train_samples, min_freq=config.min_freq)
     pretrained = load_pretrained_embeddings(
         os.path.join(FULL_DATA_DIR, "glove.300d.txt"), vocab, config.d_w)
-    result = train(config, train_samples, pretrained=pretrained, vocab=vocab)
+    train_split, dev_split = split_dev(train_samples, config.dev_fraction, config.seed)
+    result = train(config, train_split, dev_split, pretrained=pretrained, vocab=vocab)
     report = evaluate(result.restore_best(), test_samples)
     assert abs(report.acc * 100 - 81.70) <= 1.5
     assert abs(report.macro_f1 * 100 - 73.63) <= 2.0

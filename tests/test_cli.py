@@ -11,11 +11,11 @@ import zipfile
 import numpy as np
 import pytest
 
-from sentigraph import cli
+from sentigraph import cli, training
 from sentigraph.autodiff import FiniteDiffReport
 from sentigraph.corpus import load_dataset, save_dataset
 from sentigraph.synthetic import make_synthetic_corpus
-from sentigraph.util import atomic_write
+from sentigraph.util import atomic_write, file_sha256
 
 CONLLU = """\
 1\tthe\t_\t_\t_\t_\t2\tdet\t_\t_
@@ -279,6 +279,21 @@ class TestTrain:
         assert not (out_dir / "checkpoint.npz").exists()
         assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("n_samples", [1, 0])
+    def test_a_split_that_leaves_nothing_to_train_names_the_file(self, data_dir, capsys,
+                                                                 command, n_samples):
+        # the default dev fraction holds out a one-sample file's only sample
+        path = data_dir / "few.jsonl"
+        save_dataset(path, make_synthetic_corpus(n_samples, seed=33))
+        eval_args = ["--eval", str(data_dir / "test.jsonl")] if command == "ablate" else []
+        code = cli.main([command, "--train", str(path), "--out-dir", str(data_dir / "run_few")]
+                        + eval_args + TINY_FLAGS)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: no samples left to train on after holding out "
+            "dev fraction 0.1\n")
+
     def test_failed_run_leaves_incomplete_manifest(self, data_dir):
         empty = data_dir / "empty.jsonl"
         empty.write_text("")
@@ -318,6 +333,16 @@ class TestEvalPredict:
             assert set(record) == {"prob", "predicted_label", "gold_label"}
             assert len(record["prob"]) == 3
             assert abs(sum(record["prob"]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_manifest_names_the_checkpoint_it_read(self, data_dir, checkpoint, command):
+        out = data_dir / f"{command}.out"
+        assert cli.main([command, "--checkpoint", str(checkpoint),
+                         "--data", str(data_dir / "test.jsonl"), "--out", str(out)]) == 0
+        inputs = read_manifest(str(out) + ".manifest.json")["inputs"]
+        assert set(inputs) == {"checkpoint", "data"}
+        assert inputs["checkpoint"] == {"path": str(checkpoint),
+                                        "sha256": file_sha256(checkpoint)}
 
     def test_an_empty_data_file_evaluates_and_predicts_nothing(self, data_dir, checkpoint,
                                                                capsys):
@@ -488,6 +513,34 @@ class TestAblateSweep:
         manifest = read_manifest(out_dir / "manifest.json")
         assert (manifest["command"], manifest["status"]) == ("sweep", "complete")
         assert manifest["artifacts"] == {"series": str(out_dir / "sweep.tsv")}
+
+    @pytest.mark.parametrize("command", ["ablate", "sweep"])
+    def test_manifest_names_the_dev_file(self, data_dir, command):
+        out_dir = data_dir / command
+        dev = data_dir / "test.jsonl"
+        code = cli.main([command, "--train", str(data_dir / "train.jsonl"), "--dev", str(dev),
+                         "--eval", str(dev), "--out-dir", str(out_dir), "--layer-sweep-range",
+                         "1"] + TINY_FLAGS[:-2] + ["--max-epochs", "1"])
+        assert code == 0
+        inputs = read_manifest(out_dir / "manifest.json")["inputs"]
+        assert set(inputs) == {"train", "dev", "eval"}
+        assert inputs["dev"] == {"path": str(dev), "sha256": file_sha256(dev)}
+
+    @pytest.mark.parametrize("sweep", ["1,2,0", "2,2,1"])
+    def test_a_bad_sweep_range_fails_before_training(self, data_dir, monkeypatch, capsys,
+                                                     sweep):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a model")
+
+        monkeypatch.setattr(training, "train", no_training)
+        out_dir = data_dir / "sweep_bad"
+        code = cli.main(["sweep", "--train", str(data_dir / "train.jsonl"),
+                         "--eval", str(data_dir / "test.jsonl"), "--out-dir", str(out_dir),
+                         "--layer-sweep-range", sweep] + TINY_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field layer_sweep_range ") and err.count("\n") == 1
+        assert not (out_dir / "sweep.tsv").exists()
 
 
 class TestGradcheck:

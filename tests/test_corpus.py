@@ -158,14 +158,16 @@ class TestLoadDataset:
 
     def test_reload_is_identical(self, tmp_path, rng):
         path = tmp_path / "data.jsonl"
-        save_dataset(path, [random_tree_sample(rng) for _ in range(20)])
+        save_dataset(path, [random_tree_sample(rng, n=int(rng.integers(1, 9)))
+                            for _ in range(20)])
         assert load_dataset(path) == load_dataset(path)
 
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_trees_always_validate(seed):
-    sample = random_tree_sample(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    sample = random_tree_sample(rng, n=int(rng.integers(1, 9)))
     sample.validate()
     heads = [d[0] for d in sample.deps]
     assert heads.count(-1) == 1

@@ -244,14 +244,15 @@ class TestScaledDotAttention:
     def test_identical_keys_average_values(self, rng):
         key_row = rng.normal(size=4)
         k = Tensor(np.stack([key_row, key_row]))
-        q = Tensor(np.ones((1, 4)))
+        q = Tensor(np.ones((2, 4)))
         v = Tensor(rng.normal(size=(2, 3)))
         out = ad.attention(q, k, v, 1)
-        assert np.array_equal(out.data[0], v.data.mean(axis=0))
+        for row in out.data:
+            assert np.array_equal(row, v.data.mean(axis=0))
 
     def test_weight_rows_sum_to_one(self, rng):
         # with all-ones values the output exposes each row's total attention weight
-        q = Tensor(rng.normal(size=(5, 4)))
+        q = Tensor(rng.normal(size=(6, 4)))
         k = Tensor(rng.normal(size=(6, 4)))
         v = Tensor(np.ones((6, 1)))
         out = ad.attention(q, k, v, 1)
@@ -293,9 +294,11 @@ class TestScaledDotAttention:
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
-        with pytest.raises(ad.ShapeError, match="attention"):
-            ad.attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
-                                 Tensor(np.ones((2, 2))), 1)
+        # q and k of different widths; q and k of different rows, also with no lengths
+        for q_shape, k_shape in (((2, 3), (2, 4)), ((3, 4), (2, 4))):
+            with pytest.raises(ad.ShapeError, match="attention"):
+                ad.attention(Tensor(np.ones(q_shape)), Tensor(np.ones(k_shape)),
+                             Tensor(np.ones((2, 2))), 1)
 
 
 class TestTransformerEncode:

@@ -10,8 +10,7 @@ from sentigraph import autodiff as ad
 from sentigraph import bigcn, head
 from sentigraph.config import TrainConfig
 from sentigraph.corpus import PAD_ID, build_vocab, load_pretrained_embeddings
-from sentigraph.model import (INFERENCE_CHUNK_ROWS, AspectSentimentModel,
-                              gradient_check_suite, inference_chunks)
+from sentigraph.model import INFERENCE_CHUNK_ROWS, AspectSentimentModel, inference_chunks
 from sentigraph.synthetic import make_synthetic_corpus, random_tree_sample
 from sentigraph.syntax import build_adjacency, collect_sdi_stats
 from sentigraph.training import ABLATION_VARIANTS, apply_variant
@@ -274,15 +273,6 @@ class TestEmbeddingTable:
         _, second = self.table(corpus, tmp_path, lines)
         assert np.all(np.abs(np.delete(first, vocab.id("the"), axis=0)) <= 0.25)
         assert np.array_equal(first, second)
-
-
-def test_gradient_suite_smoke():
-    # two cheap entries; the full suite is an acceptance gate
-    results = dict((name, report) for name, report in
-                   gradient_check_suite(seed=5, d=4, n_tokens=4)
-                   if name in ("matmul", "softmax"))
-    for report in results.values():
-        assert report.max_rel_error < 1e-6
 
 
 class TestTapeFreeInference:

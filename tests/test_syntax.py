@@ -123,8 +123,8 @@ class TestBinaryAdjacency:
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_entries_are_binary(self, seed):
-        sample = random_tree_sample(np.random.default_rng(seed))
-        adj, _ = binary(sample)
+        rng = np.random.default_rng(seed)
+        adj, _ = binary(random_tree_sample(rng, n=int(rng.integers(1, 9))))
         assert set(np.unique(adj)) <= {0.0, 1.0}
         assert np.all(np.diag(adj) == 1.0)
 
