@@ -3,7 +3,6 @@
 Subcommands::
 
     prepare    convert a CoNLL-U-style parse file + aspect annotations to JSON lines
-    sdi        compute relation-frequency statistics from a training file
     train      train a model, keeping the best-dev checkpoint
     eval       score a checkpoint on a dataset
     predict    write per-sample prediction records
@@ -12,7 +11,8 @@ Subcommands::
     gradcheck  run the finite-difference suite over ops and the composed model
 
 ``train`` writes ``<out-dir>/checkpoint.npz``, the one file ``eval`` and
-``predict`` take as ``--checkpoint``. ``ablate`` and ``sweep`` share one
+``predict`` take as ``--checkpoint``; its manifest records the relation
+statistics the checkpoint holds. ``ablate`` and ``sweep`` share one
 handler: each trains its configs on one split and writes one
 ``key<TAB>acc<TAB>macro_f1`` line per config. Every file-producing run
 writes a manifest first (marked incomplete) and completes it on success, so
@@ -38,7 +38,6 @@ from .autodiff import NonFiniteError
 from .config import TrainConfig, _parse_value, load_config
 from .corpus import DatasetError, build_vocab, load_dataset, load_pretrained_embeddings
 from .model import gradient_check_suite
-from .syntax import SdiTable, collect_sdi_stats
 from .training import (
     evaluate,
     layer_sweep,
@@ -111,6 +110,11 @@ class Manifest:
         self.payload["artifacts"][name] = str(path)
         self._flush()
 
+    def record(self, name: str, value) -> None:
+        """Add a JSON value under ``name``, such as what a run learned from its data."""
+        self.payload[name] = value
+        self._flush()
+
     def complete(self) -> None:
         self.payload["status"] = "complete"
         self._flush()
@@ -127,20 +131,6 @@ def cmd_prepare(args) -> int:
     manifest.add_artifact("dataset", args.out)
     manifest.complete()
     print(f"wrote {len(samples)} samples to {args.out}")
-    return 0
-
-
-def cmd_sdi(args) -> int:
-    config = _resolve_config(args)
-    samples = load_dataset(args.train)
-    manifest = Manifest(str(args.out) + ".manifest.json", "sdi", config,
-                        {"train": args.train})
-    table = collect_sdi_stats(samples, count_root=config.count_root_edges,
-                              count_punct=config.count_punct_edges)
-    table.save(args.out)
-    manifest.add_artifact("sdi", args.out)
-    manifest.complete()
-    print(f"counted {table.total_edges} edges over {len(table.ratios)} relation labels")
     return 0
 
 
@@ -180,6 +170,8 @@ def cmd_train(args) -> int:
     if args.embeddings:
         pretrained = load_pretrained_embeddings(args.embeddings, vocab, config.d_w)
     result = train(config, train_samples, dev_samples, pretrained=pretrained, vocab=vocab)
+    sdi = result.model.sdi  # the relation statistics the checkpoint holds, or none
+    manifest.record("relations", None if sdi is None else sdi.as_dict())
 
     log_path = os.path.join(args.out_dir, "epochs.tsv")
     write_epoch_log(log_path, result.log)
@@ -299,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_prepare)
-
-    p = sub.add_parser("sdi", help="write relation-frequency statistics")
-    p.add_argument("--train", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(handler=cmd_sdi)
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--train", required=True)

@@ -15,7 +15,10 @@ class TrainConfig:
     states, 3 graph-convolution layers, Adam at 0.001, batches of 32, up to
     100 epochs. Desk-scale runs shrink the widths and layer count.
     ``batch_size`` is the training mini-batch only; inference sizes its own
-    chunks (``model.inference_chunks``).
+    chunks (``model.inference_chunks``). The switches vary the graph alone;
+    the attention always scores and pools the Bi-LSTM states (``model``),
+    and the relation statistics always skip root pseudo-edges and count
+    punctuation (``syntax.collect_sdi_stats``).
     """
 
     d_w: int = 300
@@ -33,9 +36,6 @@ class TrainConfig:
     use_dependency: bool = True
     use_sdi_weights: bool = True
     use_bidirectional_gcn: bool = True
-    attention_states: str = "lstm"  # which states the aspect attention scores and pools
-    count_root_edges: bool = False
-    count_punct_edges: bool = True
     layer_sweep_range: tuple[int, ...] = (1, 2, 3, 4)
 
     @property
@@ -62,8 +62,6 @@ class TrainConfig:
             raise ValueError("d_w must be even for the positional encoding")
         if self.d_w % self.heads != 0:
             raise ValueError(f"d_w={self.d_w} must be divisible by heads={self.heads}")
-        if self.attention_states not in ("lstm", "gcn"):
-            raise ValueError("attention_states must be 'lstm' or 'gcn'")
         sweep = self.layer_sweep_range
         if not sweep or min(sweep) < 1 or len(set(sweep)) != len(sweep):
             raise ValueError("config field layer_sweep_range must be a non-empty range "
@@ -84,13 +82,12 @@ def _parse_value(field: dataclasses.Field, raw: str):
         kind = {"float": "a number", "tuple[int, ...]": "comma-separated integers"}.get(
             field.type, "an integer")
         raise ValueError(f"config field {field.name}: expected {kind}, got {raw!r}") from None
-    if field.type in ("bool", bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config field {field.name}: expected true/false, got {raw!r}")
-    return raw
+    # every other field is a bool
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"config field {field.name}: expected true/false, got {raw!r}")
 
 
 def _format_value(value) -> str:
@@ -128,5 +125,15 @@ def parse_config_text(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read())
+    """The config a ``key = value`` file holds; an error names the file and the line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return parse_config_text(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        # the line the bad byte is on, counted as parse_config_text counts lines
+        line_no = len((data[:e.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"{path}: config line {line_no}: not UTF-8 text "
+                         f"({e.reason} at byte {e.start} of the file)") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

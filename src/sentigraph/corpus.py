@@ -122,9 +122,10 @@ def _record_to_sample(record: dict) -> AspectSample:
     )
 
 
-# what would break sdi.txt, which `sentigraph sdi` writes as one tab-separated
-# relation per UTF-8 line: a tab or a line break in a relation, or a lone
-# surrogate, which has no UTF-8 form; tokens are held to the same line-safe text
+# what would break the one-line unseen-relations note, which names each unseen
+# relation on one UTF-8 stderr line: a line break in a relation, or a lone
+# surrogate, which has no UTF-8 form; relations are kept free of tabs as well, and
+# tokens are held to the same line-safe text
 _BAD_TOKEN = re.compile("[\n\r\ud800-\udfff]")
 _BAD_RELATION = re.compile("[\t\n\r\ud800-\udfff]")
 

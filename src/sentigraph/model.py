@@ -15,11 +15,12 @@ N_total rows; sentence j owns rows ``offsets[j]:offsets[j + 1]``, where
     -> fused with each sentence's projected transformer mean
     -> 3-way softmax, one row per sample (B x 3)
 
-When the attention scores and pools the Bi-LSTM states (the default
-``attention_states="lstm"``), the Bi-GCN output reaches the loss only
-through the aspect masks. The stack then computes, at each layer, only
-the rows the aspect rows depend on, and its output, zero outside them, is
-the mask. With ``attention_states="gcn"`` it computes every row and is masked.
+The attention is ASGCN's retrieval attention (Zhang et al. 2019,
+arXiv:1909.03477): it scores and pools the Bi-LSTM states against the
+aspect-masked Bi-GCN output. So the Bi-GCN output reaches the loss only
+through the aspect masks. The stack computes, at each layer, only the
+rows the aspect rows depend on, and its output, zero outside them, is
+the mask.
 
 Nothing mixes sentences: a sample's probabilities are the same alone and
 at any position in any batch, up to rounding. ``predict(sample)`` is a
@@ -77,8 +78,7 @@ class ForwardPass:
     z_out: Tensor                # N_total x d_w
     adjacency: ad.SparseMatrix   # N_total x N_total, every sample's graph entries
     degrees: np.ndarray          # (N_total,)
-    h_gcn: Tensor                # N_total x 2*d_h; 0 outside the aspect rows (lstm states)
-    h_mask: Tensor               # N_total x 2*d_h
+    h_gcn: Tensor                # N_total x 2*d_h; 0 outside the aspect rows: the mask
     alpha: Tensor                # (N_total,), sums to 1 within each sample
     pooled: Tensor               # B x 2*d_h
     res_out: Tensor              # B x 2*d_h
@@ -144,18 +144,13 @@ class AspectSentimentModel:
         adjacency, degrees = self.adjacency(samples)
         rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in samples], lengths,
                                 h_lstm.shape[0])
-        if self.config.attention_states == "lstm":  # only h_gcn's aspect rows are read
-            h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers, rows)
-            states, h_mask = h_lstm, h_gcn  # zero outside the aspect rows: the mask itself
-        else:
-            h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers)
-            states, h_mask = h_gcn, ad.scale_rows(h_gcn, Tensor(rows))
-        alpha, pooled = head.aspect_attention(states, h_mask, lengths)
+        h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers, rows)
+        alpha, pooled = head.aspect_attention(h_lstm, h_gcn, lengths)
         res_out = head.fuse(pooled, z_out, self.fusion, lengths)
         prob = head.classify(res_out, self.classifier)
         return ForwardPass(lengths=lengths, embedded=embedded,
                            h_lstm=h_lstm, z_out=z_out, adjacency=adjacency,
-                           degrees=degrees, h_gcn=h_gcn, h_mask=h_mask, alpha=alpha,
+                           degrees=degrees, h_gcn=h_gcn, alpha=alpha,
                            pooled=pooled, res_out=res_out, prob=prob)
 
     def predict(self, sample: AspectSample) -> Prediction:

@@ -4,9 +4,11 @@ Each sentence's graph is one directed n x n matrix: a self-loop of weight 1
 at every token and, at (head, dependent) for every dependency edge, either
 1 (the binary graph) or the training-corpus frequency ratio of the edge's
 relation label (the weighted graph), together with each token's
-out-degree. Both forms of a sentence share their entries' positions and
-their degree vector. A batch of sentences yields, in one pass, the entries
-in row-major order of the block-diagonal matrix of their graphs, indexed by
+out-degree. The ratios count every edge that joins two tokens,
+punctuation included; root pseudo-edges join none and count nowhere.
+Both forms of a sentence share their entries' positions and their degree
+vector. A batch of sentences yields, in one pass, the entries in
+row-major order of the block-diagonal matrix of their graphs, indexed by
 the packed rows that stack the sentences' tokens.
 """
 
@@ -20,9 +22,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import AspectSample
-from .util import atomic_write
-
-PUNCT_RELATION = "punct"
 
 
 @dataclass(frozen=True)
@@ -36,29 +35,26 @@ class SdiTable:
     def min_ratio(self) -> float:
         return min(self.ratios.values())
 
-    def save(self, path) -> None:
-        """The ``sentigraph sdi`` file: ``total_edges``, then a relation and its ratio a line."""
-        with atomic_write(path) as f:
-            f.write(f"total_edges\t{self.total_edges}\n")
-            for label in sorted(self.ratios):
-                f.write(f"{label}\t{self.ratios[label]!r}\n")
+    def as_dict(self) -> dict:
+        """The JSON form the checkpoint and the train manifest hold."""
+        return {"total_edges": self.total_edges, "ratios": dict(self.ratios)}
+
+    @classmethod
+    def from_dict(cls, record: dict) -> SdiTable:
+        return cls(MappingProxyType(record["ratios"]), record["total_edges"])
 
 
-def collect_sdi_stats(training_samples, count_root: bool = False,
-                      count_punct: bool = True) -> SdiTable:
-    """Frequency ratio per relation label over all counted training edges.
+def collect_sdi_stats(training_samples) -> SdiTable:
+    """Frequency ratio per relation label over the training edges that join two tokens.
 
-    Root pseudo-edges are excluded by default (they join no token pair);
-    punctuation edges are counted by default.
+    Root pseudo-edges join no token pair and no graph holds them, so they
+    are skipped; every other edge counts, punctuation included.
     """
     counts: Counter[str] = Counter()
     for sample in training_samples:
         for head, _dep, relation in sample.deps:
-            if head == -1 and not count_root:
-                continue
-            if relation == PUNCT_RELATION and not count_punct:
-                continue
-            counts[relation] += 1
+            if head != -1:
+                counts[relation] += 1
     total = sum(counts.values())
     if total == 0:
         raise ValueError("no dependency edges to count: ratio denominator undefined")

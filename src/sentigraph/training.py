@@ -24,7 +24,6 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -226,8 +225,7 @@ def train(config: TrainConfig, train_samples, dev_samples,
         vocab = build_vocab(train_samples, min_freq=config.min_freq)
     sdi = None
     if config.use_dependency and config.use_sdi_weights:
-        sdi = collect_sdi_stats(train_samples, count_root=config.count_root_edges,
-                                count_punct=config.count_punct_edges)
+        sdi = collect_sdi_stats(train_samples)
     model = AspectSentimentModel(config, vocab, sdi=sdi, pretrained=pretrained)
     optimizer = Adam(model.parameters, config.learning_rate)
     shuffle_rng = make_rng(config.seed, "shuffle")
@@ -350,10 +348,8 @@ def save_checkpoint(path, model: AspectSentimentModel,
     {"total_edges": n, "ratios": {relation: ratio}} or null}``. The file
     replaces ``path`` only once complete, so no reader sees two checkpoints.
     """
-    sdi = model.sdi
     meta = {"config": config_to_text(model.config), "vocab": model.vocab.id_to_token,
-            "relations": None if sdi is None else {"total_edges": sdi.total_edges,
-                                                   "ratios": dict(sdi.ratios)}}
+            "relations": None if model.sdi is None else model.sdi.as_dict()}
     if state is None:
         state = {name: t.data for name, t in model.parameters.items()}
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -393,8 +389,7 @@ def load_checkpoint(path) -> AspectSentimentModel:
             members = {info.filename.removesuffix(".npy"): info for info in archive.infolist()}
             meta = json.loads(_read_member(archive, members.pop(_META)).tobytes())
             relations = meta["relations"]
-            sdi = None if relations is None else SdiTable(
-                MappingProxyType(relations["ratios"]), relations["total_edges"])
+            sdi = None if relations is None else SdiTable.from_dict(relations)
             model = AspectSentimentModel(parse_config_text(meta["config"]),
                                          Vocab(meta["vocab"]), sdi=sdi)
             model.parameters.check_names(members)

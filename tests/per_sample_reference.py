@@ -115,9 +115,8 @@ def reference_probabilities(model, sample):
     mask = np.zeros(h_gcn.shape)
     mask[sample.aspect_start:sample.aspect_start + sample.aspect_len] = 1.0
     h_mask = ad.mul(h_gcn, Tensor(mask))
-    states = h_lstm if model.config.attention_states == "lstm" else h_gcn
-    alpha = ad.softmax(ad.matmul(states, ad.reduce_sum(h_mask, axis=0)))
-    pooled = ad.matmul(ad.transpose(states), alpha)
+    alpha = ad.softmax(ad.matmul(h_lstm, ad.reduce_sum(h_mask, axis=0)))
+    pooled = ad.matmul(ad.transpose(h_lstm), alpha)
     projected = ad.add(ad.matmul(ad.reduce_mean(z_out, axis=0), model.fusion.w_proj),
                        model.fusion.b_proj)
     res_out = ad.add(pooled, projected)

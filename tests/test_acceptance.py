@@ -188,8 +188,8 @@ def test_masking():
         outside = [i for i in range(sample.n) if not lo <= i < hi]
 
         # masked rows are exactly zero
-        assert np.array_equal(fp.h_mask.data[outside],
-                              np.zeros((len(outside), fp.h_mask.shape[1])))
+        assert np.array_equal(fp.h_gcn.data[outside],
+                              np.zeros((len(outside), fp.h_gcn.shape[1])))
 
         # loss as a function of the graph-convolution output along the mask path
         h_lstm = fp.h_lstm.data.copy()

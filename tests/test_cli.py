@@ -121,20 +121,20 @@ class TestDispatch:
         ("--batch-size", "q"), ("--learning-rate", "fast"),
         ("--use-dependency", "maybe"), ("--layer-sweep-range", "1,a")])
     def test_bad_config_flag_value_names_the_flag(self, flag, value, capsys):
-        assert cli.main(["sdi", "--train", "x", "--out", "y", flag, value]) == 2
+        assert cli.main(["train", "--train", "x", "--out-dir", "y", flag, value]) == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert flag in last and repr(value) in last
 
     def test_config_flags_parse_like_config_files(self):
         args = cli.build_parser().parse_args(
-            ["sdi", "--train", "x", "--out", "y", "--use-dependency", "no",
+            ["train", "--train", "x", "--out-dir", "y", "--use-dependency", "no",
              "--layer-sweep-range", "2,4", "--lambda-l2", "0.5", "--batch-size", "3"])
         assert (args.use_dependency, args.layer_sweep_range) == (False, (2, 4))
         assert (args.lambda_l2, args.batch_size) == (0.5, 3)
 
     def test_missing_file_exits_1_with_path(self, tmp_path, capsys):
-        code = cli.main(["sdi", "--train", str(tmp_path / "nope.jsonl"),
-                         "--out", str(tmp_path / "sdi.txt")])
+        code = cli.main(["train", "--train", str(tmp_path / "nope.jsonl"),
+                         "--out-dir", str(tmp_path / "run")])
         assert code == 1
         assert "nope.jsonl" in capsys.readouterr().err
 
@@ -176,17 +176,6 @@ class TestPrepare:
             f"error: {conllu}: line 6: expected >= 8 tab-separated columns\n")
 
 
-class TestSdi:
-    def test_writes_loadable_statistics(self, data_dir):
-        out = data_dir / "sdi.txt"
-        assert cli.main(["sdi", "--train", str(data_dir / "train.jsonl"),
-                         "--out", str(out)]) == 0
-        header, *rows = out.read_text(encoding="utf-8").splitlines()
-        assert header.startswith("total_edges\t") and int(header.split("\t")[1]) > 0
-        assert sum(float(row.split("\t")[1]) for row in rows) == pytest.approx(1.0)
-        assert read_manifest(str(out) + ".manifest.json")["status"] == "complete"
-
-
 class TestTrain:
     def test_run_produces_checkpoint_log_and_manifest(self, data_dir):
         out_dir = data_dir / "run"
@@ -200,6 +189,36 @@ class TestTrain:
         assert zipfile.is_zipfile(out_dir / "checkpoint.npz")
         epochs = (out_dir / "epochs.tsv").read_text().strip().splitlines()
         assert len(epochs) == 3  # header + 2 epochs
+
+    @pytest.mark.parametrize("variant", ["full", "no_edge_weights"])
+    def test_manifest_records_the_relations_the_checkpoint_holds(self, data_dir, variant):
+        out_dir = data_dir / "run"
+        flags = ["--use-sdi-weights", "false"] if variant == "no_edge_weights" else []
+        assert cli.main(["train", "--train", str(data_dir / "train.jsonl"),
+                         "--out-dir", str(out_dir)] + TINY_FLAGS + flags) == 0
+        relations = read_manifest(out_dir / "manifest.json")["relations"]
+        with np.load(out_dir / "checkpoint.npz") as archive:
+            meta = json.loads(archive["__meta__"].tobytes())
+        assert relations == meta["relations"]
+        assert (relations is None) == (variant == "no_edge_weights")
+
+    @pytest.mark.parametrize("problem", ["removed_field", "byte_0xff"])
+    def test_bad_config_file_fails_in_one_line_naming_file_and_line(self, data_dir, capsys,
+                                                                     problem):
+        cfg = data_dir / "run.cfg"
+        if problem == "removed_field":  # a field earlier versions had
+            cfg.write_text("d_w = 8\nattention_states = lstm\n")
+            expected = f"error: {cfg}: config line 2: unknown field 'attention_states'\n"
+        else:
+            cfg.write_bytes(b"d_w = 8\nd_h = \xff8\n")
+            expected = (f"error: {cfg}: config line 2: not UTF-8 text "
+                        "(invalid start byte at byte 14 of the file)\n")
+        out_dir = data_dir / "run_bad_config"
+        code = cli.main(["train", "--config", str(cfg), "--train", str(data_dir / "train.jsonl"),
+                         "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == expected
+        assert not out_dir.exists()
 
     def test_manifest_echoes_training_defaults(self, data_dir):
         # dims shrink via config file; optimizer knobs stay at their defaults
@@ -476,9 +495,13 @@ class TestArtifacts:
         assert info.value.filename == str(target)
         assert ".tmp" not in str(info.value)
 
-    def test_output_into_missing_directory_names_it(self, data_dir, capsys):
-        out = data_dir / "missing" / "sdi.txt"
-        assert cli.main(["sdi", "--train", str(data_dir / "train.jsonl"),
+    def test_output_into_missing_directory_names_it(self, tmp_path, capsys):
+        conllu = tmp_path / "parses.conllu"
+        conllu.write_text(CONLLU)
+        labels = tmp_path / "aspects.txt"
+        labels.write_text("0 1 1 negative\n")
+        out = tmp_path / "missing" / "data.jsonl"
+        assert cli.main(["prepare", "--conllu", str(conllu), "--labels", str(labels),
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert str(out) in err

@@ -126,7 +126,7 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("token", ["two\nlines", "carriage\rreturn"])
     def test_token_with_line_break_rejected(self, tmp_path, token):
-        # tokens are held to the line-safe text sdi.txt needs of relations
+        # tokens are held to the line-safe text the unseen-relations note needs of relations
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [make_record(), make_record(tokens=["the", token, "was", "limited"])])
         with pytest.raises(DatasetError, match=r"line 2: field 'tokens': token 1 .*line break"):
@@ -140,7 +140,7 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("relation", ["n\tsubj", "n\nsubj", "n\rsubj"])
     def test_relation_with_tab_or_line_break_rejected(self, tmp_path, relation):
-        # such a relation would corrupt the tab-separated lines of sdi.txt
+        # a relation is named on the one-line unseen-relations note
         path = tmp_path / "bad.jsonl"
         deps = [[1, 0, "det"], [3, 1, relation], [3, 2, "cop"], [-1, 3, "root"]]
         write_jsonl(path, [make_record(deps=deps)])
@@ -149,7 +149,7 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("field, name", [("tokens", '"menu"'), ("deps", '"nsubj"')])
     def test_escaped_lone_surrogate_rejected(self, tmp_path, field, name):
-        # a lone surrogate has no UTF-8 form: sdi.txt could not hold it
+        # a lone surrogate has no UTF-8 form: no UTF-8 line could name it
         path = tmp_path / "bad.jsonl"
         line = json.dumps(make_record())
         path.write_text(line + "\n" + line.replace(name, '"\\ud800"') + "\n")

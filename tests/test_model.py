@@ -54,7 +54,7 @@ class TestForwardPass:
             fp = fitted.forward([sample])
             lo, hi = sample.aspect_start, sample.aspect_start + sample.aspect_len
             outside = [i for i in range(sample.n) if not lo <= i < hi]
-            assert np.array_equal(fp.h_mask.data[outside], np.zeros((len(outside), 16)))
+            assert np.array_equal(fp.h_gcn.data[outside], np.zeros((len(outside), 16)))
 
     def test_weighted_adjacency_matches_builder(self, fitted, corpus):
         sample = corpus[1]
@@ -79,12 +79,11 @@ class TestForwardPass:
 MIXED_LENGTHS = (9, 1, 40, 2)
 
 
-def mixed_batch_model(variant, attention_states, lengths=MIXED_LENGTHS):
+def mixed_batch_model(variant, lengths=MIXED_LENGTHS):
     """A model with perturbed parameters and a batch of very different sentence lengths."""
     rng = np.random.default_rng(31)
     batch = [random_tree_sample(rng, n=n) for n in lengths]
-    config = dataclasses.replace(apply_variant(CONFIG, variant),
-                                 attention_states=attention_states, lambda_l2=1e-3)
+    config = dataclasses.replace(apply_variant(CONFIG, variant), lambda_l2=1e-3)
     model = AspectSentimentModel(config, build_vocab(batch), sdi=collect_sdi_stats(batch))
     for t in model.parameters.tensors():
         t.data = t.data + rng.normal(scale=0.2, size=t.shape)
@@ -92,10 +91,9 @@ def mixed_batch_model(variant, attention_states, lengths=MIXED_LENGTHS):
 
 
 class TestPackedBatch:
-    @pytest.mark.parametrize("attention_states", ["lstm", "gcn"])
     @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
-    def test_matches_per_sample_reference(self, variant, attention_states):
-        model, batch = mixed_batch_model(variant, attention_states)
+    def test_matches_per_sample_reference(self, variant):
+        model, batch = mixed_batch_model(variant)
         params = model.parameters
 
         params.zero_grads()
@@ -113,7 +111,7 @@ class TestPackedBatch:
             assert np.max(np.abs(packed_grads[name] - t.grad)) < 1e-10, name
 
     def test_probabilities_independent_of_batch_position(self):
-        model, batch = mixed_batch_model("full", "lstm")
+        model, batch = mixed_batch_model("full")
         alone = [model.predict(s).prob for s in batch]
         for shift in range(len(batch)):
             order = [(i + shift) % len(batch) for i in range(len(batch))]
@@ -126,7 +124,7 @@ class TestPackedBatch:
 
     def test_predict_all_cuts_chunks_at_the_row_cap(self, monkeypatch):
         # sorted: 1 2 9 256 | 256 256 256 | 300 | 1100; 4 x 256 rows fit the cap, 5 do not
-        model, batch = mixed_batch_model("full", "lstm",
+        model, batch = mixed_batch_model("full",
                                          lengths=(256, 9, 1100, 256, 1, 300, 256, 2, 256))
         chunks = []
         forward = model.forward
@@ -158,15 +156,14 @@ class TestPackedBatch:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 3),
-           variant=st.sampled_from(sorted(ABLATION_VARIANTS)),
-           attention_states=st.sampled_from(["lstm", "gcn"]), n_layers=st.integers(1, 3))
+           variant=st.sampled_from(sorted(ABLATION_VARIANTS)), n_layers=st.integers(1, 3))
     def test_pruned_graph_rows_match_the_all_rows_path(self, seed, n_samples, variant,
-                                                       attention_states, n_layers):
+                                                       n_layers):
         rng = np.random.default_rng(seed)
         # uniform lengths: drawn by hypothesis they would cluster at the small end
         batch = [random_tree_sample(rng, n=int(n)) for n in rng.integers(1, 41, n_samples)]
         config = dataclasses.replace(apply_variant(CONFIG, variant), gcn_layers=n_layers,
-                                     attention_states=attention_states, lambda_l2=1e-3)
+                                     lambda_l2=1e-3)
         # statistics from a wider corpus, so that length-1 batches have some
         sdi = collect_sdi_stats(batch + [random_tree_sample(rng, n=8)])
         model = AspectSentimentModel(config, build_vocab(batch), sdi=sdi)
@@ -183,19 +180,18 @@ class TestPackedBatch:
         pruned, pruned_grads = run()
         stack = bigcn.bigcn_stack
 
-        def all_rows(h0, adjacency, degrees, layers, rows=None):
+        def all_rows(h0, adjacency, degrees, layers, rows):
             # every row computed, then the rows outside ``rows`` zeroed by a mask node
-            out = stack(h0, adjacency, degrees, layers)
-            return out if rows is None else ad.scale_rows(out, ad.Tensor(rows))
+            return ad.scale_rows(stack(h0, adjacency, degrees, layers), ad.Tensor(rows))
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bigcn, "bigcn_stack", all_rows)
             full, full_grads = run()
 
-        if attention_states == "lstm":  # only the aspect rows are computed
-            rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in batch],
-                                    pruned.lengths, pruned.h_gcn.shape[0])
-            assert not pruned.h_gcn.data[~rows].any()
+        # only the aspect rows are computed
+        rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in batch],
+                                pruned.lengths, pruned.h_gcn.shape[0])
+        assert not pruned.h_gcn.data[~rows].any()
         assert np.max(np.abs(pruned.prob.data - full.prob.data)) <= 1e-12
         for name, want in full_grads.items():
             assert np.max(np.abs(pruned_grads[name] - want)) <= 1e-12 * np.max(np.abs(want)), name
@@ -217,14 +213,6 @@ class TestConstruction:
         for sample in corpus[:3]:
             model.predict(sample)
         assert len(transpose_calls) == 0
-
-    def test_gcn_attention_states_variant(self, corpus):
-        vocab = build_vocab(corpus)
-        sdi = collect_sdi_stats(corpus)
-        config = dataclasses.replace(CONFIG, attention_states="gcn")
-        model = AspectSentimentModel(config, vocab, sdi=sdi)
-        prob = model.predict(corpus[0]).prob
-        assert prob.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEmbeddingTable:
@@ -277,7 +265,7 @@ class TestEmbeddingTable:
 
 class TestTapeFreeInference:
     def test_predictions_record_no_tape_and_match_the_training_forward(self, monkeypatch):
-        model, batch = mixed_batch_model("full", "lstm")
+        model, batch = mixed_batch_model("full")
         grads = {name: t.grad for name, t in model.parameters.items()}
         by_length = sorted(batch, key=lambda s: s.n)
         want_all = model.forward(by_length).prob.data
@@ -305,7 +293,7 @@ class TestTapeFreeInference:
 
     @pytest.mark.parametrize("entry", ["predict", "predict_all"])
     def test_parameters_restored_after_a_forward_raises(self, entry):
-        model, batch = mixed_batch_model("full", "lstm")
+        model, batch = mixed_batch_model("full")
         grads = {name: t.grad for name, t in model.parameters.items()}
         model.parameters["classifier.w"].data[0, 0] = np.nan
         with pytest.raises(ad.NonFiniteError):

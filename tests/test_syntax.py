@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 from collections import Counter
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentigraph.corpus import AspectSample, load_dataset, save_dataset
-from sentigraph.syntax import build_adjacency, collect_sdi_stats
+from sentigraph.syntax import SdiTable, build_adjacency, collect_sdi_stats
 
 from conftest import random_tree_sample
 from per_sample_reference import reference_adjacency
@@ -20,18 +21,15 @@ def sample_with(deps, n=None):
                         aspect_len=1, label="neutral", deps=tuple(deps))
 
 
-def read_sdi_file(path) -> tuple[int, dict[str, float]]:
-    """``(total_edges, ratios)`` from the lines of a file ``SdiTable.save`` wrote."""
-    (key, total), *rows = [line.split("\t") for line in
-                           path.read_bytes().decode("utf-8").split("\n")[:-1]]
-    assert key == "total_edges"
-    return int(total), {relation: float(ratio) for relation, ratio in rows}
-
-
 TOY = [
     sample_with([(-1, 0, "root"), (0, 1, "nsubj"), (0, 2, "dobj")]),
     sample_with([(-1, 0, "root"), (0, 1, "nsubj"), (1, 2, "amod")]),
 ]
+
+
+def json_round_trip(table) -> SdiTable:
+    """The relation statistics as the checkpoint and the train manifest store and read them."""
+    return SdiTable.from_dict(json.loads(json.dumps(table.as_dict())))
 
 
 # any relation name load_dataset accepts: no tab, CR or LF (and, as text, no surrogates)
@@ -46,8 +44,9 @@ def test_sdi_table_save_load_round_trips(tmp_path_factory, relations):
     save_dataset(path, [sample_with([(-1, 0, "root")]
                                     + [(0, i, rel) for i, rel in enumerate(relations, 1)])])
     table = collect_sdi_stats(load_dataset(path))
-    table.save(path.parent / "sdi.txt")
-    assert read_sdi_file(path.parent / "sdi.txt") == (table.total_edges, dict(table.ratios))
+    restored = json_round_trip(table)
+    assert restored == table
+    assert list(restored.ratios.items()) == list(table.ratios.items())
 
 
 class TestCollectSdiStats:
@@ -66,18 +65,15 @@ class TestCollectSdiStats:
         with pytest.raises(ValueError, match="denominator"):
             collect_sdi_stats([single])
 
-    def test_root_edges_excluded_by_default_counted_on_request(self):
-        table = collect_sdi_stats(TOY, count_root=True)
-        assert table.total_edges == 6
-        assert table.ratios["root"] == pytest.approx(2 / 6)
+    def test_root_edges_are_never_counted(self):
+        assert "root" not in collect_sdi_stats(TOY).ratios
+        # a root pseudo-edge is known by its head, whatever its label
+        table = collect_sdi_stats([sample_with([(-1, 0, "nsubj"), (0, 1, "nsubj")])])
+        assert (table.total_edges, table.ratios) == (1, {"nsubj": 1.0})
 
-    def test_punctuation_toggle(self):
+    def test_punctuation_edges_are_counted(self):
         samples = [sample_with([(-1, 0, "root"), (0, 1, "punct"), (0, 2, "nsubj")])]
-        with_punct = collect_sdi_stats(samples)
-        assert with_punct.ratios["punct"] == 0.5
-        without = collect_sdi_stats(samples, count_punct=False)
-        assert "punct" not in without.ratios
-        assert without.ratios["nsubj"] == 1.0
+        assert collect_sdi_stats(samples).ratios == {"punct": 0.5, "nsubj": 0.5}
 
     def test_order_independence(self, rng):
         samples = [random_tree_sample(rng, n=6) for _ in range(30)]
@@ -94,12 +90,11 @@ class TestCollectSdiStats:
         assert sum(table.ratios.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(r > 0 for r in table.ratios.values())
 
-    def test_save_load_roundtrip_exact(self, tmp_path):
+    def test_save_load_roundtrip_exact(self):
         table = collect_sdi_stats(TOY)
-        table.save(tmp_path / "sdi.txt")
-        assert (tmp_path / "sdi.txt").read_text(encoding="utf-8") == (
-            "total_edges\t4\namod\t0.25\ndobj\t0.25\nnsubj\t0.5\n")
-        assert read_sdi_file(tmp_path / "sdi.txt") == (table.total_edges, dict(table.ratios))
+        assert table.as_dict() == {"total_edges": 4,
+                                   "ratios": {"nsubj": 0.5, "dobj": 0.25, "amod": 0.25}}
+        assert json_round_trip(table) == table
 
 
 def binary(sample):
