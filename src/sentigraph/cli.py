@@ -6,15 +6,17 @@ Subcommands::
     train      train a model, keeping the best-dev checkpoint
     eval       score a checkpoint on a dataset
     predict    write per-sample prediction records
-    ablate     train and score the four structural variants (ablation.tsv)
-    sweep      train once per graph-layer count and score each (sweep.tsv)
+    ablate     train and score the four graph variants (ablation.tsv)
+    sweep      train once per graph-layer count of --layers and score each (sweep.tsv)
     gradcheck  run the finite-difference suite over ops and the composed model
 
 ``train`` writes ``<out-dir>/checkpoint.npz``, the one file ``eval`` and
 ``predict`` take as ``--checkpoint``; its manifest records the relation
 statistics the checkpoint holds. ``ablate`` and ``sweep`` share one
 handler: each trains its configs on one split and writes one
-``key<TAB>acc<TAB>macro_f1`` line per config. Every file-producing run
+``key<TAB>acc<TAB>macro_f1`` line per config: ``ablate`` one per ``graph``
+variant, whatever ``--graph`` says, and ``sweep`` one per ``gcn_layers``
+count of ``--layers``, which its manifest records. Every file-producing run
 writes a manifest first (marked incomplete) and completes it on success, so
 interrupted runs are recognizable; a failure, a diverging run or a failed
 write to stdout included, prints one ``error:`` line and exits 1. Config
@@ -69,9 +71,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     group = parser.add_argument_group("config overrides")
     for f in _CONFIG_FIELDS.values():
-        metavar = {"bool": "{true,false}", "tuple[int, ...]": "K1,K2,.."}.get(f.type)
-        group.add_argument("--" + f.name.replace("_", "-"), type=_flag_parser(f),
-                           default=None, metavar=metavar)
+        group.add_argument("--" + f.name.replace("_", "-"), type=_flag_parser(f), default=None)
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
@@ -239,22 +239,25 @@ def cmd_predict(args) -> int:
     return 0
 
 
-# subcommand -> (runner, key column, table file, manifest artifact name)
-_STUDIES = {
-    "ablate": (run_ablation, "variant", "ablation.tsv", "table"),
-    "sweep": (layer_sweep, "gcn_layers", "sweep.tsv", "series"),
-}
-
-
 def cmd_study(args) -> int:
-    runner, key_column, file_name, artifact = _STUDIES[args.command]
     config = _resolve_config(args)
+    try:
+        layers = [int(k) for k in args.layers.split(",")] if args.command == "sweep" else None
+    except ValueError:
+        raise ValueError(f"sweep --layers: expected comma-separated integers, "
+                         f"got {args.layers!r}") from None
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = Manifest(os.path.join(args.out_dir, "manifest.json"), args.command,
                         config, _input_files(args, "train", "dev", "eval"))
     train_samples, dev_samples = _load_split(args, config)
     eval_samples = load_dataset(args.eval)
-    scores = runner(config, train_samples, eval_samples, dev_samples)
+    if layers is None:
+        scores = run_ablation(config, train_samples, eval_samples, dev_samples)
+        key_column, file_name, artifact = "variant", "ablation.tsv", "table"
+    else:
+        manifest.record("layers", layers)
+        scores = layer_sweep(config, layers, train_samples, eval_samples, dev_samples)
+        key_column, file_name, artifact = "gcn_layers", "sweep.tsv", "series"
     path = os.path.join(args.out_dir, file_name)
     write_scores(path, key_column, scores)
     manifest.add_artifact(artifact, path)
@@ -312,13 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_predict)
 
-    for name, help_text in (("ablate", "train and score the structural variants"),
+    for name, help_text in (("ablate", "train and score the four graph variants"),
                             ("sweep", "score one model per graph-layer count")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--train", required=True)
         p.add_argument("--dev")
         p.add_argument("--eval", required=True)
         p.add_argument("--out-dir", required=True)
+        if name == "sweep":
+            p.add_argument("--layers", default="1,2,3,4",
+                           help="comma-separated graph-layer counts (default 1,2,3,4)")
         _add_config_flags(p)
         p.set_defaults(handler=cmd_study)
 

@@ -1,4 +1,4 @@
-"""Run configuration: one flat dataclass, readable from key = value text files."""
+"""Run configuration: one flat dataclass of numbers and a graph variant, as key = value text."""
 
 from __future__ import annotations
 
@@ -6,16 +6,23 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+# the ablation's graph variants, in ablation.tsv's order; ``model`` says what each one is
+GRAPHS = ("full", "no_dependency", "no_edge_weights", "no_bidirectional")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters and ablation switches for one training run.
+    """Hyperparameters and the graph variant for one training run.
 
+    Twelve fields: the widths ``d_w``, ``d_h``, ``heads`` and ``ffn_width``,
+    ``gcn_layers``, the optimizer's ``learning_rate``, ``batch_size``,
+    ``max_epochs`` and ``lambda_l2``, the vocabulary's ``min_freq``,
+    ``seed``, ``dev_fraction``, and ``graph``, one of :data:`GRAPHS`.
     Defaults follow the full-scale setup: 300-wide embeddings and hidden
     states, 3 graph-convolution layers, Adam at 0.001, batches of 32, up to
     100 epochs. Desk-scale runs shrink the widths and layer count.
     ``batch_size`` is the training mini-batch only; inference sizes its own
-    chunks (``model.inference_chunks``). The switches vary the graph alone;
+    chunks (``model.inference_chunks``). ``graph`` varies the graph alone;
     the attention always scores and pools the Bi-LSTM states (``model``),
     and the relation statistics always skip root pseudo-edges and count
     punctuation (``syntax.collect_sdi_stats``).
@@ -33,10 +40,7 @@ class TrainConfig:
     min_freq: int = 1
     seed: int = 1
     dev_fraction: float = 0.1
-    use_dependency: bool = True
-    use_sdi_weights: bool = True
-    use_bidirectional_gcn: bool = True
-    layer_sweep_range: tuple[int, ...] = (1, 2, 3, 4)
+    graph: str = "full"
 
     @property
     def d_model(self) -> int:
@@ -47,6 +51,11 @@ class TrainConfig:
     def d_context(self) -> int:
         # Bi-LSTM output width; also the graph-convolution and pooled width
         return 2 * self.d_h
+
+    @property
+    def edge_weighted(self) -> bool:
+        # the graphs whose edges the training split's relation statistics weigh
+        return self.graph in ("full", "no_bidirectional")
 
     def validate(self) -> None:
         positive = ["d_w", "d_h", "gcn_layers", "heads", "ffn_width", "learning_rate",
@@ -62,45 +71,28 @@ class TrainConfig:
             raise ValueError("d_w must be even for the positional encoding")
         if self.d_w % self.heads != 0:
             raise ValueError(f"d_w={self.d_w} must be divisible by heads={self.heads}")
-        sweep = self.layer_sweep_range
-        if not sweep or min(sweep) < 1 or len(set(sweep)) != len(sweep):
-            raise ValueError("config field layer_sweep_range must be a non-empty range "
-                             "of distinct layer counts >= 1")
+        if self.graph not in GRAPHS:
+            raise ValueError(f"config field graph must be one of {', '.join(GRAPHS)}")
 
 
 def _parse_value(field: dataclasses.Field, raw: str):
     """The typed value of one config field from its text (config files and CLI flags)."""
     raw = raw.strip()
+    if field.name == "graph":
+        if raw not in GRAPHS:
+            raise ValueError(f"config field graph: expected one of {', '.join(GRAPHS)}, "
+                             f"got {raw!r}")
+        return raw
     try:
-        if field.type in ("int", int):
-            return int(raw)
-        if field.type in ("float", float):
-            return float(raw)
-        if field.name == "layer_sweep_range":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
+        return int(raw) if field.type == "int" else float(raw)
     except ValueError:
-        kind = {"float": "a number", "tuple[int, ...]": "comma-separated integers"}.get(
-            field.type, "an integer")
+        kind = "an integer" if field.type == "int" else "a number"
         raise ValueError(f"config field {field.name}: expected {kind}, got {raw!r}") from None
-    # every other field is a bool
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"config field {field.name}: expected true/false, got {raw!r}")
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def config_to_text(config: TrainConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
-             for f in dataclasses.fields(config)]
+    # str of a float is its shortest round-tripping repr
+    lines = [f"{f.name} = {getattr(config, f.name)}" for f in dataclasses.fields(config)]
     return "\n".join(lines) + "\n"
 
 

@@ -248,7 +248,8 @@ def load_pretrained_embeddings(path, vocab: Vocab, d_w: int) -> dict[int, np.nda
         if len(parts) < 2:
             continue
         token, values = parts[0], parts[1:]
-        if line_no == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+        # isdecimal, not isdigit: int() parses every decimal digit, but no superscript
+        if line_no == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
             if int(values[0]) != d_w:
                 raise DatasetError(
                     f"{path}:1: header declares width {values[0]}, expected {d_w}")
@@ -277,7 +278,8 @@ def read_conllu(path) -> list[dict]:
 
     Only the index, form, head, and relation columns are used; multiword
     ranges and empty nodes are skipped. Heads convert from the 1-based
-    convention (0 = root) to 0-based with -1 for the root.
+    convention (0 = root) to 0-based with -1 for the root. Forms and relations
+    follow ``load_dataset``'s rules, so ``train`` reads what ``prepare`` writes.
     """
     sentences = []
     tokens: list[str] = []
@@ -307,8 +309,15 @@ def read_conllu(path) -> list[dict]:
             head = int(cols[6])
         except ValueError as e:
             raise DatasetError(f"{path}: line {line_no}: head column is not an integer") from e
-        tokens.append(cols[1])
-        deps.append((head - 1, index - 1, cols[7]))
+        form, relation = cols[1], cols[7]
+        if not form or _BAD_TOKEN.search(form):
+            raise DatasetError(f"{path}: line {line_no}: FORM {form!r} is empty "
+                               f"or contains a line break")
+        if _BAD_RELATION.search(relation):
+            raise DatasetError(f"{path}: line {line_no}: DEPREL {relation!r} "
+                               f"contains a line break")
+        tokens.append(form)
+        deps.append((head - 1, index - 1, relation))
     flush()
     return sentences
 

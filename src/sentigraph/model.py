@@ -37,8 +37,10 @@ gives it. The model holds copies, so training never writes to the
 caller's arrays.
 
 ``adjacency`` builds the batch's graph, every sentence's at once, in one
-pass. Ablation switches replace each graph with its binary form or with the
-self-loops alone and can drop the reversed message-passing direction.
+pass. ``config.graph`` names the ablation variant: ``full`` weighs each edge
+by its relation's training ratio and passes messages both ways,
+``no_edge_weights`` weighs every edge 1, ``no_dependency`` keeps the
+self-loops alone and ``no_bidirectional`` drops the reverse direction.
 Edges whose relation the training statistics lack are weighted at the
 smallest ratio and counted per relation in ``unseen_relations``.
 """
@@ -92,7 +94,7 @@ class AspectSentimentModel:
                  sdi: SdiTable | None = None,
                  pretrained: dict[int, np.ndarray] | None = None):
         config.validate()
-        if config.use_dependency and config.use_sdi_weights and sdi is None:
+        if config.edge_weighted and sdi is None:
             raise ValueError("edge-weighted adjacency requires relation statistics")
         self.config = config
         self.vocab = vocab
@@ -114,7 +116,7 @@ class AspectSentimentModel:
             store, "transformer", config.d_model, config.heads, config.ffn_width, rng)
         self.gcn_layers = bigcn.init_gcn_stack(
             store, "gcn", config.d_context, config.gcn_layers, rng,
-            bidirectional=config.use_bidirectional_gcn)
+            bidirectional=config.graph != "no_bidirectional")
         self.fusion = head.init_fusion_params(
             store, "fusion", config.d_model, config.d_context, rng)
         self.classifier = head.init_classifier_params(
@@ -127,10 +129,10 @@ class AspectSentimentModel:
 
         ``samples`` is one sample or a list, as for ``syntax.build_adjacency``.
         """
-        if not self.config.use_dependency:  # the self-loops alone
+        if self.config.graph == "no_dependency":  # the self-loops alone
             n = samples.n if isinstance(samples, AspectSample) else sum(s.n for s in samples)
             return ad.SparseMatrix(np.arange(n), np.arange(n), np.ones(n), (n, n)), np.zeros(n)
-        sdi = self.sdi if self.config.use_sdi_weights else None
+        sdi = self.sdi if self.config.edge_weighted else None
         return build_adjacency(samples, sdi, self.unseen_relations)
 
     def forward(self, samples: list[AspectSample]) -> ForwardPass:

@@ -1,4 +1,5 @@
-"""End-to-end training: mini-batch Adam, evaluation metrics, ablations, sweeps.
+"""End-to-end training: mini-batch Adam, evaluation metrics, the ablation over the
+four ``graph`` variants and the sweep over the graph-layer counts its caller gives.
 
 Each batch is one packed forward pass and one loss graph (mean
 cross-entropy over the batch plus the L2 penalty counted once, from
@@ -30,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import head
 from .autodiff import ParameterStore
-from .config import TrainConfig, config_to_text, parse_config_text
+from .config import GRAPHS, TrainConfig, config_to_text, parse_config_text
 from .corpus import LABELS, Vocab, build_vocab
 from .model import AspectSentimentModel
 from .syntax import SdiTable, collect_sdi_stats
@@ -223,9 +224,7 @@ def train(config: TrainConfig, train_samples, dev_samples,
         raise ValueError("cannot train on an empty sample list")
     if vocab is None:
         vocab = build_vocab(train_samples, min_freq=config.min_freq)
-    sdi = None
-    if config.use_dependency and config.use_sdi_weights:
-        sdi = collect_sdi_stats(train_samples)
+    sdi = collect_sdi_stats(train_samples) if config.edge_weighted else None
     model = AspectSentimentModel(config, vocab, sdi=sdi, pretrained=pretrained)
     optimizer = Adam(model.parameters, config.learning_rate)
     shuffle_rng = make_rng(config.seed, "shuffle")
@@ -285,21 +284,6 @@ def write_epoch_log(path, log: list[EpochStats]) -> None:
 # ---------------------------------------------------------------------------
 # ablations and the layer sweep
 
-ABLATION_VARIANTS = {
-    "full": {},
-    "no_dependency": {"use_dependency": False},
-    "no_edge_weights": {"use_sdi_weights": False},
-    "no_bidirectional": {"use_bidirectional_gcn": False},
-}
-
-
-def apply_variant(config: TrainConfig, variant: str) -> TrainConfig:
-    if variant not in ABLATION_VARIANTS:
-        raise ValueError(f"unknown ablation variant {variant!r}; "
-                         f"expected one of {sorted(ABLATION_VARIANTS)}")
-    return dataclasses.replace(config, **ABLATION_VARIANTS[variant])
-
-
 def train_and_score(configs: dict, train_samples, eval_samples,
                     dev_samples) -> dict[object, MetricsReport]:
     """Train each named config on one split, restore its best epoch, score it on the eval split."""
@@ -310,18 +294,23 @@ def train_and_score(configs: dict, train_samples, eval_samples,
 
 def run_ablation(config: TrainConfig, train_samples, eval_samples,
                  dev_samples) -> dict[str, MetricsReport]:
-    """Train every variant from the same seed and score it on the eval split."""
-    return train_and_score({variant: apply_variant(config, variant)
-                            for variant in ABLATION_VARIANTS},
+    """Train each graph variant of ``GRAPHS`` from the same seed and score it on the eval split.
+
+    The result is the same whatever variant ``config.graph`` names.
+    """
+    return train_and_score({graph: dataclasses.replace(config, graph=graph) for graph in GRAPHS},
                            train_samples, eval_samples, dev_samples)
 
 
-def layer_sweep(config: TrainConfig, train_samples, eval_samples,
+def layer_sweep(config: TrainConfig, layers, train_samples, eval_samples,
                 dev_samples) -> dict[int, MetricsReport]:
-    """Train one model per layer count of ``config.layer_sweep_range`` and score each."""
-    config.validate()  # a bad range fails before the first model trains
-    return train_and_score({int(k): dataclasses.replace(config, gcn_layers=int(k))
-                            for k in config.layer_sweep_range},
+    """Train one model per graph-layer count in ``layers`` and score each.
+
+    An empty list, a count below 1 or a repeated count fails before any training.
+    """
+    if not layers or min(layers) < 1 or len(set(layers)) != len(layers):
+        raise ValueError(f"sweep layer counts must be distinct integers >= 1, got {layers}")
+    return train_and_score({k: dataclasses.replace(config, gcn_layers=k) for k in layers},
                            train_samples, eval_samples, dev_samples)
 
 

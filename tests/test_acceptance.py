@@ -24,7 +24,6 @@ from sentigraph.model import AspectSentimentModel, gradient_check_suite
 from sentigraph.synthetic import CUES, make_synthetic_corpus
 from sentigraph.syntax import build_adjacency, collect_sdi_stats
 from sentigraph.training import (
-    apply_variant,
     confusion_matrix,
     layer_sweep,
     metrics_from_confusion,
@@ -142,14 +141,14 @@ def test_ablation_structure(transpose_calls):
     base = TrainConfig(d_w=8, d_h=8, gcn_layers=1, heads=2, ffn_width=16,
                        max_epochs=1, batch_size=8, seed=4)
 
-    ew_config = apply_variant(base, "no_edge_weights")
+    ew_config = dataclasses.replace(base, graph="no_edge_weights")
     ew_model = AspectSentimentModel(ew_config, build_vocab(corpus))
     for sample in corpus:
         adjacency = np.asarray(ew_model.adjacency(sample)[0])
         assert set(np.unique(adjacency)) <= {0.0, 1.0}
         assert np.array_equal(adjacency, np.asarray(build_adjacency(sample, None, Counter())[0]))
 
-    d_config = apply_variant(base, "no_dependency")
+    d_config = dataclasses.replace(base, graph="no_dependency")
     d_model = AspectSentimentModel(d_config, build_vocab(corpus))
     for sample in corpus:
         adjacency = np.asarray(d_model.adjacency(sample)[0])
@@ -157,7 +156,7 @@ def test_ablation_structure(transpose_calls):
 
     # the reversed message-passing path is counted: a full training step
     # under the unidirectional variant must never evaluate it
-    train(apply_variant(base, "no_bidirectional"), corpus, dev_samples=corpus)
+    train(dataclasses.replace(base, graph="no_bidirectional"), corpus, dev_samples=corpus)
     assert len(transpose_calls) == 0
     train(base, corpus, dev_samples=corpus)
     assert len(transpose_calls) > 0
@@ -243,8 +242,8 @@ def test_determinism():
 def test_layer_sweep_harness(tmp_path):
     corpus = make_synthetic_corpus(9, seed=81)
     config = TrainConfig(d_w=8, d_h=8, gcn_layers=1, heads=2, ffn_width=16,
-                         max_epochs=1, batch_size=8, seed=9, layer_sweep_range=(1, 2, 3, 4))
-    scores = layer_sweep(config, corpus, corpus, dev_samples=corpus)
+                         max_epochs=1, batch_size=8, seed=9)
+    scores = layer_sweep(config, (1, 2, 3, 4), corpus, corpus, dev_samples=corpus)
     path = tmp_path / "sweep.tsv"
     write_scores(path, "gcn_layers", scores)
     lines = path.read_text().strip().splitlines()

@@ -475,7 +475,7 @@ class TestParameterStore:
 
 def _small_model(heads=2, width=1, d_h=2, gcn_layers=1, ffn_width=3, vocab_size=3):
     config = TrainConfig(d_w=math.lcm(2, heads) * width, d_h=d_h, gcn_layers=gcn_layers,
-                         heads=heads, ffn_width=ffn_width, use_sdi_weights=False)
+                         heads=heads, ffn_width=ffn_width, graph="no_edge_weights")
     vocab = Vocab([PAD_TOKEN, UNK_TOKEN] + [f"w{i}" for i in range(vocab_size)])
     return AspectSentimentModel(config, vocab)
 

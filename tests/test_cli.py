@@ -13,6 +13,7 @@ import pytest
 
 from sentigraph import cli, training
 from sentigraph.autodiff import FiniteDiffReport
+from sentigraph.config import GRAPHS, TrainConfig
 from sentigraph.corpus import load_dataset, save_dataset
 from sentigraph.synthetic import make_synthetic_corpus
 from sentigraph.util import atomic_write, file_sha256
@@ -119,7 +120,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "q"), ("--learning-rate", "fast"),
-        ("--use-dependency", "maybe"), ("--layer-sweep-range", "1,a")])
+        ("--graph", "maybe")])
     def test_bad_config_flag_value_names_the_flag(self, flag, value, capsys):
         assert cli.main(["train", "--train", "x", "--out-dir", "y", flag, value]) == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
@@ -127,9 +128,9 @@ class TestDispatch:
 
     def test_config_flags_parse_like_config_files(self):
         args = cli.build_parser().parse_args(
-            ["train", "--train", "x", "--out-dir", "y", "--use-dependency", "no",
-             "--layer-sweep-range", "2,4", "--lambda-l2", "0.5", "--batch-size", "3"])
-        assert (args.use_dependency, args.layer_sweep_range) == (False, (2, 4))
+            ["train", "--train", "x", "--out-dir", "y", "--graph", "no_dependency",
+             "--lambda-l2", "0.5", "--batch-size", "3"])
+        assert args.graph == "no_dependency"
         assert (args.lambda_l2, args.batch_size) == (0.5, 3)
 
     def test_missing_file_exits_1_with_path(self, tmp_path, capsys):
@@ -175,6 +176,26 @@ class TestPrepare:
         assert capsys.readouterr().err == (
             f"error: {conllu}: line 6: expected >= 8 tab-separated columns\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("2\tfo\ro\t_\t_\t_\t_\t4\tnsubj\t_\t_",
+         "FORM 'fo\\ro' is empty or contains a line break"),
+        ("2\t\t_\t_\t_\t_\t4\tnsubj\t_\t_", "FORM '' is empty or contains a line break"),
+        ("2\tmenu\t_\t_\t_\t_\t4\tns\rubj\t_\t_", "DEPREL 'ns\\rubj' contains a line break")],
+        ids=["cr_in_form", "empty_form", "cr_in_deprel"])
+    def test_a_form_or_relation_train_would_refuse_fails_naming_the_line(self, tmp_path, capsys,
+                                                                        line, message):
+        conllu = tmp_path / "parses.conllu"
+        lines = CONLLU.splitlines()
+        lines[1] = line
+        conllu.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        labels = tmp_path / "aspects.txt"
+        labels.write_text("0 1 1 negative\n")
+        out = tmp_path / "data.jsonl"
+        assert cli.main(["prepare", "--conllu", str(conllu), "--labels", str(labels),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {conllu}: line 2: {message}\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_run_produces_checkpoint_log_and_manifest(self, data_dir):
@@ -193,22 +214,26 @@ class TestTrain:
     @pytest.mark.parametrize("variant", ["full", "no_edge_weights"])
     def test_manifest_records_the_relations_the_checkpoint_holds(self, data_dir, variant):
         out_dir = data_dir / "run"
-        flags = ["--use-sdi-weights", "false"] if variant == "no_edge_weights" else []
         assert cli.main(["train", "--train", str(data_dir / "train.jsonl"),
-                         "--out-dir", str(out_dir)] + TINY_FLAGS + flags) == 0
+                         "--out-dir", str(out_dir), "--graph", variant] + TINY_FLAGS) == 0
         relations = read_manifest(out_dir / "manifest.json")["relations"]
         with np.load(out_dir / "checkpoint.npz") as archive:
             meta = json.loads(archive["__meta__"].tobytes())
         assert relations == meta["relations"]
         assert (relations is None) == (variant == "no_edge_weights")
 
-    @pytest.mark.parametrize("problem", ["removed_field", "byte_0xff"])
+    @pytest.mark.parametrize("problem", ["removed_field", "use_dependency", "layer_sweep_range",
+                                         "byte_0xff"])
     def test_bad_config_file_fails_in_one_line_naming_file_and_line(self, data_dir, capsys,
                                                                      problem):
         cfg = data_dir / "run.cfg"
-        if problem == "removed_field":  # a field earlier versions had
-            cfg.write_text("d_w = 8\nattention_states = lstm\n")
-            expected = f"error: {cfg}: config line 2: unknown field 'attention_states'\n"
+        removed = {"removed_field": "attention_states = lstm",  # fields earlier versions had
+                   "use_dependency": "use_dependency = false",
+                   "layer_sweep_range": "layer_sweep_range = 1,2"}
+        if problem in removed:
+            cfg.write_text(f"d_w = 8\n{removed[problem]}\n")
+            field = removed[problem].split()[0]
+            expected = f"error: {cfg}: config line 2: unknown field '{field}'\n"
         else:
             cfg.write_bytes(b"d_w = 8\nd_h = \xff8\n")
             expected = (f"error: {cfg}: config line 2: not UTF-8 text "
@@ -523,12 +548,32 @@ class TestAblateSweep:
         assert (manifest["command"], manifest["status"]) == ("ablate", "complete")
         assert manifest["artifacts"] == {"table": str(out_dir / "ablation.tsv")}
 
+    def test_ablate_scores_the_four_variants_whatever_graph_the_config_names(self, data_dir):
+        out_dir = data_dir / "ablation_nobi"
+        train_path, dev_path = data_dir / "train.jsonl", data_dir / "test.jsonl"
+        code = cli.main(["ablate", "--train", str(train_path), "--dev", str(dev_path),
+                         "--eval", str(dev_path), "--out-dir", str(out_dir),
+                         "--graph", "no_bidirectional"]
+                        + TINY_FLAGS[:-4] + ["--max-epochs", "1", "--batch-size", "8"])
+        assert code == 0
+        rows = [line.split("\t")
+                for line in (out_dir / "ablation.tsv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == list(GRAPHS)
+        config = TrainConfig(d_w=8, d_h=8, gcn_layers=1, heads=2, ffn_width=16, max_epochs=1,
+                             batch_size=8, graph="no_bidirectional")
+        dev = load_dataset(dev_path)
+        expected = training.train_and_score(
+            {v: dataclasses.replace(config, graph=v) for v in GRAPHS},
+            load_dataset(train_path), dev, dev)
+        assert {row[0]: (float(row[1]), float(row[2])) for row in rows} == {
+            v: (report.acc, report.macro_f1) for v, report in expected.items()}
+
     def test_sweep_emits_series(self, data_dir):
         out_dir = data_dir / "sweep"
         code = cli.main(["sweep", "--train", str(data_dir / "train.jsonl"),
                          "--eval", str(data_dir / "test.jsonl"),
                          "--out-dir", str(out_dir),
-                         "--layer-sweep-range", "1,2"] + TINY_FLAGS[:-2] + ["--max-epochs", "1"])
+                         "--layers", "1,2"] + TINY_FLAGS[:-2] + ["--max-epochs", "1"])
         assert code == 0
         lines = (out_dir / "sweep.tsv").read_text().strip().splitlines()
         assert lines[0] == "gcn_layers\tacc\tmacro_f1"
@@ -536,20 +581,22 @@ class TestAblateSweep:
         manifest = read_manifest(out_dir / "manifest.json")
         assert (manifest["command"], manifest["status"]) == ("sweep", "complete")
         assert manifest["artifacts"] == {"series": str(out_dir / "sweep.tsv")}
+        assert manifest["layers"] == [1, 2]
 
     @pytest.mark.parametrize("command", ["ablate", "sweep"])
     def test_manifest_names_the_dev_file(self, data_dir, command):
         out_dir = data_dir / command
         dev = data_dir / "test.jsonl"
         code = cli.main([command, "--train", str(data_dir / "train.jsonl"), "--dev", str(dev),
-                         "--eval", str(dev), "--out-dir", str(out_dir), "--layer-sweep-range",
-                         "1"] + TINY_FLAGS[:-2] + ["--max-epochs", "1"])
+                         "--eval", str(dev), "--out-dir", str(out_dir)]
+                        + (["--layers", "1"] if command == "sweep" else [])
+                        + TINY_FLAGS[:-2] + ["--max-epochs", "1"])
         assert code == 0
         inputs = read_manifest(out_dir / "manifest.json")["inputs"]
         assert set(inputs) == {"train", "dev", "eval"}
         assert inputs["dev"] == {"path": str(dev), "sha256": file_sha256(dev)}
 
-    @pytest.mark.parametrize("sweep", ["1,2,0", "2,2,1"])
+    @pytest.mark.parametrize("sweep", ["1,2,0", "2,2,1", "1,a"])
     def test_a_bad_sweep_range_fails_before_training(self, data_dir, monkeypatch, capsys,
                                                      sweep):
         def no_training(*args, **kwargs):
@@ -559,10 +606,10 @@ class TestAblateSweep:
         out_dir = data_dir / "sweep_bad"
         code = cli.main(["sweep", "--train", str(data_dir / "train.jsonl"),
                          "--eval", str(data_dir / "test.jsonl"), "--out-dir", str(out_dir),
-                         "--layer-sweep-range", sweep] + TINY_FLAGS)
+                         "--layers", sweep] + TINY_FLAGS)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config field layer_sweep_range ") and err.count("\n") == 1
+        assert err.startswith("error: sweep ") and err.count("\n") == 1
         assert not (out_dir / "sweep.tsv").exists()
 
 

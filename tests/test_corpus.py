@@ -181,7 +181,7 @@ _token_text = st.text(st.characters(blacklist_categories=("Cs",),
 def vocab_round_trip(path, vocab: Vocab) -> Vocab:
     """``vocab`` as a checkpoint stores and restores it, with a small model around it."""
     config = TrainConfig(d_w=2, d_h=1, gcn_layers=1, heads=1, ffn_width=1,
-                         use_sdi_weights=False)
+                         graph="no_edge_weights")
     save_checkpoint(path, AspectSentimentModel(config, vocab))
     return load_checkpoint(path).vocab
 
@@ -297,6 +297,17 @@ class TestEmbeddings:
         path.write_text("3 8\nhello 1 2 3 4\n")
         with pytest.raises(DatasetError, match=re.escape(f"{path}:1: header declares width 8")):
             load_pretrained_embeddings(path, vocab, 4)
+
+    def test_a_header_int_cannot_parse_fails_naming_the_line(self, tmp_path):
+        vocab = Vocab(["<pad>", "<unk>", "hello"])
+        path = tmp_path / "vectors.txt"
+        # a superscript two is a digit to str.isdigit, but int() refuses it
+        path.write_text("2 \u00b2\nhello 1 2 3 4\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=re.escape(f"{path}:1: expected 4 values, found 1")):
+            load_pretrained_embeddings(path, vocab, 4)
+        # decimal digits of any script are what int() parses: a header
+        path.write_text("\u0663 \u0664\nhello 1 2 3 4\n", encoding="utf-8")
+        assert load_pretrained_embeddings(path, vocab, 4)[vocab.id("hello")].tolist() == [1, 2, 3, 4]
 
     def test_trailing_whitespace_tolerated(self, tmp_path):
         vocab = Vocab(["<pad>", "<unk>", "hello"])

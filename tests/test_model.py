@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from sentigraph import autodiff as ad
 from sentigraph import bigcn, head
-from sentigraph.config import TrainConfig
+from sentigraph.config import GRAPHS, TrainConfig
 from sentigraph.corpus import PAD_ID, build_vocab, load_pretrained_embeddings
 from sentigraph.model import INFERENCE_CHUNK_ROWS, AspectSentimentModel, inference_chunks
 from sentigraph.synthetic import make_synthetic_corpus, random_tree_sample
 from sentigraph.syntax import build_adjacency, collect_sdi_stats
-from sentigraph.training import ABLATION_VARIANTS, apply_variant
 
 from per_sample_reference import reference_loss, reference_probabilities
 
@@ -83,7 +82,7 @@ def mixed_batch_model(variant, lengths=MIXED_LENGTHS):
     """A model with perturbed parameters and a batch of very different sentence lengths."""
     rng = np.random.default_rng(31)
     batch = [random_tree_sample(rng, n=n) for n in lengths]
-    config = dataclasses.replace(apply_variant(CONFIG, variant), lambda_l2=1e-3)
+    config = dataclasses.replace(CONFIG, graph=variant, lambda_l2=1e-3)
     model = AspectSentimentModel(config, build_vocab(batch), sdi=collect_sdi_stats(batch))
     for t in model.parameters.tensors():
         t.data = t.data + rng.normal(scale=0.2, size=t.shape)
@@ -91,7 +90,7 @@ def mixed_batch_model(variant, lengths=MIXED_LENGTHS):
 
 
 class TestPackedBatch:
-    @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+    @pytest.mark.parametrize("variant", sorted(GRAPHS))
     def test_matches_per_sample_reference(self, variant):
         model, batch = mixed_batch_model(variant)
         params = model.parameters
@@ -156,14 +155,13 @@ class TestPackedBatch:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1, 3),
-           variant=st.sampled_from(sorted(ABLATION_VARIANTS)), n_layers=st.integers(1, 3))
+           variant=st.sampled_from(sorted(GRAPHS)), n_layers=st.integers(1, 3))
     def test_pruned_graph_rows_match_the_all_rows_path(self, seed, n_samples, variant,
                                                        n_layers):
         rng = np.random.default_rng(seed)
         # uniform lengths: drawn by hypothesis they would cluster at the small end
         batch = [random_tree_sample(rng, n=int(n)) for n in rng.integers(1, 41, n_samples)]
-        config = dataclasses.replace(apply_variant(CONFIG, variant), gcn_layers=n_layers,
-                                     lambda_l2=1e-3)
+        config = dataclasses.replace(CONFIG, graph=variant, gcn_layers=n_layers, lambda_l2=1e-3)
         # statistics from a wider corpus, so that length-1 batches have some
         sdi = collect_sdi_stats(batch + [random_tree_sample(rng, n=8)])
         model = AspectSentimentModel(config, build_vocab(batch), sdi=sdi)
@@ -208,7 +206,7 @@ class TestConstruction:
 
     def test_unidirectional_config_skips_transpose_path(self, corpus, transpose_calls):
         vocab = build_vocab(corpus)
-        config = dataclasses.replace(CONFIG, use_bidirectional_gcn=False)
+        config = dataclasses.replace(CONFIG, graph="no_bidirectional")
         model = AspectSentimentModel(config, vocab, sdi=collect_sdi_stats(corpus))
         for sample in corpus[:3]:
             model.predict(sample)

@@ -17,6 +17,7 @@ from sentigraph import autodiff as ad
 from sentigraph import training
 from sentigraph.autodiff import ParameterStore
 from sentigraph.config import (
+    GRAPHS,
     TrainConfig,
     config_to_text,
     load_config,
@@ -39,7 +40,6 @@ from sentigraph.syntax import SdiTable, build_adjacency, collect_sdi_stats
 from sentigraph.training import (
     Adam,
     EpochStats,
-    apply_variant,
     confusion_matrix,
     evaluate,
     layer_sweep,
@@ -336,18 +336,20 @@ class TestTrain:
 
 class TestAblation:
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="unknown ablation variant"):
-            apply_variant(TINY, "mystery")
+        with pytest.raises(ValueError, match="config field graph must be one of"):
+            dataclasses.replace(TINY, graph="mystery").validate()
 
     def test_variant_flags(self):
-        assert not apply_variant(TINY, "no_dependency").use_dependency
-        assert not apply_variant(TINY, "no_edge_weights").use_sdi_weights
-        assert not apply_variant(TINY, "no_bidirectional").use_bidirectional_gcn
-        assert apply_variant(TINY, "full") == TINY
+        # only the full and the unidirectional graphs weigh edges by the relation statistics;
+        # the self-loops and the reverse direction are tested per variant below and in
+        # test_acceptance.test_ablation_structure
+        assert [v for v in GRAPHS if dataclasses.replace(TINY, graph=v).edge_weighted] \
+            == ["full", "no_bidirectional"]
+        assert dataclasses.replace(TINY, graph="full") == TINY
 
     def test_no_edge_weights_consumes_binary_adjacency(self):
         corpus = tiny_corpus(6, seed=12)
-        config = apply_variant(TINY, "no_edge_weights")
+        config = dataclasses.replace(TINY, graph="no_edge_weights")
         model = AspectSentimentModel(config, build_vocab(corpus))
         for sample in corpus:
             adjacency = np.asarray(model.adjacency(sample)[0])
@@ -357,7 +359,7 @@ class TestAblation:
 
     def test_no_dependency_consumes_identity(self):
         corpus = tiny_corpus(6, seed=13)
-        config = apply_variant(TINY, "no_dependency")
+        config = dataclasses.replace(TINY, graph="no_dependency")
         model = AspectSentimentModel(config, build_vocab(corpus))
         for sample in corpus:
             adjacency, deg = model.adjacency(sample)
@@ -386,14 +388,14 @@ class TestAblation:
 class TestLayerSweep:
     def test_single_k_gives_single_row(self):
         corpus = tiny_corpus(6, seed=15)
-        config = dataclasses.replace(TINY, max_epochs=1, layer_sweep_range=(1,))
-        scores = layer_sweep(config, corpus, corpus, dev_samples=corpus)
+        config = dataclasses.replace(TINY, max_epochs=1)
+        scores = layer_sweep(config, (1,), corpus, corpus, dev_samples=corpus)
         assert list(scores) == [1]
 
     def test_three_k_values_all_finite(self, tmp_path):
         corpus = tiny_corpus(6, seed=16)
-        config = dataclasses.replace(TINY, max_epochs=1, layer_sweep_range=(1, 2, 3))
-        scores = layer_sweep(config, corpus, corpus, dev_samples=corpus)
+        config = dataclasses.replace(TINY, max_epochs=1)
+        scores = layer_sweep(config, (1, 2, 3), corpus, corpus, dev_samples=corpus)
         assert list(scores) == [1, 2, 3]
         assert all(math.isfinite(r.acc) and math.isfinite(r.macro_f1) for r in scores.values())
         path = tmp_path / "sweep.tsv"
@@ -407,11 +409,13 @@ class TestLayerSweep:
             raise AssertionError("trained a model")
 
         monkeypatch.setattr(training, "train", no_training)
-        # empty, then a valid count before an invalid one, then a repeated count
-        for sweep in ((), (1, 2, 0), (2, 2, 1)):
-            config = dataclasses.replace(TINY, layer_sweep_range=sweep)
-            with pytest.raises(ValueError, match="layer_sweep_range must be a non-empty range"):
-                layer_sweep(config, tiny_corpus(3, seed=15), [], dev_samples=[])
+        # empty, then counts below 1, alone or after valid ones, then repeated counts
+        for sweep in ((), (0,), (1, 2, 0), (3, -1), (2, 2, 1), (1, 3, 1)):
+            with pytest.raises(ValueError, match="sweep layer counts must be distinct integers"):
+                layer_sweep(TINY, sweep, tiny_corpus(3, seed=15), [], dev_samples=[])
+        # a valid list in any order passes the check and reaches training
+        with pytest.raises(AssertionError, match="trained a model"):
+            layer_sweep(TINY, (4, 1, 3), tiny_corpus(3, seed=15), [], dev_samples=[])
 
 
 class TestCheckpoint:
@@ -525,18 +529,20 @@ class TestCheckpoint:
         with zipfile.ZipFile(path) as archive:
             members = {name: archive.read(name) for name in archive.namelist()}
         meta = json.loads(np.load(io.BytesIO(members["__meta__.npy"])).tobytes())
-        meta["config"] += "attention_states = lstm\n"  # a field earlier versions wrote
-        buf = io.BytesIO()
-        np.save(buf, np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
-        members["__meta__.npy"] = buf.getvalue()
-        with zipfile.ZipFile(path, "w") as archive:
-            for name, data in members.items():
-                archive.writestr(name, data)
-        with pytest.raises(ValueError) as info:
-            load_checkpoint(path)
-        message = str(info.value)
-        assert message.startswith(f"{path}: ") and "\n" not in message
-        assert "unknown field 'attention_states'" in message
+        # fields earlier versions wrote
+        for field, value in (("attention_states", "lstm"), ("use_dependency", "false"),
+                             ("layer_sweep_range", "1,2")):
+            edited = dict(meta, config=meta["config"] + f"{field} = {value}\n")
+            buf = io.BytesIO()
+            np.save(buf, np.frombuffer(json.dumps(edited).encode("utf-8"), dtype=np.uint8))
+            with zipfile.ZipFile(path, "w") as archive:
+                for name, data in dict(members, **{"__meta__.npy": buf.getvalue()}).items():
+                    archive.writestr(name, data)
+            with pytest.raises(ValueError) as info:
+                load_checkpoint(path)
+            message = str(info.value)
+            assert message.startswith(f"{path}: ") and "\n" not in message
+            assert f"unknown field '{field}'" in message
 
 
 def _config_fields():
@@ -548,11 +554,7 @@ def _config_fields():
         "ffn_width": st.integers(1, 10**6), "learning_rate": number,
         "batch_size": st.integers(1, 10**6), "max_epochs": st.integers(1, 10**6),
         "lambda_l2": number, "min_freq": st.integers(1, 10**6), "seed": st.integers(),
-        "dev_fraction": number, "use_dependency": st.booleans(),
-        "use_sdi_weights": st.booleans(), "use_bidirectional_gcn": st.booleans(),
-        # repeats dropped by a map, not a filter, which would count against the health check
-        "layer_sweep_range": st.lists(st.integers(1, 10**6), min_size=1, max_size=5).map(
-            lambda counts: tuple(dict.fromkeys(counts))),
+        "dev_fraction": number, "graph": st.sampled_from(GRAPHS),
     }
 
 
@@ -600,7 +602,7 @@ def checkpoint_models(draw):
     tokens = draw(st.lists(_any_text, unique=True, max_size=12))
     vocab = Vocab([PAD_TOKEN, UNK_TOKEN] + [t for t in tokens if t not in (PAD_TOKEN, UNK_TOKEN)])
     sdi = None
-    if config.use_dependency and config.use_sdi_weights or draw(st.booleans()):
+    if config.edge_weighted or draw(st.booleans()):
         ratios = draw(st.dictionaries(_any_text, st.floats(0, 1, exclude_min=True),
                                       min_size=1, max_size=6))
         sdi = SdiTable(MappingProxyType(ratios), draw(st.integers(1, 2**70)))
@@ -631,15 +633,14 @@ def test_checkpoint_round_trips_any_parameters_config_vocabulary_and_relations(
 
 class TestConfigFile:
     def test_text_roundtrip(self, tmp_path):
-        config = dataclasses.replace(TINY, learning_rate=0.0025,
-                                     layer_sweep_range=(2, 5))
+        config = dataclasses.replace(TINY, learning_rate=0.0025, graph="no_bidirectional")
         path = tmp_path / "run.cfg"
         path.write_text(config_to_text(config), encoding="utf-8")
         assert load_config(path) == config
 
     def test_overrides_apply_over_base(self):
-        updated = parse_config_text("batch_size = 4\nuse_dependency = false\n")
-        assert updated == dataclasses.replace(TrainConfig(), batch_size=4, use_dependency=False)
+        updated = parse_config_text("batch_size = 4\ngraph = no_dependency\n")
+        assert updated == dataclasses.replace(TrainConfig(), batch_size=4, graph="no_dependency")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown field"):
@@ -658,7 +659,8 @@ class TestConfigFile:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=name):
                     dataclasses.replace(TrainConfig(), **{name: value}).validate()
-        for sweep in ((), (0,), (1, 2, 0), (3, -1), (2, 2, 1), (1, 3, 1)):
-            with pytest.raises(ValueError, match="config field layer_sweep_range"):
-                dataclasses.replace(TrainConfig(), layer_sweep_range=sweep).validate()
-        dataclasses.replace(TrainConfig(), layer_sweep_range=(4, 1, 3)).validate()
+        for graph in ("", "Full", "no_dependency ", "self_loops"):
+            with pytest.raises(ValueError, match="config field graph"):
+                dataclasses.replace(TrainConfig(), graph=graph).validate()
+        for graph in GRAPHS:
+            dataclasses.replace(TrainConfig(), graph=graph).validate()
