@@ -16,14 +16,18 @@ Broadcasting is deliberately restricted to adding a bias row to a matrix;
 every other shape mismatch raises :class:`ShapeError` immediately.
 
 A batch of B sequences is packed: their rows stacked in one matrix, with
-``lengths`` giving each sequence's row count (:func:`segment_layout`).
-The sequence ops (:func:`lstm`, :func:`attention`, :func:`segment_sum`,
-:func:`segment_softmax`) take such a matrix and keep the sequences apart,
-each as one tape node for the whole batch; padding to 3-d blocks happens
-inside them only. :func:`attention` runs every head of a multi-head layer
-in its one node. :func:`sparse_matmul` applies a constant
-:class:`SparseMatrix`, such as a batch's packed graph adjacency, by its
-entries.
+``lengths`` giving each sequence's row count, ``[n]`` for one sequence
+(:func:`segment_layout`). The sequence ops (:func:`lstm`, :func:`attention`,
+:func:`segment_sum`, :func:`segment_softmax`) take such a matrix and its
+lengths and keep the sequences apart, each as one tape node for the whole
+batch; padding to 3-d blocks happens inside them only. :func:`attention`
+runs every head of a multi-head layer in its one node. :func:`sparse_matmul`
+applies a constant :class:`SparseMatrix`, such as a batch's packed graph
+adjacency, by its entries.
+
+``model.gradient_check_suite`` checks the 19 ops a training step records.
+No model path calls :func:`slice_axis`, :func:`transpose`, :func:`tanh`,
+:func:`sigmoid`, :func:`exp` or :func:`reduce_mean`.
 
 :func:`relu` and :func:`clamp_min` record on their tape node which side of
 the kink each input element lies on, where :func:`finite_diff_check` finds
@@ -363,21 +367,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # packed sequences: B sequences stacked row-wise in one matrix
 
-def segment_layout(lengths, n_rows: int, op: str = "segments") -> tuple[np.ndarray, np.ndarray]:
+def segment_layout(lengths, n_rows: int, op: str) -> tuple[np.ndarray, np.ndarray]:
     """Validated ``(lengths, offsets)`` of sequences stacked in ``n_rows`` rows.
 
-    Sequence j owns rows ``offsets[j]:offsets[j + 1]``. ``lengths=None``
-    means one sequence holding every row.
+    Sequence j owns rows ``offsets[j]:offsets[j + 1]``; one length is one
+    sequence holding every row. An error names ``op``.
     """
-    if lengths is None or len(lengths) == 1:  # one sequence: no reductions needed
-        if n_rows >= 1 and (lengths is None or lengths[0] == n_rows):
-            return np.array([n_rows]), np.array([0, n_rows])
-    else:
-        sizes = np.array(lengths, dtype=np.int64)
-        if sizes.ndim == 1 and sizes.size and sizes.min() >= 1 and sizes.sum() == n_rows:
-            offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=offsets[1:])
-            return sizes, offsets
+    if len(lengths) == 1 and lengths[0] == n_rows >= 1:  # one sequence: no reductions needed
+        return np.array([n_rows]), np.array([0, n_rows])
+    sizes = np.array(lengths, dtype=np.int64)
+    if sizes.ndim == 1 and sizes.size and sizes.min() >= 1 and sizes.sum() == n_rows:
+        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        return sizes, offsets
     raise ShapeError(f"{op}: lengths {lengths} do not split {n_rows} rows")
 
 
@@ -478,16 +480,16 @@ def sparse_matmul(m: SparseMatrix, x: Tensor, transpose: bool = False) -> Tensor
                  lambda g: (_sum_entries(others, keys, m.value, n_in, g),), "sparse_matmul")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths) -> Tensor:
     """Multi-head softmax(q_h k_h^T / sqrt(d_k)) v_h within each sequence, as one node.
 
     Columns ``h*d_k:(h+1)*d_k`` of ``q`` and ``k`` are head h, and so are
     columns ``h*d_v:(h+1)*d_v`` of ``v`` and of the result, the heads' outputs
     side by side. Query i attends only to the keys of its own sequence, so no
     N x N score matrix exists: the scores are a (B x heads x n_max x n_max)
-    stack padded per sequence, with the padded keys at -inf. One sequence
-    (``lengths=None`` or a single length) is read through views, without
-    padding. ``q``, ``k`` and ``v`` always have the same rows.
+    stack padded per sequence, with the padded keys at -inf. One sequence (a
+    single length) is read through views, without padding. ``q``, ``k`` and
+    ``v`` always have the same rows.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or qd.shape[1] != kd.shape[1]
@@ -495,14 +497,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tens
             or qd.shape[1] % heads or vd.shape[1] % heads):
         _shape_fail("attention", qd.shape, kd.shape, vd.shape, f"{heads} heads")
     c = 1.0 / np.sqrt(qd.shape[1] // heads)
+    lengths, offsets = segment_layout(lengths, qd.shape[0], "attention")
     rows = None
-    if lengths is not None:
-        lengths, offsets = segment_layout(lengths, qd.shape[0], "attention")
-        if lengths.size > 1:
-            # row r of sequence j sits at position r - offsets[j] of block j
-            seq = np.repeat(np.arange(lengths.size), lengths)
-            rows = (seq, np.arange(qd.shape[0]) - offsets[seq])
-            n_max = int(lengths.max())
+    if lengths.size > 1:
+        # row r of sequence j sits at position r - offsets[j] of block j
+        seq = np.repeat(np.arange(lengths.size), lengths)
+        rows = (seq, np.arange(qd.shape[0]) - offsets[seq])
+        n_max = int(lengths.max())
 
     def split(a):
         """(N x heads*d) rows as a (B x heads x n x d) stack, padded when B > 1."""
@@ -536,15 +537,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths=None) -> Tens
     return _make(merge(weights @ vp), (q, k, v), backward, "attention")
 
 
-def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False,
-         lengths=None) -> Tensor:
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths,
+         reverse: bool = False) -> Tensor:
     """One LSTM direction over each sequence's rows of ``x``, from zero states, as one node.
 
-    ``x`` holds B sequences stacked row-wise (see :func:`segment_layout`;
-    ``lengths=None`` is one sequence). Gate columns of ``wx`` (d_in x 4*d_h),
-    ``wh`` (d_h x 4*d_h) and ``b`` are ordered i, f, g, o. The input
-    projection ``x @ wx`` of every row is one GEMM; step t then forms its
-    pre-activation as ``(x_t wx + h_{t-1} wh) + b`` and updates
+    ``x`` holds B sequences stacked row-wise (see :func:`segment_layout`).
+    Gate columns of ``wx`` (d_in x 4*d_h), ``wh`` (d_h x 4*d_h) and ``b``
+    are ordered i, f, g, o. The input projection ``x @ wx`` of every row is
+    one GEMM; step t then forms its pre-activation as
+    ``(x_t wx + h_{t-1} wh) + b`` and updates
 
         c_t = f * c_{t-1} + i * g,    h_t = o * tanh(c_t)
 

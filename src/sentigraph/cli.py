@@ -8,7 +8,7 @@ Subcommands::
     predict    write per-sample prediction records
     ablate     train and score the four graph variants (ablation.tsv)
     sweep      train once per graph-layer count of --layers and score each (sweep.tsv)
-    gradcheck  run the finite-difference suite over ops and the composed model
+    gradcheck  finite-difference check of each op a training step records and of the model
 
 ``train`` writes ``<out-dir>/checkpoint.npz``, the one file ``eval`` and
 ``predict`` take as ``--checkpoint``; its manifest records the relation
@@ -39,7 +39,7 @@ from . import __version__, corpus, training
 from .autodiff import NonFiniteError
 from .config import TrainConfig, _parse_value, load_config
 from .corpus import DatasetError, build_vocab, load_dataset, load_pretrained_embeddings
-from .model import gradient_check_suite
+from .model import GRADCHECK_THRESHOLD, gradient_check_suite
 from .training import (
     evaluate,
     layer_sweep,
@@ -268,15 +268,15 @@ def cmd_study(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradient_check_suite(args.seed, args.eps)
+    results = gradient_check_suite()
     worst = 0.0
     for name, report in results:
         skipped = f" skipped={len(report.skipped)}" if report.skipped else ""
         print(f"{name:16s} max_rel_error={report.max_rel_error:.3e} "
               f"checked={report.checked}{skipped}")
         worst = max(worst, report.max_rel_error)
-    print(f"overall max relative error: {worst:.3e} (threshold {args.threshold:.0e})")
-    return 0 if worst < args.threshold else 1
+    print(f"overall max relative error: {worst:.3e} (threshold {GRADCHECK_THRESHOLD:.0e})")
+    return 0 if worst < GRADCHECK_THRESHOLD else 1
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=cmd_study)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of ops and model")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--threshold", type=float, default=1e-4)
     p.set_defaults(handler=cmd_gradcheck)
 
     return parser

@@ -14,7 +14,7 @@ GRAPHS = ("full", "no_dependency", "no_edge_weights", "no_bidirectional")
 class TrainConfig:
     """Hyperparameters and the graph variant for one training run.
 
-    Twelve fields: the widths ``d_w``, ``d_h``, ``heads`` and ``ffn_width``,
+    Thirteen fields: the widths ``d_w``, ``d_h``, ``heads`` and ``ffn_width``,
     ``gcn_layers``, the optimizer's ``learning_rate``, ``batch_size``,
     ``max_epochs`` and ``lambda_l2``, the vocabulary's ``min_freq``,
     ``seed``, ``dev_fraction``, and ``graph``, one of :data:`GRAPHS`.
@@ -97,9 +97,10 @@ def config_to_text(config: TrainConfig) -> str:
 
 
 def parse_config_text(text: str) -> TrainConfig:
+    """The config that ``key = value`` lines give; a line ends at ``\\n`` alone."""
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     overrides = {}
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -124,7 +125,7 @@ def load_config(path) -> TrainConfig:
         return parse_config_text(data.decode("utf-8"))
     except UnicodeDecodeError as e:
         # the line the bad byte is on, counted as parse_config_text counts lines
-        line_no = len((data[:e.start].decode("utf-8") + "x").splitlines())
+        line_no = data.count(b"\n", 0, e.start) + 1
         raise ValueError(f"{path}: config line {line_no}: not UTF-8 text "
                          f"({e.reason} at byte {e.start} of the file)") from None
     except ValueError as e:

@@ -3,9 +3,9 @@
 Every encoder works on a packed batch: the token rows of B sentences
 stacked in one (N_total x d) matrix, sentence j owning rows
 ``offsets[j]:offsets[j + 1]`` with ``offsets`` the running sum of
-``lengths`` (see :func:`autodiff.segment_layout`). ``lengths=None`` means
-one sentence, so ``bilstm_encode(x, params)`` and
-``transformer_encode(x, params)`` take a single sentence's n x d matrix.
+``lengths`` (see :func:`autodiff.segment_layout`). :func:`bilstm_encode`
+and :func:`transformer_encode` also take a single sentence's n x d matrix
+without lengths, as the lengths ``[n]``.
 
 The Bi-LSTM runs one pass left-to-right and one right-to-left over each
 sentence from zero initial states and concatenates the per-token hidden
@@ -80,9 +80,10 @@ def init_bilstm_params(store: ParameterStore, prefix: str, d_in: int, d_h: int,
 
 def bilstm_encode(embedded: Tensor, params: BiLstmParams, lengths=None) -> Tensor:
     """Concatenate forward-in-time and backward-in-time hidden states per token."""
+    lengths = [embedded.shape[0]] if lengths is None else lengths
     fwd, bwd = params.fwd, params.bwd
-    return ad.concat([ad.lstm(embedded, fwd.wx, fwd.wh, fwd.b, lengths=lengths),
-                      ad.lstm(embedded, bwd.wx, bwd.wh, bwd.b, reverse=True, lengths=lengths)],
+    return ad.concat([ad.lstm(embedded, fwd.wx, fwd.wh, fwd.b, lengths),
+                      ad.lstm(embedded, bwd.wx, bwd.wh, bwd.b, lengths, reverse=True)],
                      axis=1)
 
 
@@ -150,7 +151,7 @@ def init_transformer_params(store: ParameterStore, prefix: str, d_model: int,
     )
 
 
-def multi_head_attention(x: Tensor, params: TransformerParams, lengths=None) -> Tensor:
+def multi_head_attention(x: Tensor, params: TransformerParams, lengths) -> Tensor:
     """Concat(head_1..head_H) wo, every head in one attention node."""
     heads = ad.attention(ad.matmul(x, params.wq), ad.matmul(x, params.wk),
                          ad.matmul(x, params.wv), params.heads, lengths)
@@ -160,6 +161,7 @@ def multi_head_attention(x: Tensor, params: TransformerParams, lengths=None) -> 
 def transformer_encode(embedded: Tensor, params: TransformerParams, lengths=None) -> Tensor:
     """One encoder block over embeddings + position signals, attending within each sentence."""
     n, d_model = embedded.shape
+    lengths = [n] if lengths is None else lengths
     if d_model != params.d_model:
         raise ad.ShapeError(
             f"transformer_encode: input width {d_model} != model width {params.d_model}")

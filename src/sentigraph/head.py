@@ -2,8 +2,8 @@
 
 Everything works on a packed batch: the token rows of B sentences stacked
 in one N_total x d matrix, sentence j owning rows ``offsets[j]:offsets[j + 1]``
-with ``offsets`` the running sum of ``lengths`` (``lengths=None`` means one
-sentence). Per-sentence reductions are :func:`autodiff.segment_sum` and
+with ``offsets`` the running sum of ``lengths``, which every function takes.
+Per-sentence reductions are :func:`autodiff.segment_sum` and
 :func:`autodiff.segment_softmax`; per-token weights are
 :func:`autodiff.scale_rows`. Each function is one set of tape nodes for the
 whole batch.
@@ -48,8 +48,7 @@ def aspect_rows(spans, lengths, n: int) -> np.ndarray:
     return keep
 
 
-def aspect_attention(h_context: Tensor, h_mask: Tensor,
-                     lengths=None) -> tuple[Tensor, Tensor]:
+def aspect_attention(h_context: Tensor, h_mask: Tensor, lengths) -> tuple[Tensor, Tensor]:
     """Score each context state against its sentence's masked features and pool.
 
     Returns (alpha, pooled): for token i of sentence j,
@@ -83,7 +82,7 @@ def init_fusion_params(store: ParameterStore, prefix: str, d_model: int,
     )
 
 
-def fuse(pooled: Tensor, z_out: Tensor, params: FusionParams, lengths=None) -> Tensor:
+def fuse(pooled: Tensor, z_out: Tensor, params: FusionParams, lengths) -> Tensor:
     """Row j: pooled row j + projected mean of sentence j's transformer rows."""
     lengths, _ = ad.segment_layout(lengths, z_out.shape[0], "fuse")
     global_mean = ad.scale_rows(ad.segment_sum(z_out, lengths), Tensor(1.0 / lengths))

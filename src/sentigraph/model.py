@@ -127,10 +127,12 @@ class AspectSentimentModel:
                   ) -> tuple[ad.SparseMatrix, np.ndarray]:
         """The packed graph entries and out-degrees this configuration consumes for a batch.
 
-        ``samples`` is one sample or a list, as for ``syntax.build_adjacency``.
+        ``samples`` is a list, as for ``syntax.build_adjacency``, or one sample
+        (the form perfbench/probes.py passes).
         """
+        samples = [samples] if isinstance(samples, AspectSample) else samples
         if self.config.graph == "no_dependency":  # the self-loops alone
-            n = samples.n if isinstance(samples, AspectSample) else sum(s.n for s in samples)
+            n = sum(s.n for s in samples)
             return ad.SparseMatrix(np.arange(n), np.arange(n), np.ones(n), (n, n)), np.zeros(n)
         sdi = self.sdi if self.config.edge_weighted else None
         return build_adjacency(samples, sdi, self.unseen_relations)
@@ -195,96 +197,93 @@ def inference_chunks(lengths: list[int]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # gradient-check suite
 
-def _op_checks(rng: np.random.Generator) -> list[tuple[str, callable, list[np.ndarray]]]:
+GRADCHECK_SEED = 7
+GRADCHECK_EPS = 1e-5
+GRADCHECK_THRESHOLD = 1e-4  # the largest relative error ``sentigraph gradcheck`` passes
+
+
+def _op_checks() -> list[tuple[str, callable, list[np.ndarray]]]:
+    """One ``(name, fn, inputs)`` check per op a training step records, named as the op.
+
+    ``fn`` scores the op's output as ``reduce_sum(mul(out, w))`` with a fixed
+    random ``w``; every draw comes from the ``"gradcheck.ops"`` stream.
+    """
+    rng = make_rng(GRADCHECK_SEED, "gradcheck.ops")
+
     def arr(*shape):
         return rng.normal(size=shape)
 
-    w = ad.Tensor(arr(3, 2))
     # three packed sequences, given unsorted so the LSTM reorders them
     lengths = (2, 3, 1)
-    w6 = arr(6, 3)
-    # 14 values, drawn as three blocks to leave the later entries' draws unchanged,
-    # as the entries of a 6 x 6 matrix: unsorted, one position repeated, row and
-    # column 5 empty
-    values = np.concatenate([arr(n, n).ravel() for n in lengths])
-    sparse = ad.SparseMatrix(np.arange(14) % 5, 2 * np.arange(14) % 5, values, (6, 6))
-    return [
-        ("matmul", lambda a, b: ad.reduce_sum(ad.mul(ad.matmul(a, b), w)),
-         [arr(3, 4), arr(4, 2)]),
-        ("add", lambda a, b: ad.reduce_sum(ad.exp(ad.add(a, b))), [arr(3, 4), arr(4)]),
-        ("mul", lambda a, b: ad.reduce_sum(ad.mul(a, b)), [arr(4, 4), arr(4, 4)]),
-        ("concat", lambda a, b: ad.reduce_sum(ad.tanh(ad.concat([a, b], axis=1))),
-         [arr(3, 2), arr(3, 3)]),
-        ("slice", lambda a: ad.reduce_sum(ad.sigmoid(ad.slice_axis(a, 1, 1, 3))),
-         [arr(4, 5)]),
-        ("transpose", lambda a: ad.reduce_sum(ad.tanh(ad.transpose(a))), [arr(3, 5)]),
-        ("tanh", lambda a: ad.reduce_sum(ad.tanh(a)), [arr(4, 4)]),
-        ("sigmoid", lambda a: ad.reduce_sum(ad.sigmoid(a)), [arr(4, 4)]),
-        ("relu", lambda a: ad.reduce_sum(ad.relu(a)), [arr(5, 5)]),
-        ("exp", lambda a: ad.reduce_sum(ad.exp(a)), [arr(3, 3)]),
-        ("log", lambda a: ad.reduce_sum(ad.log(a)), [np.abs(arr(3, 3)) + 0.5]),
-        ("scale", lambda a: ad.reduce_sum(ad.scale(a, -1.7)), [arr(6)]),
-        ("clamp_min", lambda a: ad.reduce_sum(ad.clamp_min(a, 0.1)), [np.abs(arr(4)) + 0.5]),
-        ("softmax", lambda a: ad.reduce_sum(ad.mul(ad.softmax(a, axis=1), w)), [arr(3, 2)]),
-        ("reduce_sum", lambda a: ad.reduce_sum(ad.tanh(ad.reduce_sum(a, axis=0))), [arr(4, 3)]),
-        ("reduce_mean", lambda a: ad.reduce_sum(ad.exp(ad.reduce_mean(a, axis=1))), [arr(4, 3)]),
-        ("layer_norm", lambda a, g, b: ad.reduce_sum(ad.tanh(ad.layer_norm(a, g, b))),
-         [arr(4, 6), arr(6), arr(6)]),
-        ("gather_rows",
-         lambda t: ad.reduce_sum(ad.tanh(ad.gather_rows(t, np.array([0, 2, 2, 1])))),
-         [arr(4, 3)]),
-        ("lstm", lambda x, wx, wh, b: ad.reduce_sum(ad.tanh(ad.concat(
-            [ad.lstm(x, wx, wh, b), ad.lstm(x, wx, wh, b, reverse=True)], axis=1))),
-         [arr(4, 3), arr(3, 8), arr(2, 8), arr(8)]),
-        ("lstm_lengths", lambda x, wx, wh, b: ad.reduce_sum(ad.tanh(ad.concat(
-            [ad.lstm(x, wx, wh, b, lengths=lengths),
-             ad.lstm(x, wx, wh, b, reverse=True, lengths=lengths)], axis=1))),
+    ids = np.array([0, 2, 2, 1])  # a repeated row and an unread one
+    # 14 entries of a 6 x 6 matrix: unsorted, one position repeated, row and column 5 empty
+    sparse = ad.SparseMatrix(np.arange(14) % 5, 2 * np.arange(14) % 5, arr(14), (6, 6))
+    ops = [
+        ("add", lambda a, b, c: ad.add(ad.add(a, b), c), [arr(3, 4), arr(4), arr(3, 4)]),
+        # one sequence and the packed lengths
+        ("attention", lambda q, k, v: ad.concat(
+            [ad.attention(q, k, v, 2, lengths), ad.attention(q, k, v, 2, [6])], axis=1),
+         [arr(6, 4), arr(6, 4), arr(6, 2)]),
+        ("clamp_min", lambda a: ad.clamp_min(a, 0.1), [arr(3, 4)]),
+        ("concat", lambda a, b: ad.concat([a, b], axis=1), [arr(3, 2), arr(3, 3)]),
+        # a leaf table, as the embedding's, and an op's output, as the attention keys'
+        ("gather_rows", lambda t, u: ad.concat(
+            [ad.gather_rows(t, ids), ad.gather_rows(ad.scale(u, 1.5), ids)], axis=1),
+         [arr(4, 3), arr(4, 2)]),
+        ("layer_norm", ad.layer_norm, [arr(4, 6), arr(6), arr(6)]),
+        ("log", ad.log, [np.abs(arr(3, 3)) + 0.5]),
+        # both directions, over one sequence and over the packed lengths
+        ("lstm", lambda x, wx, wh, b: ad.concat(
+            [ad.lstm(x, wx, wh, b, split, reverse=reverse)
+             for split in ([6], lengths) for reverse in (False, True)], axis=1),
          [arr(6, 3), arr(3, 8), arr(2, 8), arr(8)]),
-        # two heads; v is cut from a 6 x 3 draw to leave the later entries' draws unchanged
-        ("attention", lambda q, k, v: ad.reduce_sum(ad.mul(ad.attention(q, k, v, 2, lengths),
-                                                           ad.Tensor(w6[:, :2]))),
-         [arr(6, 2), arr(6, 2), arr(6, 3)[:, :2]]),
-        ("sparse_matmul", lambda a: ad.reduce_sum(ad.tanh(ad.concat(
-            [ad.sparse_matmul(sparse, a), ad.sparse_matmul(sparse, a, transpose=True)],
-            axis=1))),
+        ("matmul", ad.matmul, [arr(3, 4), arr(4, 2)]),
+        ("mul", ad.mul, [arr(4, 4), arr(4, 4)]),
+        ("reduce_sum", lambda a: ad.reduce_sum(a, axis=1), [arr(4, 3)]),
+        ("relu", ad.relu, [arr(5, 5)]),
+        ("scale", lambda a: ad.scale(a, -1.7), [arr(6)]),
+        ("scale_rows", ad.scale_rows, [arr(6, 3), arr(6)]),
+        ("segment_softmax", lambda a: ad.segment_softmax(a, lengths), [arr(6)]),
+        ("segment_sum", lambda a: ad.segment_sum(a, lengths), [arr(6, 3)]),
+        ("softmax", lambda a: ad.softmax(a, axis=1), [arr(3, 4)]),
+        ("sparse_matmul", lambda a: ad.concat(
+            [ad.sparse_matmul(sparse, a), ad.sparse_matmul(sparse, a, transpose=True)], axis=1),
          [arr(6, 3)]),
-        ("segment_sum", lambda a: ad.reduce_sum(ad.tanh(ad.segment_sum(a, lengths))),
-         [arr(6, 3)]),
-        ("segment_softmax", lambda a: ad.reduce_sum(ad.mul(ad.segment_softmax(a, lengths),
-                                                           ad.Tensor(w6[:, 0]))), [arr(6)]),
-        ("scale_rows", lambda a, s: ad.reduce_sum(ad.tanh(ad.scale_rows(a, s))),
-         [arr(6, 3), arr(6)]),
-        # no saturating wrapper: a wrong factor in its gradient must show in full
         ("sum_squares", lambda a, b: ad.sum_squares([a, b]), [arr(3, 4), arr(5)]),
     ]
 
+    def scored(op, w):
+        return lambda *inputs: ad.reduce_sum(ad.mul(op(*inputs), w))
 
-def gradient_check_suite(seed: int, eps: float) -> list[tuple[str, FiniteDiffReport]]:
-    """Finite-difference validation of every primitive and the composed model.
+    return [(name, scored(op, Tensor(arr(*op(*map(Tensor, arrays)).shape))), arrays)
+            for name, op, arrays in ops]
 
-    The composed check runs the full forward-to-loss pass on a packed batch
-    of two random samples of 5 and 3 tokens at width 8 (d_w = d_h = 8, one
-    graph layer, two attention heads) and differentiates with respect to
-    every trainable parameter.
+
+def gradient_check_suite() -> list[tuple[str, FiniteDiffReport]]:
+    """Finite differences against backward for each op a training step records, and the model.
+
+    The 19 op checks are named as their ops. ``composed_model`` runs the full
+    forward-to-loss pass on a packed batch of two random samples of 5 and 3
+    tokens at width 8 (d_w = d_h = 8, one graph layer, two attention heads),
+    drawn from its own ``"gradcheck.composed_model"`` stream, and
+    differentiates with respect to every trainable parameter.
     """
-    rng = np.random.default_rng(seed)
     results = []
-    for name, fn, arrays in _op_checks(rng):
+    for name, fn, arrays in _op_checks():
         inputs = [ad.Tensor(a, requires_grad=True) for a in arrays]
-        results.append((name, ad.finite_diff_check(fn, inputs, eps=eps)))
+        results.append((name, ad.finite_diff_check(fn, inputs, eps=GRADCHECK_EPS)))
 
+    rng = make_rng(GRADCHECK_SEED, "gradcheck.composed_model")
     samples = [random_tree_sample(rng, n=5 - 2 * (i % 2)) for i in range(4)]
     batch = samples[:2]
-    vocab = build_vocab(samples)
-    sdi = collect_sdi_stats(samples)
     config = TrainConfig(d_w=8, d_h=8, gcn_layers=1, heads=2, ffn_width=16,
-                         seed=seed, lambda_l2=1e-4)
-    model = AspectSentimentModel(config, vocab, sdi=sdi)
+                         seed=GRADCHECK_SEED, lambda_l2=1e-4)
+    model = AspectSentimentModel(config, build_vocab(samples), sdi=collect_sdi_stats(samples))
 
     def loss(*_params):
         return head.compute_loss(model.forward(batch).prob, [s.label for s in batch],
                                  model.parameters, config.lambda_l2)
 
     results.append(("composed_model",
-                    ad.finite_diff_check(loss, model.parameters.tensors(), eps=eps)))
+                    ad.finite_diff_check(loss, model.parameters.tensors(), eps=GRADCHECK_EPS)))
     return results

@@ -62,18 +62,16 @@ def collect_sdi_stats(training_samples) -> SdiTable:
     return SdiTable(ratios=MappingProxyType(ratios), total_edges=total)
 
 
-def build_adjacency(samples: AspectSample | list[AspectSample], sdi: SdiTable | None,
+def build_adjacency(samples: list[AspectSample], sdi: SdiTable | None,
                     unseen: Counter) -> tuple[ad.SparseMatrix, np.ndarray]:
     """The graph entries, row-major, and per-token out-degree (self-loop excluded) of a batch.
 
-    ``samples`` is one sample or a list; the list's graphs sit on the
-    diagonal of one N x N matrix, each offset to its sentence's packed rows.
+    The samples' graphs sit on the diagonal of one N x N matrix, each offset
+    to its sentence's packed rows; one sentence is the list ``[sample]``.
     With ``sdi`` None every edge weighs 1; otherwise it weighs its relation's
     ratio, and a relation unseen at training time falls back to the smallest
     ratio (keeping the edge alive) and adds one to its count in ``unseen``.
     """
-    if isinstance(samples, AspectSample):
-        samples = [samples]
     heads, deps, weights = [], [], []
     n = 0
     for sample in samples:

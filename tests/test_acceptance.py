@@ -17,10 +17,10 @@ import pytest
 from sentigraph import autodiff as ad
 from sentigraph import head
 from sentigraph.autodiff import Tensor
-from sentigraph.config import TrainConfig
+from sentigraph.config import GRAPHS, TrainConfig
 from sentigraph.corpus import LABELS, AspectSample, build_vocab
 from sentigraph.encoders import positional_encoding
-from sentigraph.model import AspectSentimentModel, gradient_check_suite
+from sentigraph.model import AspectSentimentModel, _op_checks, gradient_check_suite
 from sentigraph.synthetic import CUES, make_synthetic_corpus
 from sentigraph.syntax import build_adjacency, collect_sdi_stats
 from sentigraph.training import (
@@ -33,24 +33,38 @@ from sentigraph.training import (
 
 from conftest import aspect_mask, random_tree_sample
 
-PRIMITIVE_OPS = {
-    "matmul", "add", "mul", "concat", "slice", "transpose", "tanh", "sigmoid",
-    "relu", "exp", "log", "scale", "clamp_min", "softmax", "reduce_sum",
-    "reduce_mean", "sum_squares", "layer_norm", "gather_rows", "lstm",
-    "lstm_lengths", "attention", "sparse_matmul", "segment_sum", "segment_softmax",
-    "scale_rows",
-}
+def recorded_ops(graph: str) -> set[str]:
+    """The ops on the tape of one training batch, named as the autodiff functions that made them.
+
+    The loss is assembled as ``training.train`` assembles it, at two graph
+    layers, so that a layer reading another's output is on the tape too.
+    """
+    corpus = make_synthetic_corpus(8, seed=51)
+    config = TrainConfig(d_w=8, d_h=8, gcn_layers=2, heads=2, ffn_width=16, graph=graph,
+                         seed=4)
+    sdi = collect_sdi_stats(corpus) if config.edge_weighted else None
+    model = AspectSentimentModel(config, build_vocab(corpus), sdi=sdi)
+    batch = corpus[:4]
+    loss = head.compute_loss(model.forward(batch).prob, [s.label for s in batch],
+                             model.parameters, config.lambda_l2)
+    # each op's backward function is defined inside it: "matmul.<locals>.backward"
+    return {node._backward_fn.__qualname__.split(".")[0] for node in ad._toposort(loss)}
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_gradcheck_checks_exactly_the_ops_a_training_step_records(graph):
+    assert {name for name, _fn, _inputs in _op_checks()} == recorded_ops(graph)
 
 
 def test_gradient_integrity():
-    # every primitive plus the composed forward-to-loss pass on a 5-token
-    # sample at d_w = d_h = 8, one graph layer, two heads; < 1e-4 at eps 1e-5
+    # one check per op a training step records, plus the composed forward-to-loss
+    # pass on a 5+3-token batch at d_w = d_h = 8, one graph layer, two heads;
+    # every one < 1e-4 at eps 1e-5
     started = time.monotonic()
-    results = gradient_check_suite(seed=7, eps=1e-5)
+    results = gradient_check_suite()
     elapsed = time.monotonic() - started
-    names = {name for name, _ in results}
-    assert PRIMITIVE_OPS <= names
-    assert "composed_model" in names
+    names = [name for name, _ in results]
+    assert sorted(names) == sorted(set().union(*map(recorded_ops, GRAPHS)) | {"composed_model"})
     for name, report in results:
         assert report.checked > 0, name
         assert report.max_rel_error < 1e-4, (name, report.max_rel_error)
@@ -105,8 +119,8 @@ def test_sdi_oracle():
     trees = [random_tree_sample(rng, n=int(rng.integers(2, 10))) for _ in range(1000)]
     stats = collect_sdi_stats(trees)
     for sample in trees:
-        binary = np.asarray(build_adjacency(sample, None, Counter())[0])
-        weighted = np.asarray(build_adjacency(sample, stats, Counter())[0])
+        binary = np.asarray(build_adjacency([sample], None, Counter())[0])
+        weighted = np.asarray(build_adjacency([sample], stats, Counter())[0])
         assert np.array_equal(weighted != 0, binary != 0)
 
 
@@ -146,7 +160,8 @@ def test_ablation_structure(transpose_calls):
     for sample in corpus:
         adjacency = np.asarray(ew_model.adjacency(sample)[0])
         assert set(np.unique(adjacency)) <= {0.0, 1.0}
-        assert np.array_equal(adjacency, np.asarray(build_adjacency(sample, None, Counter())[0]))
+        assert np.array_equal(adjacency,
+                              np.asarray(build_adjacency([sample], None, Counter())[0]))
 
     d_config = dataclasses.replace(base, graph="no_dependency")
     d_model = AspectSentimentModel(d_config, build_vocab(corpus))
@@ -193,19 +208,19 @@ def test_masking():
         # loss as a function of the graph-convolution output along the mask path
         h_lstm = fp.h_lstm.data.copy()
         z_out = fp.z_out.data.copy()
-        span = [(sample.aspect_start, sample.aspect_len)]
+        span, lengths = [(sample.aspect_start, sample.aspect_len)], [sample.n]
 
         def mask_path_loss(h_gcn_values):
-            masked = aspect_mask(Tensor(h_gcn_values), span)
-            _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked)
-            res = head.fuse(pooled, Tensor(z_out), model.fusion)
+            masked = aspect_mask(Tensor(h_gcn_values), span, lengths)
+            _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked, lengths)
+            res = head.fuse(pooled, Tensor(z_out), model.fusion, lengths)
             return head.nll(head.classify(res, model.classifier), [sample.label])
 
         # analytic gradient at masked coordinates is exactly zero
         probe = Tensor(fp.h_gcn.data.copy(), requires_grad=True)
-        masked = aspect_mask(probe, span)
-        _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked)
-        res = head.fuse(pooled, Tensor(z_out), model.fusion)
+        masked = aspect_mask(probe, span, lengths)
+        _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked, lengths)
+        res = head.fuse(pooled, Tensor(z_out), model.fusion, lengths)
         ad.backward(head.nll(head.classify(res, model.classifier), [sample.label]))
         assert np.array_equal(probe.grad[outside],
                               np.zeros((len(outside), probe.shape[1])))

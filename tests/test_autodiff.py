@@ -138,8 +138,8 @@ def test_saturated_sigmoid_and_lstm_raise_no_warning():
         x, wx = ad.Tensor(np.ones((3, 1))), ad.Tensor(np.zeros((1, 8)))
         wh = ad.Tensor(np.zeros((2, 8)))
         b = ad.Tensor(np.full(8, -1000.0))
-        for lengths in (None, (2, 1)):
-            h = ad.lstm(x, wx, wh, b, lengths=lengths).data
+        for lengths in ([3], (2, 1)):
+            h = ad.lstm(x, wx, wh, b, lengths).data
             assert np.array_equal(h, np.zeros((3, 2)))
 
 
@@ -365,15 +365,16 @@ def test_lstm_nonfinite_pre_activation_raises(operand, value):
     tensors = {name: ad.Tensor(a) for name, a in arrays.items()}
     for reverse in (False, True):
         with pytest.raises(ad.NonFiniteError, match="lstm"):
-            ad.lstm(tensors["x"], tensors["wx"], tensors["wh"], tensors["b"], reverse=reverse)
+            ad.lstm(tensors["x"], tensors["wx"], tensors["wh"], tensors["b"], [5],
+                    reverse=reverse)
 
 
 def test_lstm_shape_mismatch():
     x, wh, b = ad.Tensor(rand((4, 3))), ad.Tensor(rand((2, 8))), ad.Tensor(rand((8,)))
     with pytest.raises(ad.ShapeError, match="lstm"):
-        ad.lstm(x, ad.Tensor(rand((3, 6))), wh, b)
+        ad.lstm(x, ad.Tensor(rand((3, 6))), wh, b, [4])
     with pytest.raises(ad.ShapeError, match="lstm"):
-        ad.lstm(x, ad.Tensor(rand((4, 8))), wh, b)
+        ad.lstm(x, ad.Tensor(rand((4, 8))), wh, b, [4])
 
 
 @settings(max_examples=50)

@@ -26,7 +26,7 @@ def chain_sample(n):
 
 def chain_graph(n):
     """The binary graph entries and out-degrees of an n-token chain."""
-    return build_adjacency(chain_sample(n), None, Counter())
+    return build_adjacency([chain_sample(n)], None, Counter())
 
 
 def self_loops(n):
@@ -41,7 +41,7 @@ def one_layer(h, adj, deg, p):
 
 def graphs_of(samples):
     """Each sample's binary graph entries and out-degrees, as two lists."""
-    graphs, degrees = zip(*(build_adjacency(s, None, Counter()) for s in samples))
+    graphs, degrees = zip(*(build_adjacency([s], None, Counter()) for s in samples))
     return list(graphs), list(degrees)
 
 

@@ -619,14 +619,19 @@ class TestGradcheck:
                 ("composed_model", FiniteDiffReport(max_rel_error=worst, checked=100))]
 
     def test_exit_zero_under_threshold(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "gradient_check_suite",
-                            lambda seed, eps: self.stub_results(5e-6))
-        assert cli.main(["gradcheck", "--seed", "7"]) == 0
+        monkeypatch.setattr(cli, "gradient_check_suite", lambda: self.stub_results(5e-6))
+        assert cli.main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "overall max relative error" in out
         assert "composed_model" in out
 
     def test_exit_one_over_threshold(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "gradient_check_suite",
-                            lambda seed, eps: self.stub_results(5e-3))
-        assert cli.main(["gradcheck", "--seed", "7"]) == 1
+        monkeypatch.setattr(cli, "gradient_check_suite", lambda: self.stub_results(5e-3))
+        assert cli.main(["gradcheck"]) == 1
+
+    @pytest.mark.parametrize("option", ["--seed", "--eps", "--threshold"])
+    def test_takes_no_option(self, monkeypatch, capsys, option):
+        # the seed, step and threshold are constants: an option is a usage error
+        monkeypatch.setattr(cli, "gradient_check_suite", lambda: pytest.fail("suite ran"))
+        assert cli.main(["gradcheck", option, "7"]) == 2
+        assert f"unrecognized arguments: {option} 7" in capsys.readouterr().err

@@ -206,6 +206,33 @@ class TestBiLstm:
         assert report.max_rel_error < 1e-4
 
 
+@pytest.mark.parametrize("encoder", ["bilstm", "transformer"])
+@pytest.mark.parametrize("n", [1, 6])
+def test_no_lengths_is_one_sentence_bit_for_bit(encoder, n):
+    # bilstm_encode(x, p) and transformer_encode(x, p), as perfbench/probes.py calls them,
+    # are the calls with lengths [n]: the same output and gradients, bit for bit
+    store = ParameterStore()
+    rng = np.random.default_rng(40 + n)
+    if encoder == "bilstm":
+        params, encode = init_bilstm_params(store, "lstm", 6, 3, rng), bilstm_encode
+    else:
+        params, encode = init_transformer_params(store, "tr", 6, 2, 8, rng), transformer_encode
+    for t in store.tensors():  # nonzero biases and gains off 1, so every gradient is exercised
+        t.data = rng.normal(scale=0.5, size=t.shape)
+    x = Tensor(rng.normal(size=(n, 6)), requires_grad=True)
+    leaves = [x] + store.tensors()
+
+    def run(*lengths):
+        for t in leaves:
+            t.zero_grad()
+        out = encode(x, params, *lengths)
+        weight = Tensor(np.random.default_rng(7).normal(size=out.shape))
+        ad.backward(ad.reduce_sum(ad.mul(out, weight)))
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+    assert run() == run([n])
+
+
 class TestPositionalEncoding:
     def test_row_zero_is_zero_one_pattern(self):
         pe = positional_encoding(5, 8)
@@ -238,7 +265,7 @@ class TestScaledDotAttention:
         q = Tensor(rng.normal(size=(1, 4)))
         k = Tensor(rng.normal(size=(1, 4)))
         v = Tensor(rng.normal(size=(1, 3)))
-        out = ad.attention(q, k, v, 1)
+        out = ad.attention(q, k, v, 1, [1])
         assert np.array_equal(out.data, v.data)
 
     def test_identical_keys_average_values(self, rng):
@@ -246,7 +273,7 @@ class TestScaledDotAttention:
         k = Tensor(np.stack([key_row, key_row]))
         q = Tensor(np.ones((2, 4)))
         v = Tensor(rng.normal(size=(2, 3)))
-        out = ad.attention(q, k, v, 1)
+        out = ad.attention(q, k, v, 1, [2])
         for row in out.data:
             assert np.array_equal(row, v.data.mean(axis=0))
 
@@ -255,7 +282,7 @@ class TestScaledDotAttention:
         q = Tensor(rng.normal(size=(6, 4)))
         k = Tensor(rng.normal(size=(6, 4)))
         v = Tensor(np.ones((6, 1)))
-        out = ad.attention(q, k, v, 1)
+        out = ad.attention(q, k, v, 1, [6])
         assert np.allclose(out.data, 1.0, atol=1e-12)
 
     def test_packed_sentences_attend_only_within_themselves(self, rng):
@@ -264,10 +291,10 @@ class TestScaledDotAttention:
         out = ad.attention(q, k, v, 1, lengths).data
         offsets = np.cumsum((0,) + lengths)
         for lo, hi in zip(offsets[:-1], offsets[1:]):
-            alone = ad.attention(*(Tensor(t.data[lo:hi]) for t in (q, k, v)), 1).data
+            alone = ad.attention(*(Tensor(t.data[lo:hi]) for t in (q, k, v)), 1, [hi - lo]).data
             assert np.max(np.abs(out[lo:hi] - alone)) < 1e-14
 
-    @pytest.mark.parametrize("lengths", [None, (3, 1, 4)])
+    @pytest.mark.parametrize("lengths", [pytest.param((8,), id="one"), (3, 1, 4)])
     def test_heads_match_one_head_calls_on_column_blocks(self, rng, lengths):
         heads, d_k, d_v = 3, 2, 4
         q, k = (Tensor(rng.normal(size=(8, heads * d_k)), requires_grad=True) for _ in range(2))
@@ -294,11 +321,11 @@ class TestScaledDotAttention:
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
-        # q and k of different widths; q and k of different rows, also with no lengths
+        # q and k of different widths; q and k of different rows, whichever rows lengths covers
         for q_shape, k_shape in (((2, 3), (2, 4)), ((3, 4), (2, 4))):
             with pytest.raises(ad.ShapeError, match="attention"):
                 ad.attention(Tensor(np.ones(q_shape)), Tensor(np.ones(k_shape)),
-                             Tensor(np.ones((2, 2))), 1)
+                             Tensor(np.ones((2, 2))), 1, [q_shape[0]])
 
 
 class TestTransformerEncode:
@@ -326,8 +353,8 @@ class TestTransformerEncode:
         x = rng.normal(size=(5, 6))
         perm = [3, 1, 4, 0, 2]
         # multi-head attention is the block's only step that mixes rows
-        base = encoders.multi_head_attention(Tensor(x), params).data
-        permuted = encoders.multi_head_attention(Tensor(x[perm]), params).data
+        base = encoders.multi_head_attention(Tensor(x), params, [5]).data
+        permuted = encoders.multi_head_attention(Tensor(x[perm]), params, [5]).data
         assert np.allclose(permuted, base[perm], atol=1e-12)
 
     def test_heads_are_column_blocks_of_per_head_draws(self):

@@ -59,7 +59,7 @@ class TestForwardPass:
         sample = corpus[1]
         adjacency, _ = fitted.adjacency(sample)
         assert np.array_equal(np.asarray(adjacency),
-                              np.asarray(build_adjacency(sample, fitted.sdi, Counter())[0]))
+                              np.asarray(build_adjacency([sample], fitted.sdi, Counter())[0]))
 
     def test_prediction_probabilities_normalized(self, fitted, corpus):
         for sample in corpus:

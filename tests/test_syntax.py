@@ -99,7 +99,7 @@ class TestCollectSdiStats:
 
 def binary(sample):
     """The binary graph as a dense matrix, and the out-degrees."""
-    adj, degrees = build_adjacency(sample, None, Counter())
+    adj, degrees = build_adjacency([sample], None, Counter())
     return np.asarray(adj), degrees
 
 
@@ -129,21 +129,21 @@ class TestBinaryAdjacency:
 
     def test_binary_graph_counts_no_relation(self):
         unseen = Counter()
-        build_adjacency(sample_with([(-1, 0, "root"), (0, 1, "xcomp")]), None, unseen)
+        build_adjacency([sample_with([(-1, 0, "root"), (0, 1, "xcomp")])], None, unseen)
         assert unseen == Counter()
 
 
 class TestSdiAdjacency:
     def test_single_token(self):
         table = collect_sdi_stats(TOY)
-        adj, degrees = build_adjacency(sample_with([(-1, 0, "root")], n=1), table, Counter())
+        adj, degrees = build_adjacency([sample_with([(-1, 0, "root")], n=1)], table, Counter())
         assert np.asarray(adj).tolist() == [[1.0]]
         assert degrees.tolist() == [0.0]
 
     def test_edge_weight_is_relation_ratio(self):
         table = collect_sdi_stats(TOY)
         sample = sample_with([(-1, 0, "root"), (0, 1, "nsubj")])
-        adj = np.asarray(build_adjacency(sample, table, Counter())[0])
+        adj = np.asarray(build_adjacency([sample], table, Counter())[0])
         assert adj[0, 1] == 0.5
         assert adj[1, 0] == 0.0
 
@@ -154,8 +154,8 @@ class TestSdiAdjacency:
         unseen, other = Counter(), Counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            adj = np.asarray(build_adjacency(sample, table, unseen)[0])
-            build_adjacency(sample, table, other)
+            adj = np.asarray(build_adjacency([sample], table, unseen)[0])
+            build_adjacency([sample], table, other)
         assert adj[0, 1] == adj[0, 2] == table.min_ratio
         assert unseen == other == Counter({"xcomp": 2})
 
@@ -168,7 +168,7 @@ class TestSdiAdjacency:
         sample = dataclasses.replace(sample, deps=tuple(
             (h, d, str(gen.choice(["nsubj", "rare_a", "rare_b"]))) for h, d, _ in sample.deps))
         unseen = Counter()
-        adj = np.asarray(build_adjacency(sample, table, unseen)[0])
+        adj = np.asarray(build_adjacency([sample], table, unseen)[0])
         edges = [(h, d, r) for h, d, r in sample.deps if h != -1]
         assert unseen == Counter(r for _, _, r in edges if r not in table.ratios)
         for h, d, r in edges:
@@ -182,7 +182,7 @@ class TestSdiAdjacency:
         table = collect_sdi_stats(samples)
         for sample in samples:
             binary_adj, binary_deg = binary(sample)
-            weighted, weighted_deg = build_adjacency(sample, table, Counter())
+            weighted, weighted_deg = build_adjacency([sample], table, Counter())
             weighted = np.asarray(weighted)
             assert np.array_equal(weighted != 0, binary_adj != 0)
             assert np.all(weighted >= 0) and np.all(weighted <= 1)
@@ -203,7 +203,7 @@ def test_entries_equal_the_dense_oracles_nonzeros(seed, weighted, unseen_share):
         (h, d, f"rare_{gen.integers(3)}" if gen.random() < unseen_share else r)
         for h, d, r in sample.deps))
     unseen, want_unseen = Counter(), Counter()
-    got, degrees = build_adjacency(sample, table, unseen)
+    got, degrees = build_adjacency([sample], table, unseen)
     dense, want_degrees = reference_adjacency(sample, table, want_unseen)
     row, col = dense.nonzero()
     assert got.shape == dense.shape
@@ -226,7 +226,7 @@ def test_batch_entries_equal_the_per_sample_builds_offset(seed, n_samples, weigh
         for h, d, r in sample.deps)) for sample in batch]
     unseen, want_unseen = Counter(), Counter()
     got, degrees = build_adjacency(batch, table, unseen)
-    graphs, want_degrees = zip(*(build_adjacency(s, table, want_unseen) for s in batch))
+    graphs, want_degrees = zip(*(build_adjacency([s], table, want_unseen) for s in batch))
     offsets = np.cumsum([0] + [s.n for s in batch])[:-1]
     n = sum(s.n for s in batch)
     assert got.shape == (n, n)
