@@ -15,15 +15,14 @@ Supported operand ranks are 0 (scalars), 1 (vectors) and 2 (matrices).
 Broadcasting is deliberately restricted to adding a bias row to a matrix;
 every other shape mismatch raises :class:`ShapeError` immediately.
 
-A batch of B sequences is packed: their rows stacked in one matrix, with
-``lengths`` giving each sequence's row count, ``[n]`` for one sequence
-(:func:`segment_layout`). The sequence ops (:func:`lstm`, :func:`attention`,
-:func:`segment_sum`, :func:`segment_softmax`) take such a matrix and its
-lengths and keep the sequences apart, each as one tape node for the whole
-batch; padding to 3-d blocks happens inside them only. :func:`attention`
-runs every head of a multi-head layer in its one node. :func:`sparse_matmul`
-applies a constant :class:`SparseMatrix`, such as a batch's packed graph
-adjacency, by its entries.
+A batch of B sequences is packed as :class:`SegmentLayout` describes. The
+sequence ops (:func:`lstm`, :func:`attention`, :func:`segment_sum`,
+:func:`segment_softmax`) take such a matrix and its layout and keep the
+sequences apart, each as one tape node for the whole batch; padding to 3-d
+blocks happens inside them only. :func:`attention` runs every head of a
+multi-head layer in its one node. :func:`sparse_matmul` applies a constant
+:class:`SparseMatrix`, such as a batch's packed graph adjacency, by its
+entries.
 
 ``model.gradient_check_suite`` checks the 19 ops a training step records.
 No model path calls :func:`slice_axis`, :func:`transpose`, :func:`tanh`,
@@ -367,39 +366,56 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # packed sequences: B sequences stacked row-wise in one matrix
 
-def segment_layout(lengths, n_rows: int, op: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validated ``(lengths, offsets)`` of sequences stacked in ``n_rows`` rows.
+@dataclass(frozen=True, eq=False)
+class SegmentLayout:
+    """Where each of B sequences sits in a packed matrix, built by :func:`segment_layout`.
 
-    Sequence j owns rows ``offsets[j]:offsets[j + 1]``; one length is one
-    sequence holding every row. An error names ``op``.
+    Their rows are stacked in one matrix: sequence j owns rows
+    ``offsets[j]:offsets[j + 1]``, and row r is position ``pos[r]`` of sequence
+    ``seq[r]``. ``slot`` ranks the sequences longest first, ties in order, and
+    ``running[t]`` counts those longer than t: the ones still running at step
+    t, in the first slots. One sequence of n rows is the layout of ``[n]``. The
+    builder validates the lengths; a packed op checks only its input's rows.
     """
-    if len(lengths) == 1 and lengths[0] == n_rows >= 1:  # one sequence: no reductions needed
-        return np.array([n_rows]), np.array([0, n_rows])
+
+    lengths: np.ndarray  # (B,)
+    offsets: np.ndarray  # (B + 1,)
+    seq: np.ndarray      # (N,)
+    pos: np.ndarray      # (N,)
+    slot: np.ndarray     # (B,)
+    running: list[int]   # one count per step of the longest sequence
+    rows: int            # N
+
+
+def segment_layout(lengths) -> SegmentLayout:
+    """The layout of sequences with these row counts: one or more, each at least 1."""
     sizes = np.array(lengths, dtype=np.int64)
-    if sizes.ndim == 1 and sizes.size and sizes.min() >= 1 and sizes.sum() == n_rows:
-        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        return sizes, offsets
-    raise ShapeError(f"{op}: lengths {lengths} do not split {n_rows} rows")
+    if sizes.ndim != 1 or not sizes.size or sizes.min() < 1:
+        raise ShapeError(f"segment_layout: lengths {lengths}: need at least one, each >= 1")
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    seq = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(seq.size) - offsets[seq]
+    slot = np.argsort(-sizes, kind="stable").argsort()  # the inverse of the longest-first order
+    running = np.bincount(sizes)[:0:-1].cumsum()[::-1].tolist()  # [t]: how many exceed t
+    return SegmentLayout(lengths=sizes, offsets=offsets, seq=seq, pos=pos, slot=slot,
+                         running=running, rows=seq.size)
 
 
-def segment_sum(a: Tensor, lengths) -> Tensor:
+def segment_sum(a: Tensor, layout: SegmentLayout) -> Tensor:
     """Row block j of the (N x d) ``a`` summed to row j of a (B x d) result."""
     ad = a.data
-    if ad.ndim != 2:
-        _shape_fail("segment_sum", ad.shape)
-    lengths, offsets = segment_layout(lengths, ad.shape[0], "segment_sum")
-    out = np.add.reduceat(ad, offsets[:-1], axis=0)
-    return _make(out, (a,), lambda g: (np.repeat(g, lengths, axis=0),), "segment_sum")
+    if ad.ndim != 2 or ad.shape[0] != layout.rows:
+        _shape_fail("segment_sum", ad.shape, f"{layout.rows} layout rows")
+    out = np.add.reduceat(ad, layout.offsets[:-1], axis=0)
+    return _make(out, (a,), lambda g: (np.repeat(g, layout.lengths, axis=0),), "segment_sum")
 
 
-def segment_softmax(a: Tensor, lengths) -> Tensor:
+def segment_softmax(a: Tensor, layout: SegmentLayout) -> Tensor:
     """Softmax of the (N,) vector ``a`` within each sequence's block of entries."""
     ad = a.data
-    if ad.ndim != 1:
-        _shape_fail("segment_softmax", ad.shape)
-    lengths, offsets = segment_layout(lengths, ad.shape[0], "segment_softmax")
-    starts = offsets[:-1]
+    if ad.ndim != 1 or ad.shape[0] != layout.rows:
+        _shape_fail("segment_softmax", ad.shape, f"{layout.rows} layout rows")
+    lengths, starts = layout.lengths, layout.offsets[:-1]
     e = np.exp(ad - np.repeat(np.maximum.reduceat(ad, starts), lengths))
     out = e / np.repeat(np.add.reduceat(e, starts), lengths)
 
@@ -480,30 +496,26 @@ def sparse_matmul(m: SparseMatrix, x: Tensor, transpose: bool = False) -> Tensor
                  lambda g: (_sum_entries(others, keys, m.value, n_in, g),), "sparse_matmul")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, layout: SegmentLayout) -> Tensor:
     """Multi-head softmax(q_h k_h^T / sqrt(d_k)) v_h within each sequence, as one node.
 
     Columns ``h*d_k:(h+1)*d_k`` of ``q`` and ``k`` are head h, and so are
     columns ``h*d_v:(h+1)*d_v`` of ``v`` and of the result, the heads' outputs
     side by side. Query i attends only to the keys of its own sequence, so no
     N x N score matrix exists: the scores are a (B x heads x n_max x n_max)
-    stack padded per sequence, with the padded keys at -inf. One sequence (a
-    single length) is read through views, without padding. ``q``, ``k`` and
-    ``v`` always have the same rows.
+    stack padded per sequence, with the padded keys at -inf. One sequence is
+    read through views, without padding. ``q``, ``k`` and ``v`` always have
+    the layout's rows.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or qd.shape[1] != kd.shape[1]
-            or not qd.shape[0] == kd.shape[0] == vd.shape[0] or heads < 1
+            or not qd.shape[0] == kd.shape[0] == vd.shape[0] == layout.rows or heads < 1
             or qd.shape[1] % heads or vd.shape[1] % heads):
-        _shape_fail("attention", qd.shape, kd.shape, vd.shape, f"{heads} heads")
+        _shape_fail("attention", qd.shape, kd.shape, vd.shape, f"{heads} heads, {layout.rows} rows")
     c = 1.0 / np.sqrt(qd.shape[1] // heads)
-    lengths, offsets = segment_layout(lengths, qd.shape[0], "attention")
-    rows = None
-    if lengths.size > 1:
-        # row r of sequence j sits at position r - offsets[j] of block j
-        seq = np.repeat(np.arange(lengths.size), lengths)
-        rows = (seq, np.arange(qd.shape[0]) - offsets[seq])
-        n_max = int(lengths.max())
+    lengths, n_max = layout.lengths, len(layout.running)
+    # row r sits at position pos[r] of block seq[r]; one sequence's block is a view
+    rows = None if lengths.size == 1 else (layout.seq, layout.pos)
 
     def split(a):
         """(N x heads*d) rows as a (B x heads x n x d) stack, padded when B > 1."""
@@ -537,11 +549,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, lengths) -> Tensor:
     return _make(merge(weights @ vp), (q, k, v), backward, "attention")
 
 
-def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths,
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, layout: SegmentLayout,
          reverse: bool = False) -> Tensor:
     """One LSTM direction over each sequence's rows of ``x``, from zero states, as one node.
 
-    ``x`` holds B sequences stacked row-wise (see :func:`segment_layout`).
+    ``x`` holds B sequences stacked row-wise as ``layout`` says.
     Gate columns of ``wx`` (d_in x 4*d_h), ``wh`` (d_h x 4*d_h) and ``b``
     are ordered i, f, g, o. The input projection ``x @ wx`` of every row is
     one GEMM; step t then forms its pre-activation as
@@ -555,9 +567,9 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths,
     raises :class:`NonFiniteError`, even where a saturated gate would hide it.
 
     The recurrence runs over a time-major (n_max x B) padded block whose
-    slots hold the sequences longest first, so the sequences still running
-    at step t are a prefix of slots and each step is one ``h[:k] @ wh``
-    GEMM on views. One sequence needs no padding: its block is a view of
+    slots hold the sequences longest first (``layout.slot``), so the
+    sequences still running at step t are a prefix of slots and each step is
+    one ``h[:k] @ wh`` GEMM on views. One sequence needs no padding: its block is a view of
     the projected rows.
 
     Backward runs BPTT in numpy to get dZ, the (N x 4*d_h) gradient of every
@@ -567,26 +579,18 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths,
     """
     xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
     d_h = whd.shape[0]
-    if (xd.ndim != 2 or whd.shape != (d_h, 4 * d_h) or wxd.shape != (xd.shape[1], 4 * d_h)
-            or bd.shape != (4 * d_h,)):
-        _shape_fail("lstm", xd.shape, wxd.shape, whd.shape, bd.shape)
-    lengths, offsets = segment_layout(lengths, xd.shape[0], "lstm")
-    n_seq, n_max = lengths.size, int(lengths.max())
+    if (xd.ndim != 2 or xd.shape[0] != layout.rows or whd.shape != (d_h, 4 * d_h)
+            or wxd.shape != (xd.shape[1], 4 * d_h) or bd.shape != (4 * d_h,)):
+        _shape_fail("lstm", xd.shape, wxd.shape, whd.shape, bd.shape, f"{layout.rows} layout rows")
+    n_seq, n_max = layout.lengths.size, len(layout.running)
     if n_seq == 1:
         index = None
         active = [0] * n_max  # an integer index keeps the steps on 1-d rows and GEMVs
     else:
-        # slot s holds the s-th longest sequence; step t of a sequence is its
-        # row t, or its row (length - 1 - t) when reading in reverse
-        order = np.argsort(-lengths, kind="stable")
-        slot = np.empty(n_seq, dtype=np.int64)
-        slot[order] = np.arange(n_seq)
-        seq = np.repeat(np.arange(n_seq), lengths)
-        pos = np.arange(xd.shape[0]) - offsets[seq]
-        step = lengths[seq] - 1 - pos if reverse else pos
-        index = step * n_seq + slot[seq]
-        counts = (lengths[order] > np.arange(n_max)[:, None]).sum(axis=1).tolist()
-        active = [slice(0, k) for k in counts]
+        # step t of a sequence is its row t, or its row (length - 1 - t) when reading in reverse
+        step = layout.lengths[layout.seq] - 1 - layout.pos if reverse else layout.pos
+        index = step * n_seq + layout.slot[layout.seq]
+        active = [slice(0, k) for k in layout.running]
 
     def to_block(rows):
         if index is None:

@@ -5,8 +5,8 @@ bidirectional, along the transposed direction as well. The two aggregates
 are concatenated, divided per token by out-degree + 1, and mapped through a
 combine weight, bias, and ReLU.
 
-The states are a packed batch: the token rows of B sentences stacked in
-one N_total x d matrix. The graph is one N_total x N_total
+The states are a packed batch of N_total rows (see
+:class:`autodiff.SegmentLayout`). The graph is one N_total x N_total
 :class:`autodiff.SparseMatrix` holding the sentences' graphs on its
 diagonal, in packed indices, so no entry joins two sentences. ``degrees``
 is the packed (N_total,) vector of out-degrees. Each direction of a layer

@@ -212,6 +212,8 @@ def _report_unseen_relations(model) -> None:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.data)
+    if not samples:
+        raise ValueError(f"{args.data}: no samples to evaluate")
     report = evaluate(model, samples)
     _report_unseen_relations(model)
     text = json.dumps(report.as_dict(), indent=2)
@@ -249,8 +251,10 @@ def cmd_study(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = Manifest(os.path.join(args.out_dir, "manifest.json"), args.command,
                         config, _input_files(args, "train", "dev", "eval"))
-    train_samples, dev_samples = _load_split(args, config)
     eval_samples = load_dataset(args.eval)
+    if not eval_samples:
+        raise ValueError(f"{args.eval}: no samples to evaluate")
+    train_samples, dev_samples = _load_split(args, config)
     if layers is None:
         scores = run_ablation(config, train_samples, eval_samples, dev_samples)
         key_column, file_name, artifact = "variant", "ablation.tsv", "table"

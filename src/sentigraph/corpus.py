@@ -165,6 +165,8 @@ def load_dataset(path) -> list[AspectSample]:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetError(f"invalid JSON ({e.msg})") from e
+            except RecursionError:
+                raise DatasetError("invalid JSON (nested too deeply)") from None
             if not isinstance(record, dict):
                 raise DatasetError("record is not an object")
             sample = _record_to_sample(record)

@@ -1,11 +1,9 @@
 """Sequence encoders: embedding lookup, Bi-LSTM, and a transformer block.
 
-Every encoder works on a packed batch: the token rows of B sentences
-stacked in one (N_total x d) matrix, sentence j owning rows
-``offsets[j]:offsets[j + 1]`` with ``offsets`` the running sum of
-``lengths`` (see :func:`autodiff.segment_layout`). :func:`bilstm_encode`
+Every encoder works on a packed batch of B sentences, N_total token rows
+laid out as an :class:`autodiff.SegmentLayout` says. :func:`bilstm_encode`
 and :func:`transformer_encode` also take a single sentence's n x d matrix
-without lengths, as the lengths ``[n]``.
+without a layout, as the layout of ``[n]``.
 
 The Bi-LSTM runs one pass left-to-right and one right-to-left over each
 sentence from zero initial states and concatenates the per-token hidden
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterStore, Tensor
+from .autodiff import ParameterStore, SegmentLayout, Tensor
 from .corpus import AspectSample, Vocab
 
 
@@ -78,12 +76,12 @@ def init_bilstm_params(store: ParameterStore, prefix: str, d_in: int, d_h: int,
     return BiLstmParams(fwd=direction("fwd"), bwd=direction("bwd"))
 
 
-def bilstm_encode(embedded: Tensor, params: BiLstmParams, lengths=None) -> Tensor:
+def bilstm_encode(embedded: Tensor, params: BiLstmParams, layout=None) -> Tensor:
     """Concatenate forward-in-time and backward-in-time hidden states per token."""
-    lengths = [embedded.shape[0]] if lengths is None else lengths
+    layout = ad.segment_layout([embedded.shape[0]]) if layout is None else layout
     fwd, bwd = params.fwd, params.bwd
-    return ad.concat([ad.lstm(embedded, fwd.wx, fwd.wh, fwd.b, lengths),
-                      ad.lstm(embedded, bwd.wx, bwd.wh, bwd.b, lengths, reverse=True)],
+    return ad.concat([ad.lstm(embedded, fwd.wx, fwd.wh, fwd.b, layout),
+                      ad.lstm(embedded, bwd.wx, bwd.wh, bwd.b, layout, reverse=True)],
                      axis=1)
 
 
@@ -151,26 +149,23 @@ def init_transformer_params(store: ParameterStore, prefix: str, d_model: int,
     )
 
 
-def multi_head_attention(x: Tensor, params: TransformerParams, lengths) -> Tensor:
+def multi_head_attention(x: Tensor, params: TransformerParams, layout: SegmentLayout) -> Tensor:
     """Concat(head_1..head_H) wo, every head in one attention node."""
     heads = ad.attention(ad.matmul(x, params.wq), ad.matmul(x, params.wk),
-                         ad.matmul(x, params.wv), params.heads, lengths)
+                         ad.matmul(x, params.wv), params.heads, layout)
     return ad.matmul(heads, params.wo)
 
 
-def transformer_encode(embedded: Tensor, params: TransformerParams, lengths=None) -> Tensor:
+def transformer_encode(embedded: Tensor, params: TransformerParams, layout=None) -> Tensor:
     """One encoder block over embeddings + position signals, attending within each sentence."""
     n, d_model = embedded.shape
-    lengths = [n] if lengths is None else lengths
-    if d_model != params.d_model:
-        raise ad.ShapeError(
-            f"transformer_encode: input width {d_model} != model width {params.d_model}")
-    sizes, offsets = ad.segment_layout(lengths, n, "transformer_encode")
-    signals = positional_encoding(int(sizes.max()), d_model)
-    if sizes.size > 1:
-        signals = signals[np.arange(n) - np.repeat(offsets[:-1], sizes)]
+    layout = ad.segment_layout([n]) if layout is None else layout
+    if d_model != params.d_model or n != layout.rows:
+        raise ad.ShapeError(f"transformer_encode: input {embedded.shape} for model width "
+                            f"{params.d_model} and {layout.rows} layout rows")
+    signals = positional_encoding(int(layout.lengths.max()), d_model)[layout.pos]
     x = ad.add(embedded, Tensor(signals))
-    attended = ad.add(x, multi_head_attention(x, params, lengths))
+    attended = ad.add(x, multi_head_attention(x, params, layout))
     normed = ad.layer_norm(attended, params.ln1_gain, params.ln1_bias)
     hidden = ad.relu(ad.add(ad.matmul(normed, params.ffn_w1), params.ffn_b1))
     ff = ad.add(ad.matmul(hidden, params.ffn_w2), params.ffn_b2)

@@ -1,8 +1,7 @@
 """Aspect masking, retrieval attention, fusion, and the classifier with its loss.
 
-Everything works on a packed batch: the token rows of B sentences stacked
-in one N_total x d matrix, sentence j owning rows ``offsets[j]:offsets[j + 1]``
-with ``offsets`` the running sum of ``lengths``, which every function takes.
+Everything works on a packed batch of B sentences, N_total token rows laid
+out as the :class:`autodiff.SegmentLayout` every function takes says.
 Per-sentence reductions are :func:`autodiff.segment_sum` and
 :func:`autodiff.segment_softmax`; per-token weights are
 :func:`autodiff.scale_rows`. Each function is one set of tape nodes for the
@@ -24,23 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterStore, Tensor
+from .autodiff import ParameterStore, SegmentLayout, Tensor
 from .corpus import LABELS
 
 PROB_FLOOR = 1e-12
 
 
-def aspect_rows(spans, lengths, n: int) -> np.ndarray:
-    """Boolean (n,) mask of the rows inside each sentence's aspect span.
+def aspect_rows(spans, layout: SegmentLayout) -> np.ndarray:
+    """Boolean mask of the layout's rows inside each sentence's aspect span.
 
     ``spans`` holds one ``(aspect_start, aspect_len)`` pair per sentence,
     with the start counted from the sentence's first row.
     """
-    lengths, offsets = ad.segment_layout(lengths, n, "aspect_rows")
+    lengths = layout.lengths
     if len(spans) != lengths.size:
         raise ValueError(f"{len(spans)} aspect spans for {lengths.size} sentences")
-    keep = np.zeros(n, dtype=bool)
-    for (start, span), first, length in zip(spans, offsets.tolist(), lengths.tolist()):
+    keep = np.zeros(layout.rows, dtype=bool)
+    for (start, span), first, length in zip(spans, layout.offsets.tolist(), lengths.tolist()):
         if not (0 <= start and span >= 1 and start + span <= length):
             raise ValueError(f"aspect span [{start}, {start + span}) "
                              f"outside sentence of length {length}")
@@ -48,22 +47,21 @@ def aspect_rows(spans, lengths, n: int) -> np.ndarray:
     return keep
 
 
-def aspect_attention(h_context: Tensor, h_mask: Tensor, lengths) -> tuple[Tensor, Tensor]:
+def aspect_attention(h_context: Tensor, h_mask: Tensor,
+                     layout: SegmentLayout) -> tuple[Tensor, Tensor]:
     """Score each context state against its sentence's masked features and pool.
 
     Returns (alpha, pooled): for token i of sentence j,
     alpha_i = softmax over sentence j of (sum_{k in j} context_i . mask_k),
     and row j of the B x d ``pooled`` is sum_{i in j} alpha_i * context_i.
     """
-    if h_context.shape[0] != h_mask.shape[0] or h_context.shape[1] != h_mask.shape[1]:
-        raise ad.ShapeError(
-            f"aspect_attention: context {h_context.shape} vs masked {h_mask.shape}")
-    lengths, _ = ad.segment_layout(lengths, h_context.shape[0], "aspect_attention")
-    key_sums = ad.segment_sum(h_mask, lengths)
-    keys = ad.gather_rows(key_sums, np.repeat(np.arange(lengths.size), lengths))
+    if h_context.shape != h_mask.shape or h_context.shape[0] != layout.rows:
+        raise ad.ShapeError(f"aspect_attention: context {h_context.shape} vs masked "
+                            f"{h_mask.shape} over {layout.rows} layout rows")
+    keys = ad.gather_rows(ad.segment_sum(h_mask, layout), layout.seq)
     beta = ad.reduce_sum(ad.mul(h_context, keys), axis=1)
-    alpha = ad.segment_softmax(beta, lengths)
-    pooled = ad.segment_sum(ad.scale_rows(h_context, alpha), lengths)
+    alpha = ad.segment_softmax(beta, layout)
+    pooled = ad.segment_sum(ad.scale_rows(h_context, alpha), layout)
     return alpha, pooled
 
 
@@ -82,10 +80,9 @@ def init_fusion_params(store: ParameterStore, prefix: str, d_model: int,
     )
 
 
-def fuse(pooled: Tensor, z_out: Tensor, params: FusionParams, lengths) -> Tensor:
+def fuse(pooled: Tensor, z_out: Tensor, params: FusionParams, layout: SegmentLayout) -> Tensor:
     """Row j: pooled row j + projected mean of sentence j's transformer rows."""
-    lengths, _ = ad.segment_layout(lengths, z_out.shape[0], "fuse")
-    global_mean = ad.scale_rows(ad.segment_sum(z_out, lengths), Tensor(1.0 / lengths))
+    global_mean = ad.scale_rows(ad.segment_sum(z_out, layout), Tensor(1.0 / layout.lengths))
     projected = ad.add(ad.matmul(global_mean, params.w_proj), params.b_proj)
     return ad.add(pooled, projected)
 

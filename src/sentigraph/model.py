@@ -4,8 +4,8 @@ The forward pass takes a batch of B samples. A training forward records
 one tape for it; ``predict`` and ``predict_all`` run theirs with the
 parameters frozen (``ParameterStore.frozen``), so they record none.
 The token rows of all B sentences are stacked into one packed matrix of
-N_total rows; sentence j owns rows ``offsets[j]:offsets[j + 1]``, where
-``offsets`` is the running sum of ``lengths`` (the sentence lengths):
+N_total rows, laid out by one ``autodiff.SegmentLayout`` that the forward
+builds and every packed function takes:
 
     embeddings -> Bi-LSTM context states      (N_total x 2*d_h)
                -> transformer global features (N_total x d_w, every head in one node)
@@ -74,7 +74,7 @@ INFERENCE_CHUNK_ROWS = 1024
 class ForwardPass:
     """Intermediates of one batch's forward computation, packed as described above."""
 
-    lengths: np.ndarray          # (B,) tokens per sample
+    layout: ad.SegmentLayout     # the B samples' rows: lengths, offsets, seq, pos
     embedded: Tensor             # N_total x d_w
     h_lstm: Tensor               # N_total x 2*d_h
     z_out: Tensor                # N_total x d_w
@@ -139,20 +139,17 @@ class AspectSentimentModel:
 
     def forward(self, samples: list[AspectSample]) -> ForwardPass:
         """One packed forward pass over a non-empty batch of samples."""
-        if not samples:
-            raise ValueError("forward needs at least one sample")
-        lengths = np.array([s.n for s in samples])
+        layout = ad.segment_layout([s.n for s in samples])
         embedded = encoders.embed_sequence(samples, self.vocab, self.embedding)
-        h_lstm = encoders.bilstm_encode(embedded, self.lstm, lengths)
-        z_out = encoders.transformer_encode(embedded, self.transformer, lengths)
+        h_lstm = encoders.bilstm_encode(embedded, self.lstm, layout)
+        z_out = encoders.transformer_encode(embedded, self.transformer, layout)
         adjacency, degrees = self.adjacency(samples)
-        rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in samples], lengths,
-                                h_lstm.shape[0])
+        rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in samples], layout)
         h_gcn = bigcn.bigcn_stack(h_lstm, adjacency, degrees, self.gcn_layers, rows)
-        alpha, pooled = head.aspect_attention(h_lstm, h_gcn, lengths)
-        res_out = head.fuse(pooled, z_out, self.fusion, lengths)
+        alpha, pooled = head.aspect_attention(h_lstm, h_gcn, layout)
+        res_out = head.fuse(pooled, z_out, self.fusion, layout)
         prob = head.classify(res_out, self.classifier)
-        return ForwardPass(lengths=lengths, embedded=embedded,
+        return ForwardPass(layout=layout, embedded=embedded,
                            h_lstm=h_lstm, z_out=z_out, adjacency=adjacency,
                            degrees=degrees, h_gcn=h_gcn, alpha=alpha,
                            pooled=pooled, res_out=res_out, prob=prob)
@@ -213,16 +210,16 @@ def _op_checks() -> list[tuple[str, callable, list[np.ndarray]]]:
     def arr(*shape):
         return rng.normal(size=shape)
 
-    # three packed sequences, given unsorted so the LSTM reorders them
-    lengths = (2, 3, 1)
+    # three packed sequences, given unsorted so the LSTM reorders them, and one sequence
+    packed, one = ad.segment_layout((2, 3, 1)), ad.segment_layout([6])
     ids = np.array([0, 2, 2, 1])  # a repeated row and an unread one
     # 14 entries of a 6 x 6 matrix: unsorted, one position repeated, row and column 5 empty
     sparse = ad.SparseMatrix(np.arange(14) % 5, 2 * np.arange(14) % 5, arr(14), (6, 6))
     ops = [
         ("add", lambda a, b, c: ad.add(ad.add(a, b), c), [arr(3, 4), arr(4), arr(3, 4)]),
-        # one sequence and the packed lengths
+        # the packed sequences and one sequence
         ("attention", lambda q, k, v: ad.concat(
-            [ad.attention(q, k, v, 2, lengths), ad.attention(q, k, v, 2, [6])], axis=1),
+            [ad.attention(q, k, v, 2, packed), ad.attention(q, k, v, 2, one)], axis=1),
          [arr(6, 4), arr(6, 4), arr(6, 2)]),
         ("clamp_min", lambda a: ad.clamp_min(a, 0.1), [arr(3, 4)]),
         ("concat", lambda a, b: ad.concat([a, b], axis=1), [arr(3, 2), arr(3, 3)]),
@@ -232,10 +229,10 @@ def _op_checks() -> list[tuple[str, callable, list[np.ndarray]]]:
          [arr(4, 3), arr(4, 2)]),
         ("layer_norm", ad.layer_norm, [arr(4, 6), arr(6), arr(6)]),
         ("log", ad.log, [np.abs(arr(3, 3)) + 0.5]),
-        # both directions, over one sequence and over the packed lengths
+        # both directions, over one sequence and over the packed sequences
         ("lstm", lambda x, wx, wh, b: ad.concat(
-            [ad.lstm(x, wx, wh, b, split, reverse=reverse)
-             for split in ([6], lengths) for reverse in (False, True)], axis=1),
+            [ad.lstm(x, wx, wh, b, layout, reverse=reverse)
+             for layout in (one, packed) for reverse in (False, True)], axis=1),
          [arr(6, 3), arr(3, 8), arr(2, 8), arr(8)]),
         ("matmul", ad.matmul, [arr(3, 4), arr(4, 2)]),
         ("mul", ad.mul, [arr(4, 4), arr(4, 4)]),
@@ -243,8 +240,8 @@ def _op_checks() -> list[tuple[str, callable, list[np.ndarray]]]:
         ("relu", ad.relu, [arr(5, 5)]),
         ("scale", lambda a: ad.scale(a, -1.7), [arr(6)]),
         ("scale_rows", ad.scale_rows, [arr(6, 3), arr(6)]),
-        ("segment_softmax", lambda a: ad.segment_softmax(a, lengths), [arr(6)]),
-        ("segment_sum", lambda a: ad.segment_sum(a, lengths), [arr(6, 3)]),
+        ("segment_softmax", lambda a: ad.segment_softmax(a, packed), [arr(6)]),
+        ("segment_sum", lambda a: ad.segment_sum(a, packed), [arr(6, 3)]),
         ("softmax", lambda a: ad.softmax(a, axis=1), [arr(3, 4)]),
         ("sparse_matmul", lambda a: ad.concat(
             [ad.sparse_matmul(sparse, a), ad.sparse_matmul(sparse, a, transpose=True)], axis=1),

@@ -8,9 +8,9 @@ from sentigraph.synthetic import random_tree_sample
 __all__ = ["aspect_mask", "random_tree_sample"]
 
 
-def aspect_mask(h_gcn, spans, lengths):
+def aspect_mask(h_gcn, spans, layout):
     """``h_gcn`` zeroed outside each sentence's aspect span, as the model masks it."""
-    return ad.scale_rows(h_gcn, ad.Tensor(head.aspect_rows(spans, lengths, h_gcn.shape[0])))
+    return ad.scale_rows(h_gcn, ad.Tensor(head.aspect_rows(spans, layout)))
 
 
 @pytest.fixture

@@ -208,19 +208,19 @@ def test_masking():
         # loss as a function of the graph-convolution output along the mask path
         h_lstm = fp.h_lstm.data.copy()
         z_out = fp.z_out.data.copy()
-        span, lengths = [(sample.aspect_start, sample.aspect_len)], [sample.n]
+        span, layout = [(sample.aspect_start, sample.aspect_len)], ad.segment_layout([sample.n])
 
         def mask_path_loss(h_gcn_values):
-            masked = aspect_mask(Tensor(h_gcn_values), span, lengths)
-            _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked, lengths)
-            res = head.fuse(pooled, Tensor(z_out), model.fusion, lengths)
+            masked = aspect_mask(Tensor(h_gcn_values), span, layout)
+            _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked, layout)
+            res = head.fuse(pooled, Tensor(z_out), model.fusion, layout)
             return head.nll(head.classify(res, model.classifier), [sample.label])
 
         # analytic gradient at masked coordinates is exactly zero
         probe = Tensor(fp.h_gcn.data.copy(), requires_grad=True)
-        masked = aspect_mask(probe, span, lengths)
-        _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked, lengths)
-        res = head.fuse(pooled, Tensor(z_out), model.fusion, lengths)
+        masked = aspect_mask(probe, span, layout)
+        _alpha, pooled = head.aspect_attention(Tensor(h_lstm), masked, layout)
+        res = head.fuse(pooled, Tensor(z_out), model.fusion, layout)
         ad.backward(head.nll(head.classify(res, model.classifier), [sample.label]))
         assert np.array_equal(probe.grad[outside],
                               np.zeros((len(outside), probe.shape[1])))

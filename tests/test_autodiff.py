@@ -139,7 +139,7 @@ def test_saturated_sigmoid_and_lstm_raise_no_warning():
         wh = ad.Tensor(np.zeros((2, 8)))
         b = ad.Tensor(np.full(8, -1000.0))
         for lengths in ([3], (2, 1)):
-            h = ad.lstm(x, wx, wh, b, lengths).data
+            h = ad.lstm(x, wx, wh, b, ad.segment_layout(lengths)).data
             assert np.array_equal(h, np.zeros((3, 2)))
 
 
@@ -183,6 +183,22 @@ def test_gather_rows_into_a_leaf_adds_the_dense_scatter_bit_for_bit():
     ad.backward(ad.reduce_sum(ad.mul(ad.gather_rows(ad.scale(leaf, 2.0), ids), ad.Tensor(g))))
     assert np.array_equal(leaf.grad, dense * 2.0)
 
+
+
+def test_segment_layout_places_every_row():
+    layout = ad.segment_layout((2, 3, 1, 2))
+    assert layout.rows == 8
+    assert layout.offsets.tolist() == [0, 2, 5, 6, 8]
+    assert layout.seq.tolist() == [0, 0, 1, 1, 1, 2, 3, 3]
+    assert layout.pos.tolist() == [0, 1, 0, 1, 2, 0, 0, 1]
+    assert layout.slot.tolist() == [1, 0, 3, 2]  # longest first, ties in order
+    assert layout.running == [4, 3, 1]
+
+
+@pytest.mark.parametrize("lengths", [[], [5, 0], [[2, 3]]], ids=["empty", "zero", "2-d"])
+def test_segment_layout_rejects_what_is_not_positive_counts(lengths):
+    with pytest.raises(ad.ShapeError, match="segment_layout"):
+        ad.segment_layout(lengths)
 
 def test_sparse_matmul_is_the_dense_product_in_both_orientations():
     rng = np.random.default_rng(44)
@@ -365,16 +381,16 @@ def test_lstm_nonfinite_pre_activation_raises(operand, value):
     tensors = {name: ad.Tensor(a) for name, a in arrays.items()}
     for reverse in (False, True):
         with pytest.raises(ad.NonFiniteError, match="lstm"):
-            ad.lstm(tensors["x"], tensors["wx"], tensors["wh"], tensors["b"], [5],
-                    reverse=reverse)
+            ad.lstm(tensors["x"], tensors["wx"], tensors["wh"], tensors["b"],
+                    ad.segment_layout([5]), reverse=reverse)
 
 
 def test_lstm_shape_mismatch():
     x, wh, b = ad.Tensor(rand((4, 3))), ad.Tensor(rand((2, 8))), ad.Tensor(rand((8,)))
     with pytest.raises(ad.ShapeError, match="lstm"):
-        ad.lstm(x, ad.Tensor(rand((3, 6))), wh, b, [4])
+        ad.lstm(x, ad.Tensor(rand((3, 6))), wh, b, ad.segment_layout([4]))
     with pytest.raises(ad.ShapeError, match="lstm"):
-        ad.lstm(x, ad.Tensor(rand((4, 8))), wh, b, [4])
+        ad.lstm(x, ad.Tensor(rand((4, 8))), wh, b, ad.segment_layout([4]))
 
 
 @settings(max_examples=50)

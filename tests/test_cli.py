@@ -310,6 +310,17 @@ class TestTrain:
         assert not (out_dir / "checkpoint.npz").exists()
         assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
 
+    def test_json_nested_past_the_recursion_limit_fails_in_one_line(self, data_dir, capsys):
+        path = data_dir / "nested.jsonl"
+        lines = (data_dir / "train.jsonl").read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "[" * 5000 + "]" * 5000 + "\n" + "".join(lines[1:]))
+        out_dir = data_dir / "run_nested"
+        code = cli.main(["train", "--train", str(path), "--out-dir", str(out_dir)] + TINY_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 2: invalid JSON ") and err.count("\n") == 1
+        assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
+
     def test_diverging_run_fails_in_one_line(self, data_dir, capsys):
         out_dir = data_dir / "run_diverging"
         with warnings.catch_warnings():
@@ -388,12 +399,15 @@ class TestEvalPredict:
         assert inputs["checkpoint"] == {"path": str(checkpoint),
                                         "sha256": file_sha256(checkpoint)}
 
-    def test_an_empty_data_file_evaluates_and_predicts_nothing(self, data_dir, checkpoint,
-                                                               capsys):
+    def test_an_empty_data_file_fails_eval_in_one_line(self, data_dir, checkpoint, capsys):
         empty = data_dir / "empty.jsonl"
         empty.write_text("")
-        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(empty)]) == 0
-        assert json.loads(capsys.readouterr().out)["confusion"] == [[0, 0, 0]] * 3
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(empty)]) == 1
+        assert capsys.readouterr() == ("", f"error: {empty}: no samples to evaluate\n")
+
+    def test_an_empty_data_file_predicts_nothing(self, data_dir, checkpoint, capsys):
+        empty = data_dir / "empty.jsonl"
+        empty.write_text("")
         out = data_dir / "preds.jsonl"
         assert cli.main(["predict", "--checkpoint", str(checkpoint), "--data", str(empty),
                          "--out", str(out)]) == 0
@@ -611,6 +625,19 @@ class TestAblateSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: sweep ") and err.count("\n") == 1
         assert not (out_dir / "sweep.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "sweep"])
+    def test_an_empty_eval_file_fails_before_training(self, data_dir, monkeypatch, capsys,
+                                                      command):
+        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained a model"))
+        empty = data_dir / "empty.jsonl"
+        empty.write_text("")
+        out_dir = data_dir / "study_empty"
+        code = cli.main([command, "--train", str(data_dir / "train.jsonl"), "--eval", str(empty),
+                         "--out-dir", str(out_dir)] + TINY_FLAGS)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: no samples to evaluate\n"
+        assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
 
 
 class TestGradcheck:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sentigraph import autodiff as ad
-from sentigraph import encoders
+from sentigraph import encoders, head
 from sentigraph.autodiff import ParameterStore, Tensor
 from sentigraph.corpus import UNK_ID, AspectSample, Vocab
 from sentigraph.encoders import (
@@ -33,7 +33,7 @@ def packed_matches_per_sentence(encode_packed, encode_one, x, leaves, lengths, d
         return out, [t.grad.copy() for t in leaves]
 
     def packed():
-        out = encode_packed(x, lengths)
+        out = encode_packed(x, ad.segment_layout(lengths))
         return out.data, ad.reduce_sum(ad.mul(out, weight))
 
     def per_sentence():
@@ -175,17 +175,10 @@ class TestBiLstm:
             t.data = rng.normal(scale=0.5, size=t.shape)
         x = Tensor(rng.normal(size=(sum(MIXED_LENGTHS), d_in)), requires_grad=True)
         gap = packed_matches_per_sentence(
-            lambda x, lengths: bilstm_encode(x, p, lengths),
+            lambda x, layout: bilstm_encode(x, p, layout),
             lambda x: reference_bilstm_encode(x, p),
             x, [x] + store.tensors(), MIXED_LENGTHS, 2 * d_h)
         assert gap < 1e-10
-
-    def test_packed_lengths_must_cover_the_rows(self):
-        p, _ = self.params()
-        with pytest.raises(ad.ShapeError, match="lstm"):
-            bilstm_encode(Tensor(np.ones((5, 4))), p, [2, 2])
-        with pytest.raises(ad.ShapeError, match="lstm"):
-            bilstm_encode(Tensor(np.ones((5, 4))), p, [5, 0])
 
     def test_records_one_node_per_direction(self):
         p, _ = self.params()
@@ -210,7 +203,7 @@ class TestBiLstm:
 @pytest.mark.parametrize("n", [1, 6])
 def test_no_lengths_is_one_sentence_bit_for_bit(encoder, n):
     # bilstm_encode(x, p) and transformer_encode(x, p), as perfbench/probes.py calls them,
-    # are the calls with lengths [n]: the same output and gradients, bit for bit
+    # are the calls with the layout of [n]: the same output and gradients, bit for bit
     store = ParameterStore()
     rng = np.random.default_rng(40 + n)
     if encoder == "bilstm":
@@ -222,15 +215,45 @@ def test_no_lengths_is_one_sentence_bit_for_bit(encoder, n):
     x = Tensor(rng.normal(size=(n, 6)), requires_grad=True)
     leaves = [x] + store.tensors()
 
-    def run(*lengths):
+    def run(*layout):
         for t in leaves:
             t.zero_grad()
-        out = encode(x, params, *lengths)
+        out = encode(x, params, *layout)
         weight = Tensor(np.random.default_rng(7).normal(size=out.shape))
         ad.backward(ad.reduce_sum(ad.mul(out, weight)))
         return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
-    assert run() == run([n])
+    assert run() == run(ad.segment_layout([n]))
+
+
+def packed_calls():
+    """Each function that takes a layout, called on the same 5 input rows."""
+    rng = np.random.default_rng(21)
+    store = ParameterStore()
+    lstm = init_bilstm_params(store, "lstm", 4, 2, rng)
+    block = init_transformer_params(store, "tr", 4, 2, 8, rng)
+    fusion = head.init_fusion_params(store, "fuse", 4, 3, rng)
+    x = Tensor(rng.normal(size=(5, 4)))
+    return {
+        "segment_sum": lambda layout: ad.segment_sum(x, layout),
+        "segment_softmax": lambda layout: ad.segment_softmax(Tensor(x.data[:, 0]), layout),
+        "attention": lambda layout: ad.attention(x, x, x, 2, layout),
+        "lstm": lambda layout: ad.lstm(x, lstm.fwd.wx, lstm.fwd.wh, lstm.fwd.b, layout),
+        "bilstm_encode": lambda layout: bilstm_encode(x, lstm, layout),
+        "multi_head_attention": lambda layout: encoders.multi_head_attention(x, block, layout),
+        "transformer_encode": lambda layout: transformer_encode(x, block, layout),
+        "aspect_attention": lambda layout: head.aspect_attention(x, x, layout),
+        "fuse": lambda layout: head.fuse(Tensor(np.zeros((2, 3))), x, fusion, layout),
+    }
+
+
+@pytest.mark.parametrize("op", list(packed_calls()))
+def test_packed_lengths_must_cover_the_rows(op):
+    call = packed_calls()[op]
+    call(ad.segment_layout([2, 3]))
+    for lengths in ([2, 2], [5, 1]):  # a row short, a row over
+        with pytest.raises(ad.ShapeError):
+            call(ad.segment_layout(lengths))
 
 
 class TestPositionalEncoding:
@@ -265,7 +288,7 @@ class TestScaledDotAttention:
         q = Tensor(rng.normal(size=(1, 4)))
         k = Tensor(rng.normal(size=(1, 4)))
         v = Tensor(rng.normal(size=(1, 3)))
-        out = ad.attention(q, k, v, 1, [1])
+        out = ad.attention(q, k, v, 1, ad.segment_layout([1]))
         assert np.array_equal(out.data, v.data)
 
     def test_identical_keys_average_values(self, rng):
@@ -273,7 +296,7 @@ class TestScaledDotAttention:
         k = Tensor(np.stack([key_row, key_row]))
         q = Tensor(np.ones((2, 4)))
         v = Tensor(rng.normal(size=(2, 3)))
-        out = ad.attention(q, k, v, 1, [2])
+        out = ad.attention(q, k, v, 1, ad.segment_layout([2]))
         for row in out.data:
             assert np.array_equal(row, v.data.mean(axis=0))
 
@@ -282,16 +305,17 @@ class TestScaledDotAttention:
         q = Tensor(rng.normal(size=(6, 4)))
         k = Tensor(rng.normal(size=(6, 4)))
         v = Tensor(np.ones((6, 1)))
-        out = ad.attention(q, k, v, 1, [6])
+        out = ad.attention(q, k, v, 1, ad.segment_layout([6]))
         assert np.allclose(out.data, 1.0, atol=1e-12)
 
     def test_packed_sentences_attend_only_within_themselves(self, rng):
         lengths = (3, 1, 4)
         q, k, v = (Tensor(rng.normal(size=(8, 4))) for _ in range(3))
-        out = ad.attention(q, k, v, 1, lengths).data
+        out = ad.attention(q, k, v, 1, ad.segment_layout(lengths)).data
         offsets = np.cumsum((0,) + lengths)
         for lo, hi in zip(offsets[:-1], offsets[1:]):
-            alone = ad.attention(*(Tensor(t.data[lo:hi]) for t in (q, k, v)), 1, [hi - lo]).data
+            alone = ad.attention(*(Tensor(t.data[lo:hi]) for t in (q, k, v)), 1,
+                                 ad.segment_layout([hi - lo])).data
             assert np.max(np.abs(out[lo:hi] - alone)) < 1e-14
 
     @pytest.mark.parametrize("lengths", [pytest.param((8,), id="one"), (3, 1, 4)])
@@ -300,6 +324,7 @@ class TestScaledDotAttention:
         q, k = (Tensor(rng.normal(size=(8, heads * d_k)), requires_grad=True) for _ in range(2))
         v = Tensor(rng.normal(size=(8, heads * d_v)), requires_grad=True)
         weight = Tensor(rng.normal(size=(8, heads * d_v)))
+        layout = ad.segment_layout(lengths)
 
         def run(attend):
             for t in (q, k, v):
@@ -312,20 +337,20 @@ class TestScaledDotAttention:
             def cols(t, h, d):
                 return ad.slice_axis(t, 1, h * d, (h + 1) * d)
             return ad.concat([ad.attention(cols(q, h, d_k), cols(k, h, d_k), cols(v, h, d_v),
-                                           1, lengths) for h in range(heads)], axis=1)
+                                           1, layout) for h in range(heads)], axis=1)
 
-        fused, fused_grads = run(lambda: ad.attention(q, k, v, heads, lengths))
+        fused, fused_grads = run(lambda: ad.attention(q, k, v, heads, layout))
         split, split_grads = run(per_head)
         assert np.max(np.abs(fused - split)) <= 1e-14
         for a, b in zip(fused_grads, split_grads):
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
-        # q and k of different widths; q and k of different rows, whichever rows lengths covers
+        # q and k of different widths; q and k of different rows, whichever rows the layout covers
         for q_shape, k_shape in (((2, 3), (2, 4)), ((3, 4), (2, 4))):
             with pytest.raises(ad.ShapeError, match="attention"):
                 ad.attention(Tensor(np.ones(q_shape)), Tensor(np.ones(k_shape)),
-                             Tensor(np.ones((2, 2))), 1, [q_shape[0]])
+                             Tensor(np.ones((2, 2))), 1, ad.segment_layout([q_shape[0]]))
 
 
 class TestTransformerEncode:
@@ -353,8 +378,9 @@ class TestTransformerEncode:
         x = rng.normal(size=(5, 6))
         perm = [3, 1, 4, 0, 2]
         # multi-head attention is the block's only step that mixes rows
-        base = encoders.multi_head_attention(Tensor(x), params, [5]).data
-        permuted = encoders.multi_head_attention(Tensor(x[perm]), params, [5]).data
+        one = ad.segment_layout([5])
+        base = encoders.multi_head_attention(Tensor(x), params, one).data
+        permuted = encoders.multi_head_attention(Tensor(x[perm]), params, one).data
         assert np.allclose(permuted, base[perm], atol=1e-12)
 
     def test_heads_are_column_blocks_of_per_head_draws(self):
@@ -373,7 +399,7 @@ class TestTransformerEncode:
 
         def ops(heads):
             params, _ = self.setup_block(d_model=8, heads=heads)
-            out = transformer_encode(x, params, (3, 4))
+            out = transformer_encode(x, params, ad.segment_layout((3, 4)))
             # an op's backward function is named inside it, e.g. "attention.<locals>.backward"
             return Counter(node._backward_fn.__qualname__.split(".")[0]
                            for node in ad._toposort(out))
@@ -386,7 +412,7 @@ class TestTransformerEncode:
         x = Tensor(np.random.default_rng(13).normal(size=(sum(MIXED_LENGTHS), 6)),
                    requires_grad=True)
         gap = packed_matches_per_sentence(
-            lambda x, lengths: transformer_encode(x, params, lengths),
+            lambda x, layout: transformer_encode(x, params, layout),
             lambda x: reference_transformer_encode(x, params),
             x, [x] + store.tensors(), MIXED_LENGTHS, 6)
         assert gap < 1e-10

@@ -30,30 +30,30 @@ def classify_one(x, params):
 class TestAspectMask:
     def test_full_span_is_identity(self, rng):
         h = rng.normal(size=(4, 3))
-        out = aspect_mask(Tensor(h), [(0, 4)], [4])
+        out = aspect_mask(Tensor(h), [(0, 4)], ad.segment_layout([4]))
         assert np.array_equal(out.data, h)
 
     def test_single_token_span_keeps_one_row(self, rng):
         h = rng.normal(size=(5, 3))
-        out = aspect_mask(Tensor(h), [(2, 1)], [5]).data
+        out = aspect_mask(Tensor(h), [(2, 1)], ad.segment_layout([5])).data
         assert np.array_equal(out[2], h[2])
         assert np.count_nonzero(out.sum(axis=1)) == 1
 
     def test_invalid_span_rejected(self, rng):
         with pytest.raises(ValueError, match="span"):
-            aspect_mask(Tensor(rng.normal(size=(3, 2))), [(2, 2)], [3])
+            aspect_mask(Tensor(rng.normal(size=(3, 2))), [(2, 2)], ad.segment_layout([3]))
 
     def test_packed_spans_count_from_each_sentence_start(self, rng):
         h = rng.normal(size=(5, 2))
-        out = aspect_mask(Tensor(h), [(1, 1), (0, 2)], [2, 3]).data
+        out = aspect_mask(Tensor(h), [(1, 1), (0, 2)], ad.segment_layout([2, 3])).data
         assert np.array_equal(out[[1, 2, 3]], h[[1, 2, 3]])
         assert np.array_equal(out[[0, 4]], np.zeros((2, 2)))
         with pytest.raises(ValueError, match="span"):
-            aspect_mask(Tensor(h), [(1, 2), (0, 1)], [2, 3])
+            aspect_mask(Tensor(h), [(1, 2), (0, 1)], ad.segment_layout([2, 3]))
 
     def test_masked_rows_get_exactly_zero_gradient(self, rng):
         h = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        ad.backward(ad.reduce_sum(ad.tanh(aspect_mask(h, [(1, 2)], [5]))))
+        ad.backward(ad.reduce_sum(ad.tanh(aspect_mask(h, [(1, 2)], ad.segment_layout([5])))))
         assert np.array_equal(h.grad[0], np.zeros(3))
         assert np.array_equal(h.grad[3:], np.zeros((2, 3)))
         assert np.any(h.grad[1:3] != 0)
@@ -64,8 +64,8 @@ class TestAspectMask:
         context = rng.normal(size=(4, 3))
 
         def loss_value(h_val):
-            masked = aspect_mask(Tensor(h_val), [(1, 1)], [4])
-            _alpha, pooled = aspect_attention(Tensor(context), masked, [4])
+            masked = aspect_mask(Tensor(h_val), [(1, 1)], ad.segment_layout([4]))
+            _alpha, pooled = aspect_attention(Tensor(context), masked, ad.segment_layout([4]))
             return float(ad.reduce_sum(ad.tanh(pooled)).data)
 
         eps = 1e-5
@@ -81,12 +81,12 @@ class TestAspectMask:
 class TestAspectAttention:
     def test_alpha_sums_to_one(self, rng):
         alpha, _ = aspect_attention(Tensor(rng.normal(size=(6, 4))),
-                                    Tensor(rng.normal(size=(6, 4))), [6])
+                                    Tensor(rng.normal(size=(6, 4))), ad.segment_layout([6]))
         assert alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_mask_gives_uniform_alpha(self, rng):
         alpha, pooled = aspect_attention(Tensor(rng.normal(size=(5, 4))),
-                                         Tensor(np.zeros((5, 4))), [5])
+                                         Tensor(np.zeros((5, 4))), ad.segment_layout([5]))
         assert np.allclose(alpha.data, 0.2, atol=1e-12)
         assert pooled.shape == (1, 4)
 
@@ -94,7 +94,7 @@ class TestAspectAttention:
         # beta_i = context_i . (sum of masked rows) = context_i . [2, 1]
         context = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         masked = np.array([[0.0, 0.0], [2.0, 1.0], [0.0, 0.0]])
-        alpha, pooled = aspect_attention(Tensor(context), Tensor(masked), [3])
+        alpha, pooled = aspect_attention(Tensor(context), Tensor(masked), ad.segment_layout([3]))
 
         beta = [2.0, 1.0, 3.0]
         denominator = sum(math.exp(b) for b in beta)
@@ -108,11 +108,13 @@ class TestAspectAttention:
     def test_packed_sentences_pool_separately(self, rng):
         lengths = (2, 4, 1)
         context, masked = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
-        alpha, pooled = aspect_attention(Tensor(context), Tensor(masked), lengths)
+        alpha, pooled = aspect_attention(Tensor(context), Tensor(masked),
+                                         ad.segment_layout(lengths))
         assert pooled.shape == (3, 3)
         for j, (lo, hi) in enumerate(((0, 2), (2, 6), (6, 7))):
             alone_alpha, alone_pooled = aspect_attention(Tensor(context[lo:hi]),
-                                                         Tensor(masked[lo:hi]), [hi - lo])
+                                                         Tensor(masked[lo:hi]),
+                                                         ad.segment_layout([hi - lo]))
             assert alpha.data[lo:hi].sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(alpha.data[lo:hi], alone_alpha.data, atol=1e-15)
             assert np.allclose(pooled.data[j], alone_pooled.data[0], atol=1e-15)
@@ -120,7 +122,7 @@ class TestAspectAttention:
     def test_width_mismatch_rejected(self, rng):
         with pytest.raises(ad.ShapeError, match="attention"):
             aspect_attention(Tensor(rng.normal(size=(3, 4))),
-                             Tensor(rng.normal(size=(3, 5))), [3])
+                             Tensor(rng.normal(size=(3, 5))), ad.segment_layout([3]))
 
 
 class TestFuse:
@@ -133,13 +135,13 @@ class TestFuse:
     def test_zero_transformer_passes_pooled_through(self, rng):
         params, _ = self.setup_params()
         pooled = rng.normal(size=(1, 6))
-        out = fuse(Tensor(pooled), Tensor(np.zeros((3, 4))), params, [3])
+        out = fuse(Tensor(pooled), Tensor(np.zeros((3, 4))), params, ad.segment_layout([3]))
         assert np.array_equal(out.data, pooled)
 
     def test_zero_pooled_gives_projected_mean(self, rng):
         params, _ = self.setup_params()
         z = rng.normal(size=(3, 4))
-        out = fuse(Tensor(np.zeros((1, 6))), Tensor(z), params, [3])
+        out = fuse(Tensor(np.zeros((1, 6))), Tensor(z), params, ad.segment_layout([3]))
         expected = z.mean(axis=0) @ params.w_proj.data + params.b_proj.data
         assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -149,7 +151,7 @@ class TestFuse:
         z = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
         def loss(*_inputs):
-            return ad.reduce_sum(ad.tanh(fuse(pooled, z, params, [3])))
+            return ad.reduce_sum(ad.tanh(fuse(pooled, z, params, ad.segment_layout([3]))))
 
         report = ad.finite_diff_check(loss, [pooled, z] + store.tensors(), eps=1e-5)
         assert report.max_rel_error < 1e-4

@@ -55,6 +55,20 @@ class TestForwardPass:
             outside = [i for i in range(sample.n) if not lo <= i < hi]
             assert np.array_equal(fp.h_gcn.data[outside], np.zeros((len(outside), 16)))
 
+    def test_each_forward_builds_one_layout(self, fitted, corpus, monkeypatch):
+        # a training batch, then inference with a cap that cuts the corpus into several chunks
+        calls = []
+        segment_layout, forward = ad.segment_layout, fitted.forward
+        monkeypatch.setattr(ad, "segment_layout",
+                            lambda lengths: calls.append("layout") or segment_layout(lengths))
+        monkeypatch.setattr(fitted, "forward", lambda b: calls.append("forward") or forward(b))
+        monkeypatch.setattr("sentigraph.model.INFERENCE_CHUNK_ROWS", 20)
+        fitted.forward(corpus[:4])
+        fitted.predict_all(corpus)
+        chunks = len(inference_chunks([s.n for s in corpus]))
+        assert chunks > 1
+        assert calls == ["forward", "layout"] * (1 + chunks)
+
     def test_weighted_adjacency_matches_builder(self, fitted, corpus):
         sample = corpus[1]
         adjacency, _ = fitted.adjacency(sample)
@@ -187,8 +201,7 @@ class TestPackedBatch:
             full, full_grads = run()
 
         # only the aspect rows are computed
-        rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in batch],
-                                pruned.lengths, pruned.h_gcn.shape[0])
+        rows = head.aspect_rows([(s.aspect_start, s.aspect_len) for s in batch], pruned.layout)
         assert not pruned.h_gcn.data[~rows].any()
         assert np.max(np.abs(pruned.prob.data - full.prob.data)) <= 1e-12
         for name, want in full_grads.items():
