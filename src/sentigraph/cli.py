@@ -19,8 +19,11 @@ variant, whatever ``--graph`` says, and ``sweep`` one per ``gcn_layers``
 count of ``--layers``, which its manifest records. Every file-producing run
 writes a manifest first (marked incomplete) and completes it on success, so
 interrupted runs are recognizable; a failure, a diverging run or a failed
-write to stdout included, prints one ``error:`` line and exits 1. Config
-files use flat ``key = value`` lines; command-line flags override file values.
+write to stdout included, prints one ``error:`` line and exits 1. An error
+at a line of an input file (dataset, parse, annotations, word vectors or
+config) reads ``error: PATH:LINE: message``, LINE 1-based and counted at
+``\n``. Config files use flat ``key = value`` lines; command-line flags
+override file values.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from . import __version__, corpus, training
 from .autodiff import NonFiniteError
 from .config import TrainConfig, _parse_value, load_config
-from .corpus import DatasetError, build_vocab, load_dataset, load_pretrained_embeddings
+from .corpus import build_vocab, load_dataset, load_pretrained_embeddings
 from .model import GRADCHECK_THRESHOLD, gradient_check_suite
 from .training import (
     evaluate,
@@ -358,7 +361,7 @@ def main(argv=None) -> int:
         except OSError:  # stdout failed (a closed pipe, a full disk): the exit flush would too
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DatasetError, ValueError, NonFiniteError) as e:
+    except (ValueError, NonFiniteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

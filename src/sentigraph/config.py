@@ -1,10 +1,15 @@
-"""Run configuration: one flat dataclass of numbers and a graph variant, as key = value text."""
+"""Run configuration: one flat dataclass of numbers and a graph variant, as key = value text.
+
+A config file is read by ``corpus.read_lines``, as every line-based input is.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import dataclass
+
+from .corpus import parse_lines, read_lines
 
 # the ablation's graph variants, in ablation.tsv's order; ``model`` says what each one is
 GRAPHS = ("full", "no_dependency", "no_edge_weights", "no_bidirectional")
@@ -58,36 +63,42 @@ class TrainConfig:
         return self.graph in ("full", "no_bidirectional")
 
     def validate(self) -> None:
-        positive = ["d_w", "d_h", "gcn_layers", "heads", "ffn_width", "learning_rate",
-                    "batch_size", "max_epochs", "min_freq"]
-        for name in positive:
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails as well
-                raise ValueError(f"config field {name} must be positive and finite")
-        if not 0 <= self.lambda_l2 < math.inf:
-            raise ValueError("config field lambda_l2 must be finite and >= 0")
-        if not 0 <= self.dev_fraction < 1:
-            raise ValueError("config field dev_fraction must be in [0, 1)")
-        if self.d_w % 2 != 0:
-            raise ValueError("d_w must be even for the positional encoding")
+        for f in dataclasses.fields(self):
+            _check_value(f.name, getattr(self, f.name))
         if self.d_w % self.heads != 0:
             raise ValueError(f"d_w={self.d_w} must be divisible by heads={self.heads}")
-        if self.graph not in GRAPHS:
-            raise ValueError(f"config field graph must be one of {', '.join(GRAPHS)}")
+
+
+def _check_value(name: str, value) -> None:
+    """Refuse a value outside the range of field ``name``, whatever the other fields hold."""
+    if name == "graph":
+        ok, rule = value in GRAPHS, f"one of {', '.join(GRAPHS)}"
+    elif name == "lambda_l2":
+        ok, rule = 0 <= value < math.inf, "finite and >= 0"
+    elif name == "dev_fraction":
+        ok, rule = 0 <= value < 1, "in [0, 1)"
+    elif name == "d_w":
+        ok, rule = 0 < value and value % 2 == 0, "positive and even for the positional encoding"
+    else:  # NaN fails as well
+        ok, rule = name == "seed" or 0 < value < math.inf, "positive and finite"
+    if not ok:
+        raise ValueError(f"config field {name} must be {rule}, got {value!r}")
 
 
 def _parse_value(field: dataclasses.Field, raw: str):
-    """The typed value of one config field from its text (config files and CLI flags)."""
+    """The checked value of one config field from its text (config files and CLI flags)."""
     raw = raw.strip()
     if field.name == "graph":
-        if raw not in GRAPHS:
-            raise ValueError(f"config field graph: expected one of {', '.join(GRAPHS)}, "
-                             f"got {raw!r}")
-        return raw
-    try:
-        return int(raw) if field.type == "int" else float(raw)
-    except ValueError:
-        kind = "an integer" if field.type == "int" else "a number"
-        raise ValueError(f"config field {field.name}: expected {kind}, got {raw!r}") from None
+        value = raw
+    else:
+        try:
+            value = int(raw) if field.type == "int" else float(raw)
+        except ValueError:
+            kind = "an integer" if field.type == "int" else "a number"
+            raise ValueError(f"config field {field.name}: expected {kind}, "
+                             f"got {raw!r}") from None
+    _check_value(field.name, value)
+    return value
 
 
 def config_to_text(config: TrainConfig) -> str:
@@ -96,37 +107,27 @@ def config_to_text(config: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config_text(text: str) -> TrainConfig:
-    """The config that ``key = value`` lines give; a line ends at ``\\n`` alone."""
+def _parse_line(line: str):
+    """The ``(field, value)`` pair a ``key = value`` line sets; None for a blank or '#' line."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    if "=" not in line:
+        raise ValueError("expected 'key = value'")
+    key, raw = line.split("=", 1)
+    key = key.strip()
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-    overrides = {}
-    for line_no, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {line_no}: expected 'key = value'")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        if key not in fields:
-            raise ValueError(f"config line {line_no}: unknown field {key!r}")
-        try:
-            overrides[key] = _parse_value(fields[key], raw)
-        except ValueError as e:
-            raise ValueError(f"config line {line_no}: {e}") from None
-    return TrainConfig(**overrides)
+    if key not in fields:
+        raise ValueError(f"unknown field {key!r}")
+    return key, _parse_value(fields[key], raw)
+
+
+def parse_config_text(text: str) -> TrainConfig:
+    """The config that ``key = value`` lines give, read as a file is; errors say ``config:LINE:``."""
+    return TrainConfig(**dict(parse_lines("config", text.encode("utf-8").split(b"\n"),
+                                          _parse_line)))
 
 
 def load_config(path) -> TrainConfig:
     """The config a ``key = value`` file holds; an error names the file and the line."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return parse_config_text(data.decode("utf-8"))
-    except UnicodeDecodeError as e:
-        # the line the bad byte is on, counted as parse_config_text counts lines
-        line_no = data.count(b"\n", 0, e.start) + 1
-        raise ValueError(f"{path}: config line {line_no}: not UTF-8 text "
-                         f"({e.reason} at byte {e.start} of the file)") from None
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return TrainConfig(**dict(read_lines(path, _parse_line)))

@@ -11,7 +11,8 @@ token (head ``-1`` marks the root). A sentence with several aspects appears
 as one record per aspect. Word vectors load from the usual text format of
 one token followed by its decimals per line; the loader returns only the
 vectors of vocabulary tokens, and the model builds the whole table from
-them (``model.AspectSentimentModel``).
+them (``model.AspectSentimentModel``). Every line-based input, config files
+included, is read by :func:`read_lines`, and its errors name ``PATH:LINE:``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ UNK_ID = 1
 
 
 class DatasetError(ValueError):
-    """A dataset or embedding file failed validation."""
+    """An input file failed validation."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,57 @@ class AspectSample:
             raise DatasetError("field 'deps': edges do not form a single-rooted tree")
 
 
-def _record_to_sample(record: dict) -> AspectSample:
+# what would break the one-line unseen-relations note, which names each unseen
+# relation on one UTF-8 stderr line: a line break in a relation, or a lone
+# surrogate, which has no UTF-8 form; relations are kept free of tabs as well, and
+# tokens are held to the same line-safe text
+_BAD_TOKEN = re.compile("[\n\r\ud800-\udfff]")
+_BAD_RELATION = re.compile("[\t\n\r\ud800-\udfff]")
+
+
+def parse_lines(path, lines, parse_line) -> list:
+    """The non-None results of ``parse_line`` on each of ``lines`` decoded as UTF-8.
+
+    ``lines`` are byte strings split at ``\\n`` alone, as a binary file iterates.
+    A line that is not UTF-8, or a ValueError ``parse_line`` raises, becomes
+    one DatasetError ``PATH:LINE: message``, LINE counted from 1.
+    """
+    results = []
+    line_no = 0
+    try:
+        for line_no, raw in enumerate(lines, 1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DatasetError(f"not UTF-8 text ({e.reason} at byte {e.start})") from None
+            result = parse_line(text)
+            if result is not None:
+                results.append(result)
+    except ValueError as e:
+        raise DatasetError(f"{path}:{line_no}: {e}") from e
+    return results
+
+
+def read_lines(path, parse_line) -> list:
+    """:func:`parse_lines` over the lines of the file at ``path``."""
+    with open(path, "rb") as f:
+        return parse_lines(path, f, parse_line)
+
+
+def _parse_sample(line: str) -> AspectSample | None:
+    """The validated sample a dataset line holds; None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        record = json.loads(line)
+    except RecursionError:
+        raise DatasetError("invalid JSON (nested too deeply)") from None
+    except ValueError as e:  # a JSONDecodeError, or an integer past int()'s digit limit
+        raise DatasetError(f"invalid JSON ({getattr(e, 'msg', e)})") from None
+    if not isinstance(record, dict):
+        raise DatasetError("record is not an object")
+
     def need(field, kind):
         if field not in record:
             raise DatasetError(f"missing field {field!r}")
@@ -105,92 +156,38 @@ def _record_to_sample(record: dict) -> AspectSample:
     tokens = need("tokens", list)
     if not all(isinstance(t, str) and t for t in tokens):
         raise DatasetError("field 'tokens' must be non-empty strings")
-    deps_raw = need("deps", list)
     deps = []
-    for entry in deps_raw:
+    for entry in need("deps", list):
         if (not isinstance(entry, list)) or len(entry) != 3 \
                 or type(entry[0]) is not int or type(entry[1]) is not int \
                 or type(entry[2]) is not str:
             raise DatasetError("field 'deps' entries must be [head, dependent, relation]")
         deps.append((entry[0], entry[1], entry[2]))
-    return AspectSample(
-        tokens=tuple(tokens),
-        aspect_start=need("aspect_start", int),
-        aspect_len=need("aspect_len", int),
-        label=need("label", str),
-        deps=tuple(deps),
-    )
-
-
-# what would break the one-line unseen-relations note, which names each unseen
-# relation on one UTF-8 stderr line: a line break in a relation, or a lone
-# surrogate, which has no UTF-8 form; relations are kept free of tabs as well, and
-# tokens are held to the same line-safe text
-_BAD_TOKEN = re.compile("[\n\r\ud800-\udfff]")
-_BAD_RELATION = re.compile("[\t\n\r\ud800-\udfff]")
-
-
-def _check_escapes(sample: AspectSample) -> None:
-    for i, token in enumerate(sample.tokens):
-        if _BAD_TOKEN.search(token):
-            raise DatasetError(f"field 'tokens': token {i} {token!r} contains a line break "
-                               f"or a lone surrogate")
-    for _head, _dep, rel in sample.deps:
-        if _BAD_RELATION.search(rel):
-            raise DatasetError(f"field 'deps': relation {rel!r} contains a tab, a line break "
-                               f"or a lone surrogate")
-
-
-def _numbered_lines(path):
-    """``(line_no, text)`` pairs of a UTF-8 file; a bad byte raises DatasetError naming the line."""
-    with open(path, "rb") as f:
-        for line_no, raw in enumerate(f, 1):
-            try:
-                yield line_no, raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise DatasetError(
-                    f"{path}: line {line_no}: not UTF-8 text ({e.reason} at byte {e.start})"
-                ) from None
+    sample = AspectSample(tuple(tokens), need("aspect_start", int), need("aspect_len", int),
+                          need("label", str), tuple(deps))
+    # a line break, a tab or a lone surrogate reaches a JSON string only escaped
+    if "\\" in line:
+        for i, token in enumerate(sample.tokens):
+            if _BAD_TOKEN.search(token):
+                raise DatasetError(f"field 'tokens': token {i} {token!r} contains a line "
+                                   f"break or a lone surrogate")
+        for _head, _dep, rel in sample.deps:
+            if _BAD_RELATION.search(rel):
+                raise DatasetError(f"field 'deps': relation {rel!r} contains a tab, a line "
+                                   f"break or a lone surrogate")
+    sample.validate()
+    return sample
 
 
 def load_dataset(path) -> list[AspectSample]:
-    """Read and validate a JSON-lines dataset; raises DatasetError naming the file and line."""
-    samples = []
-    for line_no, line in _numbered_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"invalid JSON ({e.msg})") from e
-            except RecursionError:
-                raise DatasetError("invalid JSON (nested too deeply)") from None
-            if not isinstance(record, dict):
-                raise DatasetError("record is not an object")
-            sample = _record_to_sample(record)
-            # a line break, a tab or a lone surrogate reaches a JSON string only escaped
-            if "\\" in line:
-                _check_escapes(sample)
-            sample.validate()
-        except DatasetError as e:
-            raise DatasetError(f"{path}: line {line_no}: {e}") from e
-        samples.append(sample)
-    return samples
+    """Read and validate a JSON-lines dataset; an error names the file and the line."""
+    return read_lines(path, _parse_sample)
 
 
 def save_dataset(path, samples) -> None:
     with atomic_write(path) as f:
         for s in samples:
-            record = {
-                "tokens": list(s.tokens),
-                "aspect_start": s.aspect_start,
-                "aspect_len": s.aspect_len,
-                "label": s.label,
-                "deps": [list(d) for d in s.deps],
-            }
-            f.write(json.dumps(record) + "\n")
+            f.write(json.dumps(vars(s)) + "\n")  # the fields in order; tuples dump as arrays
 
 
 class Vocab:
@@ -237,39 +234,41 @@ def load_pretrained_embeddings(path, vocab: Vocab, d_w: int) -> dict[int, np.nda
     """The file's vectors of vocabulary tokens, keyed by vocabulary id.
 
     A token listed twice keeps its last vector. Lines split on whitespace,
-    so trailing spaces and tabs are harmless. A first line of exactly two
-    integers is a word2vec-style header (vector count and width) and is
-    skipped; its width must be ``d_w``. Every other line must carry exactly
-    ``d_w`` values, whether or not its token is in the vocabulary, and the
-    values of vocabulary tokens must be finite numbers. Failures raise
-    DatasetError naming ``path:line``.
+    so trailing spaces and tabs are harmless, and blank lines are skipped.
+    A first line of exactly two integers is a word2vec-style header (vector
+    count and width) and is skipped; its width must be ``d_w``. Every other
+    line must carry a token and exactly ``d_w`` values, whether or not its
+    token is in the vocabulary, and the values of vocabulary tokens must be
+    finite numbers. Failures raise DatasetError naming ``PATH:LINE:``.
     """
-    vectors = {}
-    for line_no, line in _numbered_lines(path):
+    first_line = True
+
+    def parse(line):
+        nonlocal first_line
+        is_first, first_line = first_line, False
         parts = line.split()
-        if len(parts) < 2:
-            continue
+        if not parts:
+            return None
         token, values = parts[0], parts[1:]
         # isdecimal, not isdigit: int() parses every decimal digit, but no superscript
-        if line_no == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+        if is_first and len(parts) == 2 and all(p.isdecimal() for p in parts):
             if int(values[0]) != d_w:
-                raise DatasetError(
-                    f"{path}:1: header declares width {values[0]}, expected {d_w}")
-            continue
+                raise DatasetError(f"header declares width {values[0]}, expected {d_w}")
+            return None
         if len(values) != d_w:
-            raise DatasetError(
-                f"{path}:{line_no}: expected {d_w} values, found {len(values)}")
-        if token in vocab:
-            try:
-                row = np.array([float(v) for v in values])
-            except ValueError:
-                row = None
-            if row is None or not np.all(np.isfinite(row)):
-                raise DatasetError(
-                    f"{path}:{line_no}: the vector of {token!r} holds a value "
-                    f"that is not a finite number")
-            vectors[vocab.id(token)] = row
-    return vectors
+            raise DatasetError(f"expected {d_w} values, found {len(values)}")
+        if token not in vocab:
+            return None
+        try:
+            row = np.array([float(v) for v in values])
+        except ValueError:
+            row = None
+        if row is None or not np.all(np.isfinite(row)):
+            raise DatasetError(f"the vector of {token!r} holds a value "
+                               f"that is not a finite number")
+        return vocab.id(token), row
+
+    return dict(read_lines(path, parse))
 
 
 # ---------------------------------------------------------------------------
@@ -293,71 +292,67 @@ def read_conllu(path) -> list[dict]:
             tokens.clear()
             deps.clear()
 
-    for line_no, line in _numbered_lines(path):
+    def parse(line):
         line = line.rstrip("\r\n")  # the file is read in binary: CRLF stays
         if not line.strip():
             flush()
-            continue
+            return
         if line.startswith("#"):
-            continue
+            return
         cols = line.split("\t")
         if len(cols) < 8:
-            raise DatasetError(f"{path}: line {line_no}: expected >= 8 tab-separated columns")
+            raise DatasetError("expected >= 8 tab-separated columns")
         try:
             index = int(cols[0])
         except ValueError:
-            continue  # multiword range or empty node
+            return  # multiword range or empty node
         try:
             head = int(cols[6])
-        except ValueError as e:
-            raise DatasetError(f"{path}: line {line_no}: head column is not an integer") from e
+        except ValueError:
+            raise DatasetError("head column is not an integer") from None
         form, relation = cols[1], cols[7]
         if not form or _BAD_TOKEN.search(form):
-            raise DatasetError(f"{path}: line {line_no}: FORM {form!r} is empty "
-                               f"or contains a line break")
+            raise DatasetError(f"FORM {form!r} is empty or contains a line break")
         if _BAD_RELATION.search(relation):
-            raise DatasetError(f"{path}: line {line_no}: DEPREL {relation!r} "
-                               f"contains a line break")
+            raise DatasetError(f"DEPREL {relation!r} contains a line break")
         tokens.append(form)
         deps.append((head - 1, index - 1, relation))
+
+    read_lines(path, parse)
     flush()
     return sentences
 
 
-def read_aspect_labels(path) -> list[tuple[int, int, int, int, str]]:
-    """Rows ``(line_no, sentence_index, aspect_start, aspect_len, label)`` of an
-    annotation file: four whitespace-separated columns per line, '#' comments allowed.
+def conllu_to_samples(conllu_path, labels_path) -> list[AspectSample]:
+    """Join parsed sentences with the aspect annotations of ``labels_path``.
+
+    An annotation line holds four whitespace-separated columns: sentence
+    index, aspect start, aspect length and label; '#' starts a comment line.
+    Each annotation is validated as a sample; an error names the annotation's
+    line, and a sample that fails validation also names its sentence.
     """
-    rows = []
-    for line_no, line in _numbered_lines(path):
+    sentences = read_conllu(conllu_path)
+
+    def parse(line):
         line = line.strip()
         if not line or line.startswith("#"):
-            continue
+            return None
         parts = line.split()
         if len(parts) != 4:
-            raise DatasetError(
-                f"{path}: line {line_no}: expected 4 columns, found {len(parts)}")
+            raise DatasetError(f"expected 4 columns, found {len(parts)}")
         try:
-            rows.append((line_no, int(parts[0]), int(parts[1]), int(parts[2]), parts[3]))
-        except ValueError as e:
-            raise DatasetError(f"{path}: line {line_no}: non-integer index column") from e
-    return rows
-
-
-def conllu_to_samples(conllu_path, labels_path) -> list[AspectSample]:
-    """Join parsed sentences with aspect annotations into samples validated per annotation line."""
-    sentences = read_conllu(conllu_path)
-    samples = []
-    for line_no, sent_index, start, length, label in read_aspect_labels(labels_path):
+            sent_index, start, length = (int(p) for p in parts[:3])
+        except ValueError:
+            raise DatasetError("non-integer index column") from None
+        if not 0 <= sent_index < len(sentences):
+            raise DatasetError(f"sentence index {sent_index} is not among the "
+                               f"{len(sentences)} sentences of {conllu_path}")
+        sent = sentences[sent_index]
+        sample = AspectSample(sent["tokens"], start, length, parts[3], sent["deps"])
         try:
-            if not (0 <= sent_index < len(sentences)):
-                raise DatasetError(f"sentence index {sent_index} outside "
-                                   f"0..{len(sentences) - 1} of {conllu_path}")
-            sent = sentences[sent_index]
-            sample = AspectSample(tokens=sent["tokens"], aspect_start=start,
-                                  aspect_len=length, label=label, deps=sent["deps"])
             sample.validate()
         except DatasetError as e:
-            raise DatasetError(f"{labels_path}: line {line_no}: {e}") from e
-        samples.append(sample)
-    return samples
+            raise DatasetError(f"{e} (sentence {sent_index} of {conllu_path})") from None
+        return sample
+
+    return read_lines(labels_path, parse)

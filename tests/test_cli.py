@@ -174,7 +174,7 @@ class TestPrepare:
         assert cli.main(["prepare", "--conllu", str(conllu), "--labels", str(labels),
                          "--out", str(tmp_path / "data.jsonl")]) == 1
         assert capsys.readouterr().err == (
-            f"error: {conllu}: line 6: expected >= 8 tab-separated columns\n")
+            f"error: {conllu}:6: expected >= 8 tab-separated columns\n")
 
     @pytest.mark.parametrize("line, message", [
         ("2\tfo\ro\t_\t_\t_\t_\t4\tnsubj\t_\t_",
@@ -193,7 +193,7 @@ class TestPrepare:
         out = tmp_path / "data.jsonl"
         assert cli.main(["prepare", "--conllu", str(conllu), "--labels", str(labels),
                          "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {conllu}: line 2: {message}\n"
+        assert capsys.readouterr().err == f"error: {conllu}:2: {message}\n"
         assert not out.exists()
 
 
@@ -233,17 +233,31 @@ class TestTrain:
         if problem in removed:
             cfg.write_text(f"d_w = 8\n{removed[problem]}\n")
             field = removed[problem].split()[0]
-            expected = f"error: {cfg}: config line 2: unknown field '{field}'\n"
+            expected = f"error: {cfg}:2: unknown field '{field}'\n"
         else:
             cfg.write_bytes(b"d_w = 8\nd_h = \xff8\n")
-            expected = (f"error: {cfg}: config line 2: not UTF-8 text "
-                        "(invalid start byte at byte 14 of the file)\n")
+            expected = f"error: {cfg}:2: not UTF-8 text (invalid start byte at byte 6)\n"
         out_dir = data_dir / "run_bad_config"
         code = cli.main(["train", "--config", str(cfg), "--train", str(data_dir / "train.jsonl"),
                          "--out-dir", str(out_dir)])
         assert code == 1
         assert capsys.readouterr().err == expected
         assert not out_dir.exists()
+
+    def test_a_config_value_outside_its_range_fails_naming_the_line(self, data_dir, capsys):
+        # each field's own range is checked where its line is read; a flag's, where it is parsed
+        cfg = data_dir / "run.cfg"
+        cfg.write_text("d_w = 8\nlearning_rate = 0.000\n")
+        out_dir = data_dir / "run_out_of_range"
+        code = cli.main(["train", "--config", str(cfg), "--train", str(data_dir / "train.jsonl"),
+                         "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: config field learning_rate must be positive and finite, got 0.0\n")
+        assert not out_dir.exists()
+        assert cli.main(["train", "--train", "x", "--out-dir", "y", "--dev-fraction", "1"]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
+            "argument --dev-fraction: config field dev_fraction must be in [0, 1), got 1.0")
 
     def test_manifest_echoes_training_defaults(self, data_dir):
         # dims shrink via config file; optimizer knobs stay at their defaults
@@ -277,7 +291,7 @@ class TestTrain:
         code = cli.main(["train", "--train", str(data_dir / "train.jsonl"), "--dev", str(dev),
                          "--out-dir", str(data_dir / "run_bad_dev")] + TINY_FLAGS)
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {dev}: line 2: field 'label': 'meh'")
+        assert capsys.readouterr().err.startswith(f"error: {dev}:2: field 'label': 'meh'")
 
     @pytest.mark.parametrize("no_dev", ["fraction_zero", "empty_dev_file"])
     def test_run_without_dev_samples_keeps_last_epoch(self, data_dir, no_dev):
@@ -306,7 +320,7 @@ class TestTrain:
         code = cli.main(["train", "--train", str(path), "--out-dir", str(out_dir)] + TINY_FLAGS)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: line 3: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}:3: ") and err.count("\n") == 1
         assert not (out_dir / "checkpoint.npz").exists()
         assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
 
@@ -318,7 +332,21 @@ class TestTrain:
         code = cli.main(["train", "--train", str(path), "--out-dir", str(out_dir)] + TINY_FLAGS)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: line 2: invalid JSON ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}:2: invalid JSON ") and err.count("\n") == 1
+        assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
+
+    def test_an_integer_past_the_digit_limit_fails_in_one_line_naming_the_line(self, data_dir,
+                                                                             capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for such an integer
+        path = data_dir / "huge.jsonl"
+        lines = (data_dir / "train.jsonl").read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + '{"aspect_start": ' + "9" * 5000 + "}\n" + "".join(lines[1:]))
+        out_dir = data_dir / "run_huge"
+        code = cli.main(["train", "--train", str(path), "--out-dir", str(out_dir)] + TINY_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: invalid JSON (Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
         assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
 
     def test_diverging_run_fails_in_one_line(self, data_dir, capsys):

@@ -67,13 +67,13 @@ class TestLoadDataset:
                                          aspect_start=5, aspect_len=2,
                                          deps=[[-1, 0, "root"]] + [[0, i, "dep"] for i in range(1, 6)])]
         write_jsonl(path, records)
-        with pytest.raises(DatasetError, match="line 3.*aspect"):
+        with pytest.raises(DatasetError, match=":3: .*aspect"):
             load_dataset(path)
 
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [make_record(label="angry")])
-        with pytest.raises(DatasetError, match="line 1.*label"):
+        with pytest.raises(DatasetError, match=":1: .*label"):
             load_dataset(path)
 
     def test_missing_field_named(self, tmp_path):
@@ -81,13 +81,13 @@ class TestLoadDataset:
         record = make_record()
         del record["deps"]
         write_jsonl(path, [record])
-        with pytest.raises(DatasetError, match="line 1.*'deps'"):
+        with pytest.raises(DatasetError, match=":1: .*'deps'"):
             load_dataset(path)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(make_record()) + "\n{not json\n")
-        with pytest.raises(DatasetError, match="line 2"):
+        with pytest.raises(DatasetError, match=":2: "):
             load_dataset(path)
 
     @pytest.mark.parametrize("line, message", [
@@ -106,7 +106,7 @@ class TestLoadDataset:
     def test_errors_start_with_the_file_and_name_the_line(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(make_record()) + "\n\n" + line + "\n")
-        with pytest.raises(DatasetError, match="^" + re.escape(f"{path}: line 3: {message}")):
+        with pytest.raises(DatasetError, match="^" + re.escape(f"{path}:3: {message}")):
             load_dataset(path)
 
     def test_double_headed_token_rejected(self, tmp_path):
@@ -129,13 +129,13 @@ class TestLoadDataset:
         # tokens are held to the line-safe text the unseen-relations note needs of relations
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [make_record(), make_record(tokens=["the", token, "was", "limited"])])
-        with pytest.raises(DatasetError, match=r"line 2: field 'tokens': token 1 .*line break"):
+        with pytest.raises(DatasetError, match=r":2: field 'tokens': token 1 .*line break"):
             load_dataset(path)
 
     def test_unicode_escaped_line_break_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(make_record()).replace('"menu"', '"me\\u000anu"') + "\n")
-        with pytest.raises(DatasetError, match=r"line 1: field 'tokens': token 1 'me\\nnu'"):
+        with pytest.raises(DatasetError, match=r":1: field 'tokens': token 1 'me\\nnu'"):
             load_dataset(path)
 
     @pytest.mark.parametrize("relation", ["n\tsubj", "n\nsubj", "n\rsubj"])
@@ -144,7 +144,7 @@ class TestLoadDataset:
         path = tmp_path / "bad.jsonl"
         deps = [[1, 0, "det"], [3, 1, relation], [3, 2, "cop"], [-1, 3, "root"]]
         write_jsonl(path, [make_record(deps=deps)])
-        with pytest.raises(DatasetError, match=r"line 1: field 'deps': relation .*tab"):
+        with pytest.raises(DatasetError, match=r":1: field 'deps': relation .*tab"):
             load_dataset(path)
 
     @pytest.mark.parametrize("field, name", [("tokens", '"menu"'), ("deps", '"nsubj"')])
@@ -153,7 +153,7 @@ class TestLoadDataset:
         path = tmp_path / "bad.jsonl"
         line = json.dumps(make_record())
         path.write_text(line + "\n" + line.replace(name, '"\\ud800"') + "\n")
-        with pytest.raises(DatasetError, match=f"line 2: field '{field}': .*lone surrogate"):
+        with pytest.raises(DatasetError, match=f":2: field '{field}': .*lone surrogate"):
             load_dataset(path)
 
     def test_reload_is_identical(self, tmp_path, rng):
@@ -309,6 +309,18 @@ class TestEmbeddings:
         path.write_text("\u0663 \u0664\nhello 1 2 3 4\n", encoding="utf-8")
         assert load_pretrained_embeddings(path, vocab, 4)[vocab.id("hello")].tolist() == [1, 2, 3, 4]
 
+    def test_a_line_holding_only_a_token_fails_naming_the_line(self, tmp_path):
+        vocab = Vocab(["<pad>", "<unk>", "the"])
+        path = tmp_path / "vectors.txt"
+        path.write_text("the\n")
+        with pytest.raises(DatasetError,
+                           match="^" + re.escape(f"{path}:1: expected 8 values, found 0")):
+            load_pretrained_embeddings(path, vocab, 8)
+        # blank lines, whitespace alone included, are the only lines skipped
+        path.write_text("\n \t\nthe 1 2 3 4 5 6 7 8\n\n")
+        assert load_pretrained_embeddings(path, vocab, 8)[vocab.id("the")].tolist() == [
+            1, 2, 3, 4, 5, 6, 7, 8]
+
     def test_trailing_whitespace_tolerated(self, tmp_path):
         vocab = Vocab(["<pad>", "<unk>", "hello"])
         path = tmp_path / "vectors.txt"
@@ -327,16 +339,18 @@ class TestEmbeddings:
 
 @pytest.mark.parametrize("reader", ["dataset", "conllu", "labels", "embeddings"])
 def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, reader):
+    conllu = tmp_path / "parses.conllu"
+    conllu.write_text(CONLLU)
     first_line, read = {
         "dataset": (json.dumps(make_record()), load_dataset),
         "conllu": (CONLLU.splitlines()[1], corpus.read_conllu),
-        "labels": ("0 1 1 negative", corpus.read_aspect_labels),
+        "labels": ("0 1 1 negative", lambda p: conllu_to_samples(conllu, p)),
         "embeddings": ("menu 0.1 0.2 0.3 0.4", lambda p: load_pretrained_embeddings(
             p, Vocab(["<pad>", "<unk>", "menu"]), 4)),
     }[reader]
     path = tmp_path / "input.txt"
     path.write_bytes(first_line.encode() + b"\ncaf\xff\n")
-    with pytest.raises(DatasetError, match="^" + re.escape(f"{path}: line 2: not UTF-8")):
+    with pytest.raises(DatasetError, match="^" + re.escape(f"{path}:2: not UTF-8")):
         read(path)
 
 
@@ -394,13 +408,13 @@ class TestConlluConverter:
             conllu_to_samples(conllu, labels)
 
     @pytest.mark.parametrize("bad_file, content, message", [
-        ("conllu", "1\tword\n", "line 1: expected >= 8 tab-separated columns"),
-        ("conllu", CONLLU.replace("\t2\tdet", "\tx\tdet"), "line 2: head column"),
-        ("labels", "# comment\n0 1 1\n", "line 2: expected 4 columns"),
-        ("labels", "0 1 1 negative\nx 1 1 positive\n", "line 2: non-integer index"),
-        ("labels", "\n0 1 1 negative\n7 0 1 positive\n", "line 3: sentence index 7"),
-        ("labels", "0 1 1 negative\n1 1 1 glad\n", "line 2: field 'label'"),
-        ("labels", "0 3 2 negative\n", "line 1: field 'aspect_start'"),
+        ("conllu", "1\tword\n", "1: expected >= 8 tab-separated columns"),
+        ("conllu", CONLLU.replace("\t2\tdet", "\tx\tdet"), "2: head column"),
+        ("labels", "# comment\n0 1 1\n", "2: expected 4 columns"),
+        ("labels", "0 1 1 negative\nx 1 1 positive\n", "2: non-integer index"),
+        ("labels", "\n0 1 1 negative\n7 0 1 positive\n", "3: sentence index 7"),
+        ("labels", "0 1 1 negative\n1 1 1 glad\n", "2: field 'label'"),
+        ("labels", "0 3 2 negative\n", "1: field 'aspect_start'"),
     ], ids=["columns", "head", "label_columns", "index", "sentence", "label", "span"])
     def test_errors_start_with_the_file_and_name_the_line(self, tmp_path, bad_file,
                                                          content, message):
@@ -408,11 +422,21 @@ class TestConlluConverter:
         paths["conllu"].write_text(CONLLU)
         paths["labels"].write_text("0 1 1 negative\n")
         paths[bad_file].write_text(content)
-        with pytest.raises(DatasetError, match="^" + re.escape(f"{paths[bad_file]}: {message}")):
+        with pytest.raises(DatasetError, match="^" + re.escape(f"{paths[bad_file]}:{message}")):
             conllu_to_samples(paths["conllu"], paths["labels"])
+
+    def test_a_parse_that_is_no_tree_fails_at_the_annotation_naming_the_sentence(self, tmp_path):
+        conllu = tmp_path / "p.conllu"
+        conllu.write_text(CONLLU.replace("\t4\tnsubj", "\t1\tnsubj"))  # "the" <-> "menu"
+        labels = tmp_path / "a.txt"
+        labels.write_text("1 1 1 positive\n0 1 1 negative\n")
+        with pytest.raises(DatasetError, match="^" + re.escape(
+                f"{labels}:2: field 'deps': edges do not form a single-rooted tree "
+                f"(sentence 0 of {conllu})") + "$"):
+            conllu_to_samples(conllu, labels)
 
     def test_short_line_rejected(self, tmp_path):
         conllu = tmp_path / "p.conllu"
         conllu.write_text("1\tword\n")
-        with pytest.raises(DatasetError, match="line 1"):
+        with pytest.raises(DatasetError, match=":1: "):
             corpus.read_conllu(conllu)

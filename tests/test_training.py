@@ -647,15 +647,15 @@ class TestConfigFile:
             parse_config_text("mystery = 3\n")
 
     def test_bad_value_names_line_and_field(self):
-        with pytest.raises(ValueError, match="config line 2: config field batch_size"):
+        with pytest.raises(ValueError, match="^config:2: config field batch_size"):
             parse_config_text("seed = 3\nbatch_size = many\n")
 
     def test_lines_break_only_at_newline(self):
         # a form feed, like the other breaks str.splitlines knows, is inside a line
-        with pytest.raises(ValueError, match=r"config line 1: config field d_w: "
+        with pytest.raises(ValueError, match=r"^config:1: config field d_w: "
                                              r"expected an integer, got '8\\x0cheads = 2'"):
             parse_config_text("d_w = 8\x0cheads = 2\n")
-        with pytest.raises(ValueError, match="config line 2: config field batch_size"):
+        with pytest.raises(ValueError, match="^config:2: config field batch_size"):
             parse_config_text("seed = 3\x0c\nbatch_size = many\n")
         assert parse_config_text("seed = 3\r\nbatch_size = 4\r\n") == dataclasses.replace(
             TrainConfig(), seed=3, batch_size=4)
@@ -663,7 +663,7 @@ class TestConfigFile:
     def test_bad_byte_names_the_line_counted_at_newlines(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"seed = 3\x0c\nd_h = \xff8\n")
-        with pytest.raises(ValueError, match="run.cfg: config line 2: not UTF-8 text"):
+        with pytest.raises(ValueError, match="run.cfg:2: not UTF-8 text"):
             load_config(path)
 
     def test_validation_catches_bad_values(self):
