@@ -4,12 +4,15 @@ A :class:`Tensor` wraps a numpy array and remembers the operation that
 produced it. Calling :func:`backward` on a scalar tensor walks the recorded
 graph once, in reverse topological order, and adds each gradient that
 reaches a leaf (a tensor created with ``requires_grad=True``, not produced
-by an operation) into the leaf's ``.grad`` as it arrives. Intermediate
-results never hold a gradient array. A leaf's accumulator is allocated
-zeroed once and :meth:`Tensor.zero_grad` clears it in place, so a training
-step allocates no parameter-sized gradient array for the leaves. Everything
-runs in 64-bit precision so analytic gradients can be validated tightly
-against central finite differences (:func:`finite_diff_check`).
+by an operation) into an accumulator as it arrives. Intermediate results
+never hold a gradient array. By default the accumulator is the leaf's
+``.grad``, allocated zeroed when first read and cleared in place by
+:meth:`Tensor.zero_grad`. A training step instead passes ``on_leaf``: each
+leaf's gradient is then handed over as soon as the last node reading the
+leaf has run, so the optimizer can step that parameter and drop its
+gradient while the walk goes on. Everything runs in 64-bit precision so
+analytic gradients can be validated tightly against central finite
+differences (:func:`finite_diff_check`).
 
 Supported operand ranks are 0 (scalars), 1 (vectors) and 2 (matrices).
 Broadcasting is deliberately restricted to adding a bias row to a matrix;
@@ -24,7 +27,7 @@ multi-head layer in its one node. :func:`sparse_matmul` applies a constant
 :class:`SparseMatrix`, such as a batch's packed graph adjacency, by its
 entries.
 
-``model.gradient_check_suite`` checks the 19 ops a training step records.
+``model.gradient_check_suite`` checks the 18 ops a training step records.
 No model path calls :func:`slice_axis`, :func:`transpose`, :func:`tanh`,
 :func:`sigmoid`, :func:`exp` or :func:`reduce_mean`.
 
@@ -50,19 +53,32 @@ class NonFiniteError(FloatingPointError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_kink")
+    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward_fn", "_kink")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        # Leaves that can receive gradients carry an accumulator from the
-        # start; repeated backward passes add into it until zero_grad().
-        # np.zeros gets pages the OS has zeroed, so a model that never runs
-        # backward never makes its gradient pages resident.
-        self.grad = np.zeros(self.data.shape) if self.requires_grad else None
+        self._grad: np.ndarray | None = None  # see grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
         self._kink: np.ndarray | None = None  # which inputs of a relu or clamp_min pass
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """A leaf's gradient accumulator; None for an op's result or a tensor not requiring grad.
+
+        Repeated backward passes add into it until :meth:`zero_grad`. It is
+        allocated zeroed when first read, so a leaf whose ``.grad`` nothing
+        reads, such as a parameter that ``backward``'s ``on_leaf`` steps,
+        never makes gradient pages resident.
+        """
+        if self._grad is None and self.requires_grad and self._backward_fn is None:
+            self._grad = np.zeros(self.data.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,15 +92,15 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        """Clear the accumulator in place, whatever ``requires_grad`` reads now.
+        """Clear a held accumulator in place, whatever ``requires_grad`` reads now.
 
-        It is reallocated only if ``data`` changed shape; a tensor that neither
-        requires grad nor holds an accumulator gets none.
+        One of another shape than ``data`` is dropped instead, to be allocated
+        again when read; a tensor holding none gets none.
         """
-        if self.grad is not None and self.grad.shape == self.data.shape:
-            self.grad.fill(0.0)
-        elif self.requires_grad or self.grad is not None:
-            self.grad = np.zeros(self.data.shape)
+        if self._grad is not None and self._grad.shape == self.data.shape:
+            self._grad.fill(0.0)
+        else:
+            self._grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -203,7 +219,7 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
     When ``table`` is a leaf, such as an embedding table, backward sums the
     gradient of each looked-up row and adds it straight into the leaf's
-    accumulator, so no table-sized array is made; the result is
+    ``.grad``, so no table-sized array is made; the result is
     bit-identical to adding a dense scattered gradient. An intermediate
     ``table`` receives the dense gradient.
     """
@@ -318,22 +334,6 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     if count == 0:
         raise ShapeError("reduce_mean: empty axis")
     return scale(reduce_sum(a, axis=axis), 1.0 / count)
-
-
-def sum_squares(tensors: list[Tensor]) -> Tensor:
-    """Scalar sum of every squared entry of every tensor, as one tape node.
-
-    The gradient reaching tensor t is ``2 * g * t``. Backward yields these
-    one tensor at a time, so only one of them exists at once.
-    """
-    arrays = [t.data for t in tensors]
-    out = np.array(sum((float(np.vdot(a, a)) for a in arrays), 0.0))
-
-    def backward(g):
-        two_g = 2.0 * g
-        return (two_g * a for a in arrays)
-
-    return _make(out, tuple(tensors), backward, "sum_squares")
 
 
 LAYER_NORM_EPS = 1e-12
@@ -682,39 +682,78 @@ def _check_finite(g: np.ndarray) -> None:
         raise NonFiniteError("backward: produced non-finite gradient")
 
 
-def backward(loss: Tensor) -> None:
-    """Add d(loss)/d(leaf) into ``.grad`` of every reachable leaf, in place.
+def _last_readers(order: list[Tensor]) -> list[list[Tensor]]:
+    """For each node of ``order``, the leaves requiring grad that no later node reads."""
+    last: dict[Tensor, int] = {}
+    for i, node in enumerate(order):
+        for parent in node._parents:
+            if parent.requires_grad and parent._backward_fn is None:
+                last[parent] = i
+    complete: list[list[Tensor]] = [[] for _ in order]
+    for leaf, i in last.items():
+        complete[i].append(leaf)
+    return complete
 
-    Only leaves that require grad receive a gradient; intermediate tensors
-    and a root that does not require grad get none. Each gradient reaching a
-    leaf is added into its accumulator when it arrives, so the only
-    gradient totals held are those of intermediate tensors. From a zeroed
-    accumulator the result is bit-identical to summing first and adding
-    once. Repeated calls keep accumulating into the same arrays; zero grads
-    explicitly between steps.
+
+def backward(loss: Tensor, on_leaf=None) -> None:
+    """Walk the tape of ``loss`` once, giving each reachable leaf that requires grad d(loss)/d(leaf).
+
+    Each gradient reaching a leaf is added into an accumulator as it
+    arrives; from a zero start that is bit-identical to summing first and
+    adding once. Intermediate tensors and a root that does not require grad
+    get no gradient.
+
+    Without ``on_leaf`` the accumulator is the leaf's ``.grad``, and repeated
+    calls keep adding into it: zero grads between them.
+
+    With ``on_leaf`` each leaf's accumulator is a copy of its first
+    contribution, handed over as ``on_leaf(leaf, grad)`` right after the
+    last node reading the leaf has run, and then dropped. No node left on
+    the walk reads the leaf, so ``on_leaf`` may change ``grad`` and update
+    the leaf's data in place. ``.grad`` is left alone, except that a table
+    :func:`gather_rows` reads (it must have no other reader) is handed its
+    ``.grad``, zeroed again once ``on_leaf`` returns. A leaf the walk never
+    reaches is not handed over.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if loss._backward_fn is None:  # the root is itself a leaf
         if loss.requires_grad:
-            loss.grad += 1.0
+            if on_leaf is None:
+                loss.grad += 1.0
+            else:
+                on_leaf(loss, np.ones(()))
         return
-    # Totals of intermediate tensors propagate through a local map so that
-    # stale values from a previous pass can never leak into this one.
+    order = _toposort(loss)
+    complete = [()] * len(order) if on_leaf is None else _last_readers(order)
+    # Totals of intermediate tensors, and with on_leaf those of leaves, propagate
+    # through a local map so that stale values from a previous pass can never leak in.
     pending: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    for node in _toposort(loss):
+    for node, leaves in zip(order, complete):
         g = pending.pop(id(node))
         _check_finite(g)
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if not parent.requires_grad or pg is None:
                 continue
-            if parent._backward_fn is None:  # a leaf: its accumulator exists from creation
-                _check_finite(pg)
-                parent.grad += pg
-                continue
             key = id(parent)
             prev = pending.get(key)
-            pending[key] = pg if prev is None else prev + pg
+            if parent._backward_fn is not None:
+                pending[key] = pg if prev is None else prev + pg
+                continue
+            _check_finite(pg)
+            if on_leaf is None:
+                parent.grad += pg
+            elif prev is None:  # a copy: add's backward hands one array to both its parents
+                pending[key] = pg + 0.0
+            else:
+                prev += pg
+        for leaf in leaves:
+            grad = pending.pop(id(leaf), None)
+            if grad is not None:
+                on_leaf(leaf, grad)
+            else:  # gather_rows added into the leaf's .grad itself
+                on_leaf(leaf, leaf.grad)
+                leaf.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -804,10 +843,14 @@ class FiniteDiffReport:
     skipped: list[tuple[int, int]] = field(default_factory=list)
 
 
-def finite_diff_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> FiniteDiffReport:
+def finite_diff_check(fn, inputs: list[Tensor], eps: float,
+                      outside_tape=None) -> FiniteDiffReport:
     """Compare analytic gradients of ``fn(*inputs)`` against central differences.
 
-    A coordinate is excluded from the maximum and reported in ``skipped``
+    The analytic gradient of an input is what backward gives it, plus its
+    entry of ``outside_tape`` if given: one array (or 0.0) per input for a
+    term of ``fn`` whose gradient is added off the tape, such as the L2
+    penalty's, which the optimizer adds. A coordinate is excluded from the maximum and reported in ``skipped``
     instead of failing when the two probes put some element of a relu or
     clamp_min input on different sides of its kink: a difference across a
     kink measures no derivative. The relative error per coordinate is
@@ -820,6 +863,8 @@ def finite_diff_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> FiniteDiff
         t.zero_grad()
     backward(out)
     analytic = [t.grad.copy() for t in inputs]
+    for a, extra in zip(analytic, outside_tape or ()):
+        a += extra
 
     max_err = 0.0
     checked = 0

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__, corpus, training
 from .autodiff import NonFiniteError
-from .config import TrainConfig, _parse_value, load_config
+from .config import TrainConfig, _parse_value, resolve_config
 from .corpus import build_vocab, load_dataset, load_pretrained_embeddings
 from .model import GRADCHECK_THRESHOLD, gradient_check_suite
 from .training import (
@@ -78,12 +78,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
-    config = load_config(args.config) if args.config else TrainConfig()
     overrides = {name: getattr(args, name) for name in _CONFIG_FIELDS
                  if getattr(args, name) is not None}
-    config = dataclasses.replace(config, **overrides)
-    config.validate()
-    return config
+    return resolve_config(args.config, overrides)
 
 
 class Manifest:
@@ -151,7 +148,8 @@ def _load_split(args, config):
         train_samples, dev_samples = training.split_dev(
             train_samples, config.dev_fraction, config.seed)
     if not train_samples:
-        held_out = "" if args.dev else f" after holding out dev fraction {config.dev_fraction}"
+        held_out = ("" if args.dev or config.dev_fraction == 0
+                    else f" after holding out dev fraction {config.dev_fraction}")
         raise ValueError(f"{args.train}: no samples left to train on{held_out}")
     return train_samples, dev_samples
 

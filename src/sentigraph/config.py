@@ -6,10 +6,11 @@ A config file is read by ``corpus.read_lines``, as every line-based input is.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
-from .corpus import parse_lines, read_lines
+from .corpus import line_error, parse_lines, read_lines
 
 # the ablation's graph variants, in ablation.tsv's order; ``model`` says what each one is
 GRAPHS = ("full", "no_dependency", "no_edge_weights", "no_bidirectional")
@@ -128,6 +129,40 @@ def parse_config_text(text: str) -> TrainConfig:
                                           _parse_line)))
 
 
-def load_config(path) -> TrainConfig:
-    """The config a ``key = value`` file holds; an error names the file and the line."""
-    return TrainConfig(**dict(read_lines(path, _parse_line)))
+def load_config(path) -> tuple[TrainConfig, dict[str, int]]:
+    """The config a ``key = value`` file holds, and the line that last set each field it sets.
+
+    Lines count from 1. An error names the file and the line.
+    """
+    line_numbers = itertools.count(1)  # parse_lines calls the parser once per line, in order
+
+    def parse(line: str):
+        line_no = next(line_numbers)
+        pair = _parse_line(line)
+        return None if pair is None else (*pair, line_no)
+
+    settings = read_lines(path, parse)  # (field, value, line) per line that sets a field
+    return (TrainConfig(**{key: value for key, value, _line_no in settings}),
+            {key: line_no for key, _value, line_no in settings})
+
+
+def resolve_config(path, overrides: dict) -> TrainConfig:
+    """The config file at ``path`` (None: the defaults) with ``overrides`` applied, validated.
+
+    Each value's own range was checked where its line or flag was read, so
+    :meth:`TrainConfig.validate` can only fail on ``d_w`` and ``heads``
+    together. That error names the file's line that set one of them and no
+    override replaced, the later line if both; with both from overrides or
+    defaults it names no file.
+    """
+    config, lines = load_config(path) if path else (TrainConfig(), {})
+    config = dataclasses.replace(config, **overrides)
+    try:
+        config.validate()
+    except ValueError as e:
+        owned = [line_no for name, line_no in lines.items()
+                 if name in ("d_w", "heads") and name not in overrides]
+        if not owned:
+            raise
+        raise line_error(path, max(owned), e) from None
+    return config

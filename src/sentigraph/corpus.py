@@ -102,6 +102,11 @@ _BAD_TOKEN = re.compile("[\n\r\ud800-\udfff]")
 _BAD_RELATION = re.compile("[\t\n\r\ud800-\udfff]")
 
 
+def line_error(path, line_no: int, message) -> DatasetError:
+    """The error for line ``line_no`` (from 1) of the file at ``path``: ``PATH:LINE: message``."""
+    return DatasetError(f"{path}:{line_no}: {message}")
+
+
 def parse_lines(path, lines, parse_line) -> list:
     """The non-None results of ``parse_line`` on each of ``lines`` decoded as UTF-8.
 
@@ -121,7 +126,7 @@ def parse_lines(path, lines, parse_line) -> list:
             if result is not None:
                 results.append(result)
     except ValueError as e:
-        raise DatasetError(f"{path}:{line_no}: {e}") from e
+        raise line_error(path, line_no, e) from e
     return results
 
 

@@ -14,6 +14,9 @@ masked rows, the softmax of those scores within the sentence pools its
 context states into one vector, and the pooled vector is fused with a
 projected mean of the sentence's transformer rows before the 3-way softmax
 classifier: one row of the B x 3 probability matrix per sentence.
+
+The training loss (:func:`compute_loss`) puts only the cross-entropy on the
+tape; the L2 penalty's gradient is added outside it, by the optimizer.
 """
 
 from __future__ import annotations
@@ -141,13 +144,24 @@ def nll(prob: Tensor, labels) -> Tensor:
 
 
 def l2_penalty(parameters: ParameterStore) -> Tensor:
-    """Sum of squared entries over decayed parameters (biases exempt), one tape node."""
-    return ad.sum_squares([t for _name, t in parameters.decayed_items()])
+    """Sum of squared entries over decayed parameters (biases exempt), as a constant.
+
+    It records no tape node: the gradient 2·w of each decayed tensor w is
+    never taken through the tape (see :func:`compute_loss`).
+    """
+    return Tensor(sum((float(np.vdot(t.data, t.data)) for _name, t in parameters.decayed_items()),
+                      0.0))
 
 
 def compute_loss(prob: Tensor, labels, parameters: ParameterStore,
                  lambda_l2: float) -> Tensor:
-    """Batch loss: mean cross-entropy over the rows plus the L2 penalty counted once."""
+    """Batch loss: mean cross-entropy over the rows plus the L2 penalty counted once.
+
+    Only the cross-entropy is on the tape. The penalty λ·Σ‖w‖² enters the
+    value as a constant, and its gradient (2.0·λ)·w is added to each decayed
+    parameter's completed tape gradient by the optimizer
+    (``training.Adam``), just before that parameter's update.
+    """
     loss = nll(prob, labels)
     if lambda_l2 != 0.0:
         loss = ad.add(loss, ad.scale(l2_penalty(parameters), lambda_l2))

@@ -1,9 +1,14 @@
 """End-to-end training: mini-batch Adam, evaluation metrics, the ablation over the
 four ``graph`` variants and the sweep over the graph-layer counts its caller gives.
 
-Each batch is one packed forward pass and one loss graph (mean
-cross-entropy over the batch plus the L2 penalty counted once, from
-:func:`head.compute_loss`), backpropagated once before a single Adam step.
+Each batch is one packed forward pass and one loss (mean cross-entropy
+over the batch plus the L2 penalty counted once, from
+:func:`head.compute_loss`), backpropagated once by :meth:`Adam.step`. The
+walk steps each parameter as soon as its gradient is complete, so a step
+never holds every gradient at once. Only the cross-entropy is on the tape:
+Adam adds the L2 gradient (2.0·λ)·w to each decayed parameter's gradient
+just before that parameter's update, and steps the parameters the walk
+never reaches after it.
 Evaluation and prediction files run through ``model.predict_all``, in
 length-sorted chunks of at most ``model.INFERENCE_CHUNK_ROWS`` padded rows.
 The caller supplies the dev split: ``split_dev`` holds one out of a
@@ -38,19 +43,32 @@ from .syntax import SdiTable, collect_sdi_stats
 from .util import atomic_write, make_rng
 
 class Adam:
-    """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+    """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8), each
+    parameter stepped as soon as its gradient is complete.
 
-    ``step`` updates the moments and the parameters in place. It sweeps each
-    tensor's flat view in blocks of at most ``block_size`` elements (512 KB,
-    small enough to stay in a per-core L2 cache) through two scratch
-    buffers allocated once, so a step allocates nothing the size of a
-    parameter. Per element it computes, in this order,
+    ``step(loss)`` runs the one backward walk of ``loss``, which hands each
+    parameter's gradient over right after the last node reading it
+    (``autodiff.backward``'s ``on_leaf``). The parameter is updated there,
+    so a step holds only the gradients of parameters still being read. A
+    decayed parameter's gradient first gets the L2 penalty's (2.0·λ)·w,
+    which ``head.compute_loss`` leaves off the tape. After the walk, each
+    parameter it never reached steps with a zero data gradient plus its L2
+    term, so its moments decay as they always did.
 
+    An update runs in place over the tensor's flat view in blocks of at
+    most ``block_size`` elements (512 KB, small enough to stay in a
+    per-core L2 cache), through two scratch buffers allocated once, so it
+    allocates nothing the size of a parameter. Per element it computes, in
+    this order,
+
+        g += (2.0*λ)*w   (decayed parameters, when λ != 0)
         m = b1*m + (1-b1)*g,   v = b2*v + ((1-b2)*g)*g,
         w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
 
-    with c1 = 1 - b1**t and c2 = 1 - b2**t, the same operations in the same
-    order as the out-of-place formula, so the result is bit-identical to it.
+    with c1 = 1 - b1**t and c2 = 1 - b2**t: the operations and order of
+    the out-of-place formula on a gradient that takes the L2 term last, as
+    a tape ending in the penalty's node gave it, so the result is
+    bit-identical to that.
     """
 
     beta1 = 0.9
@@ -58,30 +76,43 @@ class Adam:
     eps = 1e-8
     block_size = 65536
 
-    def __init__(self, parameters: ParameterStore, learning_rate: float):
-        self.parameters = parameters
+    def __init__(self, parameters: ParameterStore, learning_rate: float, lambda_l2: float):
         self.learning_rate = learning_rate
         self.t = 0
+        decayed = {name for name, _t in parameters.decayed_items()}
+        # per tensor: its moments m and v, and 2λ for its L2 gradient (0.0 when exempt);
         # np.zeros gets pages the OS has already zeroed instead of filling them
-        self._m = {name: np.zeros(t.data.shape) for name, t in parameters.items()}
-        self._v = {name: np.zeros(t.data.shape) for name, t in parameters.items()}
+        self._state = {t: (np.zeros(t.data.shape), np.zeros(t.data.shape),
+                           2.0 * lambda_l2 if name in decayed else 0.0)
+                       for name, t in parameters.items()}
         largest = max((t.data.size for t in parameters.tensors()), default=0)
         scratch = min(self.block_size, largest)
         self._scratch = (np.empty(scratch), np.empty(scratch))
 
-    def step(self) -> None:
+    def step(self, loss: ad.Tensor) -> None:
+        """Backpropagate ``loss`` and update every parameter once, each as its gradient completes.
+
+        An error raised by the walk (a ``NonFiniteError`` at a later node)
+        leaves the parameters handed over before it already updated.
+        """
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for name, tensor in self.parameters.items():
+        unreached = dict.fromkeys(self._state)  # in the store's order
+
+        def update(tensor: ad.Tensor, grad: np.ndarray) -> None:
+            del unreached[tensor]
+            m, v, decay = self._state[tensor]
             if not tensor.data.flags.c_contiguous:  # a rebound array: its flat view must not copy
                 tensor.data = tensor.data.copy()
-            w, g = tensor.data.reshape(-1), tensor.grad.reshape(-1)
-            m, v = self._m[name].reshape(-1), self._v[name].reshape(-1)
+            w, g, m, v = tensor.data.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1)
             for lo in range(0, w.size, self.block_size):
                 span = slice(lo, lo + self.block_size)
                 wb, gb, mb, vb = w[span], g[span], m[span], v[span]
                 s1, s2 = (buf[:wb.size] for buf in self._scratch)
+                if decay:
+                    np.multiply(wb, decay, out=s1)
+                    gb += s1
                 mb *= b1
                 np.multiply(gb, 1 - b1, out=s1)
                 mb += s1
@@ -96,6 +127,10 @@ class Adam:
                 s2 += eps
                 s1 /= s2
                 wb -= s1
+
+        ad.backward(loss, on_leaf=update)
+        for tensor in list(unreached):
+            update(tensor, np.zeros(tensor.data.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +253,12 @@ def train(config: TrainConfig, train_samples, dev_samples,
     samples the last epoch is kept. ``vocab`` defaults to the training
     samples' vocabulary, and ``pretrained`` word vectors are keyed by its
     ids (see :class:`AspectSentimentModel`).
+
+    An error returns nothing. Raised during a step's backward walk (a
+    diverging run's ``NonFiniteError``), it leaves that step half taken in
+    memory: the parameters handed over before it are updated, the rest are
+    not, and the model it raised in is reachable only from the traceback.
+    Nothing is written to disk; the caller saves what ``train`` returns.
     """
     config.validate()
     if not train_samples:
@@ -226,7 +267,7 @@ def train(config: TrainConfig, train_samples, dev_samples,
         vocab = build_vocab(train_samples, min_freq=config.min_freq)
     sdi = collect_sdi_stats(train_samples) if config.edge_weighted else None
     model = AspectSentimentModel(config, vocab, sdi=sdi, pretrained=pretrained)
-    optimizer = Adam(model.parameters, config.learning_rate)
+    optimizer = Adam(model.parameters, config.learning_rate, config.lambda_l2)
     shuffle_rng = make_rng(config.seed, "shuffle")
 
     log: list[EpochStats] = []
@@ -245,11 +286,9 @@ def train(config: TrainConfig, train_samples, dev_samples,
             if best_is_live:
                 best_state = model.parameters.state_dict()
                 best_is_live = False
-            model.parameters.zero_grads()
             loss = head.compute_loss(model.forward(batch).prob, [s.label for s in batch],
                                      model.parameters, config.lambda_l2)
-            ad.backward(loss)
-            optimizer.step()
+            optimizer.step(loss)
             total_loss += loss.item() * len(batch)
         del loss  # the last tape, before dev evaluation (freed per step, its pages fault in again)
         dev_metrics = evaluate(model, dev_samples) if dev_samples else None

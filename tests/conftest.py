@@ -5,12 +5,24 @@ from sentigraph import autodiff as ad
 from sentigraph import head
 from sentigraph.synthetic import random_tree_sample
 
-__all__ = ["aspect_mask", "random_tree_sample"]
+__all__ = ["aspect_mask", "log_backward", "random_tree_sample"]
 
 
 def aspect_mask(h_gcn, spans, layout):
     """``h_gcn`` zeroed outside each sentence's aspect span, as the model masks it."""
     return ad.scale_rows(h_gcn, ad.Tensor(head.aspect_rows(spans, layout)))
+
+
+def log_backward(loss, log):
+    """Make each node on the tape of ``loss`` append itself to ``log`` as its backward runs."""
+    def logged(node, backward_fn):
+        def run(g):
+            log.append(node)
+            return backward_fn(g)
+        return run
+
+    for node in ad._toposort(loss):
+        node._backward_fn = logged(node, node._backward_fn)
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@
 This is the per-sample forward pass the packed batch path replaced, kept
 as the oracle for it: no packing, no lengths, no fused attention, graph or
 segment ops, a Bi-LSTM built step by step from per-token slices, a dense
-graph matrix, and an L2 term built per decayed parameter instead of
-:func:`autodiff.sum_squares`. Tests compare the packed model against it on
+graph matrix, and an L2 term on the tape, built per decayed parameter,
+where the model's loss leaves that gradient to the optimizer. Tests compare the packed model against it on
 probabilities and on the gradient of the training loss, and the graph
 builder's entries against :func:`reference_adjacency`.
 """

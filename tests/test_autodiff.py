@@ -14,6 +14,9 @@ from sentigraph.corpus import PAD_TOKEN, UNK_TOKEN, Vocab
 from sentigraph.model import AspectSentimentModel
 from sentigraph.training import load_checkpoint, save_checkpoint
 
+from conftest import log_backward
+from reference_step import sum_squares
+
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
@@ -278,13 +281,13 @@ def test_root_without_grad_receives_nothing():
 
 def test_sum_squares_value_and_gradient():
     a, b = rand((3, 4), 53), rand((5,), 54)
-    out = ad.sum_squares([ad.Tensor(a), ad.Tensor(b)])
+    out = sum_squares([ad.Tensor(a), ad.Tensor(b)])
     assert out.item() == pytest.approx((a * a).sum() + (b * b).sum(), rel=1e-15)
     ta, tb = ad.Tensor(a, requires_grad=True), ad.Tensor(b, requires_grad=True)
-    ad.backward(ad.scale(ad.sum_squares([ta, tb]), 0.5))
+    ad.backward(ad.scale(sum_squares([ta, tb]), 0.5))
     assert np.array_equal(ta.grad, a) and np.array_equal(tb.grad, b)
-    check(lambda x, y: ad.sum_squares([x, y]), [a, b])
-    assert ad.sum_squares([]).item() == 0.0
+    check(lambda x, y: sum_squares([x, y]), [a, b])
+    assert sum_squares([]).item() == 0.0
 
 
 def test_nonfinite_gradient_reaching_a_leaf_raises_and_leaves_it_untouched():
@@ -318,7 +321,7 @@ def test_leaf_reached_by_several_paths_matches_summing_first():
 def test_zero_grad_clears_in_place_and_allocates_nothing():
     store = ad.ParameterStore()
     tensors = [store.add(f"p{i}", rand((200, 50), i)) for i in range(4)]
-    ad.backward(ad.sum_squares(tensors))
+    ad.backward(sum_squares(tensors))
     accumulators = [t.grad for t in tensors]
     tracemalloc.start()
     try:
@@ -337,7 +340,9 @@ def test_sum_squares_backward_never_holds_all_gradients():
     # its 2*g*t terms are made one tensor at a time and added as they arrive
     size = 250_000  # 2 MB per tensor
     tensors = [ad.Tensor(rand((size,), i), requires_grad=True) for i in range(6)]
-    loss = ad.sum_squares(tensors)
+    for t in tensors:  # the accumulators, allocated when first read, are not what is measured
+        t.grad.fill(0.0)
+    loss = sum_squares(tensors)
     tracemalloc.start()
     try:
         ad.backward(loss)
@@ -347,6 +352,73 @@ def test_sum_squares_backward_never_holds_all_gradients():
     assert peak < 2.5 * 8 * size
     for t in tensors:
         assert np.array_equal(t.grad, 2.0 * t.data)
+
+
+def handed_over(loss):
+    """Each leaf ``backward(loss, on_leaf=...)`` hands over, in order, with a copy of its gradient.
+
+    Like ``training.Adam``, the callback then changes the array it was handed.
+    """
+    handed = []
+
+    def on_leaf(leaf, grad):
+        handed.append((leaf, grad.copy()))
+        grad *= 2.0
+
+    ad.backward(loss, on_leaf=on_leaf)
+    return handed
+
+
+def test_hand_off_matches_the_accumulated_grad_bit_for_bit():
+    # add's backward hands one array to both x and y, and both are complete at that
+    # node: without a copy of each first contribution, doubling what x is handed
+    # would double y's gradient too; x is read once more, deeper in the tape
+    x, y = (ad.Tensor(rand((3, 4), 60 + i), requires_grad=True) for i in range(2))
+    w = ad.Tensor(rand((3, 4), 62))
+
+    def loss():
+        return ad.reduce_sum(ad.mul(ad.add(ad.add(x, y), ad.tanh(ad.scale(x, 3.0))), w))
+
+    handed = handed_over(loss())
+    assert {id(leaf) for leaf, _ in handed} == {id(x), id(y)} and len(handed) == 2
+    assert not x.grad.any() and not y.grad.any()  # .grad is left alone
+    ad.backward(loss())
+    for leaf, grad in handed:
+        assert grad.tobytes() == leaf.grad.tobytes()
+
+
+def test_hand_off_comes_right_after_the_last_reader():
+    near, deep = (ad.Tensor(rand((2, 2), 63 + i), requires_grad=True) for i in range(2))
+    inner = ad.mul(deep, ad.Tensor(rand((2, 2), 65)))
+    squashed = ad.tanh(inner)
+    outer = ad.mul(squashed, near)
+    loss = ad.reduce_sum(outer)
+    log = []
+    log_backward(loss, log)
+    ad.backward(loss, on_leaf=lambda leaf, grad: log.append(leaf))
+    assert log == [loss, outer, near, squashed, inner, deep]
+
+
+def test_hand_off_of_a_gather_rows_table_uses_and_rezeroes_its_grad():
+    table = ad.Tensor(rand((5, 3), 65), requires_grad=True)
+    accumulator = table.grad
+    loss = ad.reduce_sum(ad.mul(ad.gather_rows(table, np.array([1, 3, 1])),
+                                ad.Tensor(rand((3, 3), 66))))
+    handed = []
+    ad.backward(loss, on_leaf=lambda leaf, grad: handed.append((leaf, grad is accumulator,
+                                                                grad.copy())))
+    [(leaf, is_grad, grad)] = handed
+    assert leaf is table and is_grad and grad[[1, 3]].any()
+    assert table.grad is accumulator and not accumulator.any()
+    ad.backward(loss)
+    assert grad.tobytes() == table.grad.tobytes()
+
+
+def test_hand_off_of_a_leaf_root_and_of_no_reachable_leaf():
+    p = ad.Tensor(np.array(2.0), requires_grad=True)
+    assert [(leaf, grad.tolist()) for leaf, grad in handed_over(p)] == [(p, 1.0)]
+    assert not p.grad.any()
+    assert handed_over(ad.reduce_sum(ad.Tensor(np.ones(2)))) == []
 
 
 def test_shared_subexpression_gradient():

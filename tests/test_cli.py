@@ -11,6 +11,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from sentigraph import autodiff as ad
 from sentigraph import cli, training
 from sentigraph.autodiff import FiniteDiffReport
 from sentigraph.config import GRAPHS, TrainConfig
@@ -361,6 +362,58 @@ class TestTrain:
         assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
         assert not (out_dir / "checkpoint.npz").exists()
         assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
+
+    def test_an_error_inside_the_backward_walk_fails_in_one_line(self, data_dir, capsys,
+                                                                 monkeypatch):
+        # a non-finite gradient at the embedding lookup, the walk's last node, is found
+        # after every other parameter of that step has been updated in memory
+        gather_rows = ad.gather_rows
+
+        def poisoned(table, ids):
+            out = gather_rows(table, ids)
+            if table._backward_fn is None and out._backward_fn is not None:
+                backward = out._backward_fn
+                out._backward_fn = lambda g: backward(np.full_like(g, np.inf))
+            return out
+
+        monkeypatch.setattr(ad, "gather_rows", poisoned)
+        out_dir = data_dir / "run_poisoned"
+        code = cli.main(["train", "--train", str(data_dir / "train.jsonl"),
+                         "--out-dir", str(out_dir)] + TINY_FLAGS)
+        assert code == 1
+        assert capsys.readouterr().err == "error: backward: produced non-finite gradient\n"
+        assert not (out_dir / "checkpoint.npz").exists()
+        assert read_manifest(out_dir / "manifest.json")["status"] == "incomplete"
+
+    @pytest.mark.parametrize("lines, flags, line_no", [
+        (["d_w = 8", "heads = 3"], [], 2),
+        (["heads = 3", "seed = 2", "d_w = 8"], [], 3),  # the later of the two lines
+        (["d_w = 8", "heads = 2"], ["--heads", "3"], 1),  # the line the flag left standing
+        (["seed = 2", "heads = 3"], ["--d-w", "8"], 2),
+        (["d_w = 8", "heads = 3"], ["--d-w", "8", "--heads", "3"], None),  # flags set both
+        (["seed = 2"], ["--d-w", "8", "--heads", "3"], None),
+    ], ids=["file_sets_both", "later_line", "flag_overrides_heads", "flag_sets_d_w",
+            "flags_override_both", "flags_set_both"])
+    def test_indivisible_heads_name_the_config_line_behind_them(self, data_dir, capsys, lines,
+                                                                 flags, line_no):
+        cfg = data_dir / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out_dir = data_dir / "run_heads"
+        code = cli.main(["train", "--config", str(cfg), "--train", str(data_dir / "train.jsonl"),
+                         "--out-dir", str(out_dir)] + flags)
+        assert code == 1
+        where = "" if line_no is None else f"{cfg}:{line_no}: "
+        assert capsys.readouterr().err == f"error: {where}d_w=8 must be divisible by heads=3\n"
+        assert not out_dir.exists()
+
+    def test_an_empty_training_file_with_no_dev_fraction_says_nothing_was_held_out(
+            self, data_dir, capsys):
+        path = data_dir / "empty.jsonl"
+        path.write_text("")
+        code = cli.main(["train", "--train", str(path), "--out-dir", str(data_dir / "run_none"),
+                         "--dev-fraction", "0"] + TINY_FLAGS)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: no samples left to train on\n"
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("n_samples", [1, 0])

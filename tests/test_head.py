@@ -18,8 +18,10 @@ from sentigraph.head import (
     nll,
     predictions,
 )
+from sentigraph.training import Adam
 
 from conftest import aspect_mask
+from reference_step import reference_adam_step
 
 
 def classify_one(x, params):
@@ -229,15 +231,33 @@ class TestComputeLoss:
         loss = compute_loss(prob, ["positive"], store, 0.01)
         assert loss.item() == pytest.approx(0.04, abs=1e-15)
 
-    def test_l2_penalty_is_one_node_over_the_decayed_tensors(self):
+    def test_l2_penalty_is_a_constant_whose_gradient_adam_adds(self):
         store = ParameterStore()
-        w = store.add("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
-        store.add("cls.b", np.array([5.0]), no_decay=True)
-        v = store.add("v", np.array([0.25]))
+        w = store.add("w", np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]]))
+        store.add("cls.b", np.array([5.0, -1.0, 2.0]), no_decay=True)
+        store.add("v", np.array([0.25]))  # the tape never reaches it
         penalty = head.l2_penalty(store)
-        assert len(penalty._parents) == 2
-        assert penalty._parents[0] is w and penalty._parents[1] is v
-        assert penalty.item() == 14.25 + 0.0625
+        assert penalty.item() == 1.0 + 4.0 + 0.25 + 9.0 + 0.0625 + 1.0 + 0.0625
+        assert penalty._parents == () and not penalty.requires_grad
+
+        lam, x = 0.5, Tensor(np.array([[0.5, -1.5]]))
+
+        def loss():
+            logits = ad.add(ad.matmul(x, w), store["cls.b"])
+            return compute_loss(ad.softmax(logits, axis=1), ["neutral"], store, lam)
+
+        store.zero_grads()
+        ad.backward(loss())  # the tape's gradient: the cross-entropy's alone
+        ref = store.state_dict()
+        grads = {name: t.grad.copy() for name, t in store.items()}
+        for name in ("w", "v"):
+            grads[name] += (2.0 * lam) * ref[name]
+        m = {name: np.zeros(a.shape) for name, a in ref.items()}
+        v = {name: np.zeros(a.shape) for name, a in ref.items()}
+        reference_adam_step(ref, grads, m, v, 1, lr=0.1)
+        Adam(store, learning_rate=0.1, lambda_l2=lam).step(loss())
+        for name, t in store.items():
+            assert t.data.tobytes() == ref[name].tobytes(), name
 
     def test_batch_loss_is_the_mean_of_its_rows(self):
         prob = np.array([[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
@@ -266,5 +286,7 @@ class TestComputeLoss:
         def loss(*_inputs):
             return compute_loss(classify(x, params), ["negative"], store, 1e-3)
 
-        report = ad.finite_diff_check(loss, [x] + store.tensors(), eps=1e-5)
+        # the L2 gradient that Adam adds off the tape, to the weight and not the bias
+        l2 = [0.0, (2.0 * 1e-3) * params.w.data, 0.0]
+        report = ad.finite_diff_check(loss, [x] + store.tensors(), eps=1e-5, outside_tape=l2)
         assert report.max_rel_error < 1e-4

@@ -114,6 +114,8 @@ class TestPackedBatch:
         ad.backward(head.compute_loss(fp.prob, [s.label for s in batch], params,
                                       model.config.lambda_l2))
         packed_grads = {name: t.grad.copy() for name, t in params.items()}
+        for name, t in params.decayed_items():  # the L2 gradient, which Adam adds off the tape
+            packed_grads[name] += (2.0 * model.config.lambda_l2) * t.data
 
         params.zero_grads()
         reference = np.array([reference_probabilities(model, s).data for s in batch])

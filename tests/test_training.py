@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sentigraph import autodiff as ad
-from sentigraph import training
+from sentigraph import head, training
 from sentigraph.autodiff import ParameterStore
 from sentigraph.config import (
     GRAPHS,
@@ -52,6 +52,10 @@ from sentigraph.training import (
     write_epoch_log,
     write_scores,
 )
+from sentigraph.util import make_rng
+
+from conftest import log_backward
+from reference_step import reference_adam_step, reference_compute_loss, sum_squares
 
 TINY = TrainConfig(d_w=8, d_h=8, gcn_layers=1, heads=2, ffn_width=16,
                    max_epochs=3, batch_size=8, seed=5)
@@ -61,15 +65,50 @@ def tiny_corpus(n=12, seed=0):
     return make_synthetic_corpus(n, seed=seed)
 
 
-def reference_adam_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-    """The out-of-place Adam update, kept as the reference for the blocked in-place one."""
-    for name in params:
-        g = grads[name]
-        m[name] = b1 * m[name] + (1 - b1) * g
-        v[name] = b2 * v[name] + (1 - b2) * g * g
-        m_hat = m[name] / (1 - b1 ** t)
-        v_hat = v[name] / (1 - b2 ** t)
-        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+def reference_train(config, samples):
+    """``train`` with no dev split, each step as it was taken before the L2 gradient left the tape.
+
+    Per batch: zero the ``.grad`` arrays, build the loss with the L2 term as one
+    ``sum_squares`` node, run a plain backward, then sweep every parameter with
+    the reference Adam update. Returns the model and each epoch's mean loss.
+    """
+    sdi = collect_sdi_stats(samples) if config.edge_weighted else None
+    model = AspectSentimentModel(config, build_vocab(samples, min_freq=config.min_freq), sdi=sdi)
+    params = model.parameters
+    m = {name: np.zeros(t.shape) for name, t in params.items()}
+    v = {name: np.zeros(t.shape) for name, t in params.items()}
+    shuffle_rng = make_rng(config.seed, "shuffle")
+    losses, step = [], 0
+    for _ in range(config.max_epochs):
+        order = shuffle_rng.permutation(len(samples))
+        total = 0.0
+        for start in range(0, len(samples), config.batch_size):
+            batch = [samples[i] for i in order[start:start + config.batch_size]]
+            params.zero_grads()
+            loss = reference_compute_loss(model.forward(batch).prob, [s.label for s in batch],
+                                          params, config.lambda_l2)
+            ad.backward(loss)
+            step += 1
+            arrays = {name: t.data for name, t in params.items()}
+            reference_adam_step(arrays, {name: t.grad for name, t in params.items()}, m, v,
+                                step, config.learning_rate)
+            for name, t in params.items():
+                t.data = arrays[name]
+            total += loss.item() * len(batch)
+        losses.append(total / len(samples))
+    return model, losses
+
+
+def linear_loss(store, grads):
+    """A loss whose tape gives each parameter named in ``grads`` exactly that array.
+
+    The others it does not read.
+    """
+    terms = [ad.reduce_sum(ad.mul(store[name], ad.Tensor(g))) for name, g in grads.items()]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return loss
 
 
 class TestAdam:
@@ -79,76 +118,116 @@ class TestAdam:
                   "matrix": (301, 437), "single": (1,), "no_grad": (5, 7)}
         store = ParameterStore()
         for name, shape in shapes.items():
-            store.add(name, rng.normal(size=shape))
-        optimizer = Adam(store, learning_rate=3e-3)
+            store.add(name, rng.normal(size=shape), no_decay=name == "single")
+        lam = 1e-2
+        optimizer = Adam(store, learning_rate=3e-3, lambda_l2=lam)
         ref = store.state_dict()
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
         arrays = {n: t.data for n, t in store.items()}
         for t in range(1, 4):
-            store.zero_grads()
-            grads = {n: rng.normal(scale=10.0 ** -t, size=s) for n, s in shapes.items()}
-            grads["no_grad"][:] = 0.0
-            for name, tensor in store.items():
-                tensor.grad += grads[name]
-            optimizer.step()
+            # "no_grad" is never read: it steps with a zero data gradient and its L2 term
+            grads = {n: rng.normal(scale=10.0 ** -t, size=s) for n, s in shapes.items()
+                     if n != "no_grad"}
+            optimizer.step(linear_loss(store, grads))
+            grads["no_grad"] = np.zeros(shapes["no_grad"])
+            for name in shapes:  # the L2 gradient, added last as the tape's sum_squares did
+                if name != "single":
+                    grads[name] = grads[name] + (2.0 * lam) * ref[name]
             reference_adam_step(ref, grads, m, v, t, lr=3e-3)
             for name, tensor in store.items():
+                moments = optimizer._state[tensor]
                 assert tensor.data is arrays[name]  # updated in place
                 assert tensor.data.tobytes() == ref[name].tobytes(), name
-                assert optimizer._m[name].tobytes() == m[name].tobytes(), name
-                assert optimizer._v[name].tobytes() == v[name].tobytes(), name
+                assert moments[0].tobytes() == m[name].tobytes(), name
+                assert moments[1].tobytes() == v[name].tobytes(), name
 
     def test_step_allocates_nothing_parameter_sized(self):
+        # beyond what the backward walk allocates: the tape's gradient and its accumulator
         store = ParameterStore()
         p = store.add("p", np.random.default_rng(3).normal(size=1_000_000))
         store.add("small", np.ones(3))
-        optimizer = Adam(store, learning_rate=1e-3)
-        p.grad += 1e-2
-        tracemalloc.start()
-        try:
-            optimizer.step()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000  # bytes; one full-size temporary alone would be 8 MB
+        peaks = []
+        for step in (lambda loss: ad.backward(loss, on_leaf=lambda leaf, grad: None),
+                     Adam(store, learning_rate=1e-3, lambda_l2=1e-2).step):
+            loss = ad.reduce_sum(p)
+            tracemalloc.start()
+            try:
+                step(loss)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 1_000_000  # bytes; one full-size temporary alone is 8 MB
 
     def test_scratch_fits_the_largest_parameter(self):
         store = ParameterStore()
         store.add("p", np.ones((3, 4)))
-        optimizer = Adam(store, learning_rate=1e-3)
+        optimizer = Adam(store, learning_rate=1e-3, lambda_l2=0.0)
         assert [buf.size for buf in optimizer._scratch] == [12, 12]
 
     def test_step_updates_a_rebound_non_contiguous_parameter(self):
         store = ParameterStore()
         p = store.add("p", np.zeros((3, 4)))
-        optimizer = Adam(store, learning_rate=0.1)
+        optimizer = Adam(store, learning_rate=0.1, lambda_l2=0.0)
         p.data = np.ones((4, 3)).T  # Fortran order: its flat view would be a copy
-        p.grad += 1.0
-        optimizer.step()
+        optimizer.step(ad.reduce_sum(p))
         assert np.array_equal(p.data, np.full((3, 4), 1.0 - 0.1 / (1.0 + 1e-8)))
 
     def test_first_step_closed_form(self):
         # with constant gradient g, the bias-corrected first update is lr * g / (|g| + eps)
         store = ParameterStore()
         p = store.add("p", np.array([3.0]))
-        optimizer = Adam(store, learning_rate=0.1)
-        store.zero_grads()
-        ad.backward(ad.reduce_sum(p))
-        optimizer.step()
+        optimizer = Adam(store, learning_rate=0.1, lambda_l2=0.0)
+        optimizer.step(ad.reduce_sum(p))
         expected = 3.0 - 0.1 * 1.0 / (1.0 + 1e-8)
         assert p.data[0] == pytest.approx(expected, abs=1e-15)
 
     def test_converges_on_quadratic(self):
         store = ParameterStore()
         p = store.add("p", np.array([5.0]))
-        optimizer = Adam(store, learning_rate=0.05)
+        optimizer = Adam(store, learning_rate=0.05, lambda_l2=0.0)
         for _ in range(600):
-            store.zero_grads()
             shifted = ad.add(p, ad.Tensor(np.array([-2.0])))
-            ad.backward(ad.reduce_sum(ad.mul(shifted, shifted)))
-            optimizer.step()
+            optimizer.step(ad.reduce_sum(ad.mul(shifted, shifted)))
         assert p.data[0] == pytest.approx(2.0, abs=1e-3)
+
+    def test_an_error_inside_the_walk_leaves_the_parameters_handed_before_it_stepped(self):
+        store = ParameterStore()
+        near = store.add("near", np.array([1.0, 2.0]))
+        deep = store.add("deep", np.array([1e-320, 2.0]))  # d log(x)/dx = 1/x overflows
+        before = store.state_dict()
+        loss = ad.reduce_sum(ad.mul(ad.log(deep), near))
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
+            Adam(store, learning_rate=0.1, lambda_l2=0.0).step(loss)
+        assert np.all(near.data != before["near"])  # complete before the log node ran
+        assert np.array_equal(deep.data, before["deep"])
+
+    def test_a_parameter_the_tape_does_not_reach_still_steps(self):
+        # its moments decay as if the tape had given it zeros, and its L2 term still moves it
+        rng = np.random.default_rng(12)
+        store = ParameterStore()
+        store.add("read", rng.normal(size=4))
+        store.add("once", rng.normal(size=3), no_decay=True)  # read by the first step alone
+        store.add("never", rng.normal(size=2))
+        lam, lr = 0.5, 1e-2
+        optimizer = Adam(store, learning_rate=lr, lambda_l2=lam)
+        ref = store.state_dict()
+        initial = store.state_dict()
+        m = {n: np.zeros(a.shape) for n, a in ref.items()}
+        v = {n: np.zeros(a.shape) for n, a in ref.items()}
+        for t, names in enumerate((("read", "once"), ("read",)), 1):
+            grads = {n: rng.normal(size=ref[n].shape) for n in names}
+            optimizer.step(linear_loss(store, grads))
+            grads = {n: grads.get(n, np.zeros(ref[n].shape)) for n in ref}
+            for n in ("read", "never"):
+                grads[n] = grads[n] + (2.0 * lam) * ref[n]
+            reference_adam_step(ref, grads, m, v, t, lr=lr)
+        for name, tensor in store.items():
+            moments = optimizer._state[tensor]
+            assert tensor.data.tobytes() == ref[name].tobytes(), name
+            assert moments[0].tobytes() == m[name].tobytes(), name
+            assert moments[1].tobytes() == v[name].tobytes(), name
+            assert np.all(tensor.data != initial[name]), name
 
 
 class _ReprFails(float):
@@ -266,9 +345,9 @@ class TestTrain:
         config = dataclasses.replace(TINY, lambda_l2=10.0, max_epochs=4)
         model_before = AspectSentimentModel(config, build_vocab(corpus),
                                             sdi=collect_sdi_stats(corpus))
-        norm_before = ad.sum_squares(model_before.parameters.tensors()).item()
+        norm_before = sum_squares(model_before.parameters.tensors()).item()
         result = train(config, corpus, dev_samples=corpus)
-        assert ad.sum_squares(result.model.parameters.tensors()).item() < norm_before
+        assert sum_squares(result.model.parameters.tensors()).item() < norm_before
 
     def test_best_epoch_tracks_dev_accuracy(self):
         corpus = tiny_corpus(12, seed=9)
@@ -315,6 +394,43 @@ class TestTrain:
         for name, t in result.model.parameters.items():
             assert np.array_equal(result.best_state[name], last_best[name])
             assert not np.array_equal(t.data, last_best[name])
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_steps_match_the_formulation_with_l2_on_the_tape_bit_for_bit(self, graph):
+        # desk width; six steps over two epochs; a penalty large enough to matter
+        config = TrainConfig(d_w=32, d_h=32, gcn_layers=2, heads=4, ffn_width=64, batch_size=4,
+                             max_epochs=2, lambda_l2=1e-3, graph=graph, seed=5)
+        corpus = tiny_corpus(12, seed=13)
+        result = train(config, corpus, [])
+        model, losses = reference_train(config, corpus)
+        assert [e.train_loss for e in result.log] == losses
+        for name, tensor in result.model.parameters.items():
+            assert tensor.data.tobytes() == model.parameters[name].data.tobytes(), name
+
+    def test_a_step_holds_few_gradients_at_once(self, monkeypatch):
+        # the full-scale depth of three graph layers (35 parameters) at toy width
+        config = TrainConfig(d_w=8, d_h=8, heads=2, ffn_width=16, batch_size=8)
+        corpus = tiny_corpus(8, seed=14)
+        model = AspectSentimentModel(config, build_vocab(corpus), sdi=collect_sdi_stats(corpus))
+        parameters = set(model.parameters.tensors())
+        loss = head.compute_loss(model.forward(corpus).prob, [s.label for s in corpus],
+                                 model.parameters, config.lambda_l2)
+        events = []  # each node as its backward runs, and each parameter as it is handed over
+        log_backward(loss, events)
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda loss, on_leaf: backward(
+            loss, on_leaf=lambda leaf, grad: events.append(leaf) or on_leaf(leaf, grad)))
+        Adam(model.parameters, config.learning_rate, config.lambda_l2).step(loss)
+
+        reached, handed, live = set(), set(), []
+        for event in events:
+            if event in parameters:  # a hand-off: count the accumulators alive at it
+                live.append(len(reached - handed))
+                handed.add(event)
+            else:
+                reached.update(p for p in event._parents if p in parameters)
+        assert len(parameters) == 35 and handed == parameters
+        assert max(live) == 3  # an lstm node completes its wx, wh and b together; all 35 before
 
     def test_holdout_split_is_seeded_and_disjoint(self):
         corpus = tiny_corpus(20, seed=10)
@@ -636,7 +752,8 @@ class TestConfigFile:
         config = dataclasses.replace(TINY, learning_rate=0.0025, graph="no_bidirectional")
         path = tmp_path / "run.cfg"
         path.write_text(config_to_text(config), encoding="utf-8")
-        assert load_config(path) == config
+        assert load_config(path) == (config, {f.name: i for i, f in
+                                              enumerate(dataclasses.fields(config), 1)})
 
     def test_overrides_apply_over_base(self):
         updated = parse_config_text("batch_size = 4\ngraph = no_dependency\n")
